@@ -17,9 +17,8 @@ from . import baselines as baselines_mod
 from . import metrics as metrics_mod
 from .chains import build_indirect, emit_pair_manifest
 from .infer import PairPrediction, predictions_to_records, run_inference
-from .model import ValidationError, dump_jsonl, load_dataset, load_arguments
+from .model import ValidationError, dump_json, dump_jsonl, load_dataset, load_arguments
 from .rules import RuleSetConfig, expand_grid, load_config, sweep
-from .solver import SolverParams
 from .synth import SynthConfig, generate, plant_chain_scenario
 
 log = logging.getLogger("arglogic")
@@ -107,17 +106,15 @@ def cmd_plan(arguments_path, scores_path, mode, out_path):
 @click.option("--ablate", multiple=True,
               type=click.Choice(["fact", "sentiment", "causal", "normative"]),
               help="Force-absent a mechanism's score blocks.")
-@click.option("--jobs", default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @guarded
 def cmd_infer(arguments_path, scores_path, config_path, mode, chains,
-              hinge_power, ablate, jobs, out_path):
+              hinge_power, ablate, out_path):
     """MAP inference; writes one prediction line per direct pair."""
     config, _ = _load_ruleset_config(config_path, mode, chains, hinge_power)
     graph, bundles = load_dataset(arguments_path, scores_path, config.task_mode)
-    result = run_inference(graph, bundles, config, ablate=frozenset(ablate),
-                           jobs=jobs)
-    dump_jsonl(predictions_to_records(result, config.task_mode), out_path)
+    result = run_inference(graph, bundles, config, ablate=frozenset(ablate))
+    dump_jsonl(predictions_to_records(result.predictions, config.task_mode), out_path)
     log.info("solved %d components, %d potentials, energy %.4f%s",
              result.n_components, result.n_potentials, result.total_energy,
              "" if result.converged else " (non-converged components)")
@@ -129,16 +126,14 @@ def cmd_infer(arguments_path, scores_path, config_path, mode, chains,
 @config_option
 @mode_option
 @chains_option
-@click.option("--jobs", default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @guarded
-def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, jobs,
-              out_path):
+def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, out_path):
     """Grid-search chain/prior weights on the validation split."""
     base, grids = _load_ruleset_config(config_path, mode, chains, None)
     graph, bundles = load_dataset(arguments_path, scores_path, base.task_mode)
     configs = expand_grid(base, grids)
-    best, rows = sweep(configs, graph, bundles, jobs=jobs)
+    best, rows = sweep(configs, graph, bundles)
     report = {
         "best": {"w_chain": best.w_chain, "w_prior": best.w_prior},
         "configs": [
@@ -148,12 +143,7 @@ def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, jobs,
             for r in rows
         ],
     }
-    tmp = f"{out_path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    import os
-    os.replace(tmp, out_path)
+    dump_json(report, out_path)
     click.echo(f"best config: w_chain={best.w_chain} w_prior={best.w_prior}")
 
 
@@ -210,12 +200,7 @@ def cmd_eval(predictions_path, arguments_path, mode, baseline_path, split,
             marker = metrics_mod.significance_marker(p)
             click.echo(f"paired bootstrap {metric}: p = {p:.4f} {marker}")
     if out_path:
-        tmp = f"{out_path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        import os
-        os.replace(tmp, out_path)
+        dump_json(payload, out_path)
 
 
 @main.command("baseline")
@@ -231,19 +216,7 @@ def cmd_baseline(arguments_path, scores_path, which, mode, seed, out_path):
     """Run one unsupervised baseline; same output format as `infer`."""
     graph, bundles = load_dataset(arguments_path, scores_path, mode)
     preds = baselines_mod.BASELINES[which](graph, bundles, seed)
-    records = []
-    for pid in sorted(preds):
-        pred = preds[pid]
-        rec = {"pair_id": pid,
-               "support": pred.scores.get("support", 0.0),
-               "attack": pred.scores.get("attack", 0.0),
-               "predicted": pred.predicted,
-               "energy_share": 0.0,
-               "converged": True}
-        if mode == "ternary":
-            rec["neutral"] = pred.scores.get("neutral", 0.0)
-        records.append(rec)
-    dump_jsonl(records, out_path)
+    dump_jsonl(predictions_to_records(preds, mode), out_path)
 
 
 @main.command("synth")

@@ -3,13 +3,14 @@
 Every ground potential's distance to satisfaction is a linear hinge
 max(0, a.x + c) over the free atoms of its component; observed predicate
 values are folded into the constant.  Each pair contributes one hard
-simplex block tying its relation atoms to sum to 1.
+simplex row tying its relation atoms to sum to 1.  `ground` writes the
+program straight into the flat arrays the ADMM kernel reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,63 +22,65 @@ from .rules import Rule
 FEAS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Atom:
-    pair_id: str
-    relation: str
-
-
-@dataclass(frozen=True)
-class GroundPotential:
-    rule_id: str
-    weight: float
-    power: int  # 1 or 2
-    terms: tuple[tuple[int, float], ...]  # (atom index, coefficient)
-    const: float
-    pair_id: str  # pair the potential is attributed to (its head's pair)
-
-    def distance(self, values: np.ndarray) -> float:
-        s = self.const
-        for idx, coef in self.terms:
-            s += coef * values[idx]
-        return max(0.0, s)
-
-
 @dataclass
 class GroundProgram:
+    """One ground program in the flat layout `kernels.solve_admm` reads.
+
+    Atoms: with labels = labels_for_mode(task_mode) and k = len(labels),
+    atom b*k + j is relation labels[j] of pair b.  Pairs (blocks) are
+    numbered in pair-id order; block_pair_ids[b] names pair b.
+
+    Rows: the first len(potentials) rows are the soft hinge potentials in
+    grounding order (per pair, its logic rules in LOGIC_RULES order and
+    then its prior; then per chain triple, one row per chain rule).  One
+    simplex row per pair follows, in block order.
+      potentials[p]         rule id of soft row p
+      pot_block[p]          block the row is attributed to (its head's pair)
+      pot_ptr[p]:pot_ptr[p+1]  the row's copies
+      pot_const[p]          hinge constant
+      pot_weight[p]         weight (0 for simplex rows)
+      pot_power[p]          1 linear hinge, 2 squared hinge, 0 simplex row
+
+    Copies: copy_atom[c], copy_pot[c] and copy_coef[c] are the atom, the
+    row and the hinge coefficient (0 in simplex rows) of local copy c.
+    """
+
     task_mode: str
-    atoms: list[Atom] = field(default_factory=list)
-    atom_index: dict[Atom, int] = field(default_factory=dict)
-    blocks: list[tuple[int, ...]] = field(default_factory=list)  # simplex per pair
-    block_pair_ids: list[str] = field(default_factory=list)
-    potentials: list[GroundPotential] = field(default_factory=list)
+    block_pair_ids: list[str]
+    potentials: tuple[str, ...]
+    pot_block: np.ndarray
+    pot_ptr: np.ndarray
+    pot_const: np.ndarray
+    pot_weight: np.ndarray
+    pot_power: np.ndarray
+    copy_atom: np.ndarray
+    copy_pot: np.ndarray
+    copy_coef: np.ndarray
 
     @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
+    def labels(self) -> tuple[str, ...]:
+        return labels_for_mode(self.task_mode)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.blocks)
+        return len(self.block_pair_ids)
+
+    @property
+    def n_atoms(self) -> int:
+        return self.n_pairs * len(self.labels)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """Atom indices per pair, one row per block."""
+        return np.arange(self.n_atoms).reshape(self.n_pairs, len(self.labels))
 
     @property
     def total_weight(self) -> float:
-        return sum(p.weight for p in self.potentials)
-
-    def add_pair_atoms(self, pair_id: str) -> tuple[int, ...]:
-        idxs = []
-        for rel in labels_for_mode(self.task_mode):
-            atom = Atom(pair_id, rel)
-            self.atom_index[atom] = len(self.atoms)
-            idxs.append(len(self.atoms))
-            self.atoms.append(atom)
-        block = tuple(idxs)
-        self.blocks.append(block)
-        self.block_pair_ids.append(pair_id)
-        return block
+        return float(self.pot_weight.sum())
 
     def index_of(self, pair_id: str, relation: str) -> int:
-        return self.atom_index[Atom(pair_id, relation)]
+        return (self.block_pair_ids.index(pair_id) * len(self.labels)
+                + self.labels.index(relation))
 
 
 def distance_to_satisfaction(body_values: Sequence[float], head_value: float) -> float:
@@ -100,57 +103,71 @@ def ground(
     present, the observed body is inlined:  d = max(0, value - head).
     Chain rules ground once per triple over six free atoms.  The default
     prior grounds as d = 1 - default_atom, and the simplex constraint is
-    structural (one block per pair).
+    structural (one row per pair).
     """
-    program = GroundProgram(task_mode=task_mode)
+    labels = labels_for_mode(task_mode)
+    k = len(labels)
     pair_list = sorted(pairs, key=lambda p: p.pair_id)
-    pair_ids = {p.pair_id for p in pair_list}
-    for pair in pair_list:
-        program.add_pair_atoms(pair.pair_id)
+    n = len(pair_list)
 
-    logic_rules = [r for r in rules if r.id.startswith("R") and len(r.body) == 1]
-    chain_rules = [r for r in rules if r.id.startswith("R") and len(r.body) == 2]
-    prior = next((r for r in rules if r.id == "C1"), None)
-
-    for pair in pair_list:
+    # single-copy rows: one column per nonzero logic rule, then the prior
+    logic = [r for r in rules
+             if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0.0]
+    prior = next((r for r in rules if r.id == "C1" and r.weight > 0.0), None)
+    unary = logic + ([prior] if prior is not None else [])
+    consts = np.full((n, len(unary)), np.nan)  # NaN: no row for this pair
+    for b, pair in enumerate(pair_list):
         vector = predicate_vectors.get(pair.pair_id)
-        values = vector.present() if vector is not None else {}
-        for rule in logic_rules:
-            value = values.get(rule.body[0])
-            if value is None or rule.weight == 0.0:
-                continue
-            head_idx = program.index_of(pair.pair_id, rule.head)
-            program.potentials.append(GroundPotential(
-                rule.id, rule.weight, power,
-                terms=((head_idx, -1.0),), const=float(value),
-                pair_id=pair.pair_id))
-        if prior is not None and prior.weight > 0.0:
-            if pair.kind == "indirect" and not prior_on_indirect:
-                continue
-            head_idx = program.index_of(pair.pair_id, prior.head)
-            program.potentials.append(GroundPotential(
-                "C1", prior.weight, power,
-                terms=((head_idx, -1.0),), const=1.0,
-                pair_id=pair.pair_id))
+        if vector is not None:
+            values = vector.present()
+            consts[b, :len(logic)] = [values.get(r.body[0], np.nan) for r in logic]
+        if prior is not None and (pair.kind != "indirect" or prior_on_indirect):
+            consts[b, -1] = 1.0
+    u_block, u_rule = np.nonzero(~np.isnan(consts))  # pair-major, rule order
+    u_head = np.array([labels.index(r.head) for r in unary], dtype=np.int64)
+    u_weight = np.array([r.weight for r in unary], dtype=float)
 
-    if chain_rules:
-        for triple in triples:
-            for pid in (triple.first_hop, triple.second_hop, triple.outer_pair):
-                if pid not in pair_ids:
-                    raise ValidationError(
-                        f"chain triple references pair {pid!r} outside the program")
-            for rule in chain_rules:
-                if rule.weight == 0.0:
-                    continue
-                b1 = program.index_of(triple.first_hop, rule.body[0])
-                b2 = program.index_of(triple.second_hop, rule.body[1])
-                head = program.index_of(triple.outer_pair, rule.head)
-                program.potentials.append(GroundPotential(
-                    rule.id, rule.weight, power,
-                    terms=((b1, 1.0), (b2, 1.0), (head, -1.0)), const=-1.0,
-                    pair_id=triple.outer_pair))
+    # chain rows: per triple, one row per chain rule over (hop1, hop2, outer)
+    chain_rules = [r for r in rules if r.id.startswith("R") and len(r.body) == 2]
+    hops = np.empty((0, 3), dtype=np.int64)
+    if chain_rules and len(triples):
+        block_of = {p.pair_id: b for b, p in enumerate(pair_list)}
+        try:
+            hops = np.array([[block_of[t.first_hop], block_of[t.second_hop],
+                              block_of[t.outer_pair]] for t in triples], dtype=np.int64)
+        except KeyError as exc:
+            raise ValidationError(
+                f"chain triple references pair {exc.args[0]!r} outside the program") from None
+    chain = [r for r in chain_rules if r.weight != 0.0]
+    c_pos = np.array([[labels.index(r.body[0]), labels.index(r.body[1]),
+                       labels.index(r.head)] for r in chain], dtype=np.int64).reshape(-1, 3)
+    c_atoms = (hops[:, None, :] * k + c_pos[None, :, :]).ravel()
+    n_chain = len(hops) * len(chain)
 
-    return program
+    sizes = np.concatenate([np.ones(len(u_block), dtype=np.int64),
+                            np.full(n_chain, 3, dtype=np.int64),
+                            np.full(n, k, dtype=np.int64)])
+    return GroundProgram(
+        task_mode=task_mode,
+        block_pair_ids=[p.pair_id for p in pair_list],
+        potentials=(tuple(unary[r].id for r in u_rule.tolist())
+                    + tuple(r.id for r in chain) * len(hops)),
+        pot_block=np.concatenate([u_block, np.repeat(hops[:, 2], len(chain)),
+                                  np.arange(n)]).astype(np.int64),
+        pot_ptr=np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)]),
+        pot_const=np.concatenate([consts[u_block, u_rule], np.full(n_chain, -1.0),
+                                  np.zeros(n)]),
+        pot_weight=np.concatenate([u_weight[u_rule],
+                                   np.tile([r.weight for r in chain], len(hops)),
+                                   np.zeros(n)]),
+        pot_power=np.concatenate([np.full(len(u_block) + n_chain, power, dtype=np.int64),
+                                  np.zeros(n, dtype=np.int64)]),
+        copy_atom=np.concatenate([u_block * k + u_head[u_rule], c_atoms,
+                                  np.arange(n * k)]).astype(np.int64),
+        copy_pot=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        copy_coef=np.concatenate([np.full(len(u_block), -1.0),
+                                  np.tile([1.0, 1.0, -1.0], n_chain), np.zeros(n * k)]),
+    )
 
 
 def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS_TOL):
@@ -160,26 +177,36 @@ def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS
             f"assignment has {values.shape} values, expected {program.n_atoms}")
     if np.any(values < -tol) or np.any(values > 1 + tol):
         raise ValidationError("assignment violates [0, 1] bounds")
-    for block in program.blocks:
-        total = float(sum(values[i] for i in block))
-        if abs(total - 1.0) > tol:
-            raise ValidationError(
-                f"simplex constraint violated: block sums to {total:.8f}")
+    sums = values.reshape(program.n_pairs, len(program.labels)).sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
+    if len(bad):
+        raise ValidationError(
+            f"simplex constraint violated: block sums to {sums[bad[0]]:.8f}")
+
+
+def _potential_energies(program: GroundProgram, values: np.ndarray) -> np.ndarray:
+    """Weighted hinge loss of each soft potential."""
+    n = len(program.potentials)
+    soft = slice(0, program.pot_ptr[n])
+    s = program.pot_const[:n] + np.bincount(
+        program.copy_pot[soft],
+        weights=program.copy_coef[soft] * values[program.copy_atom[soft]],
+        minlength=n)
+    return program.pot_weight[:n] * np.maximum(s, 0.0) ** program.pot_power[:n]
 
 
 def energy(program: GroundProgram, values: np.ndarray) -> float:
     """Total weighted hinge loss; raises if the assignment is infeasible."""
     check_feasible(program, values)
-    values = np.asarray(values, dtype=float)
-    total = 0.0
-    for pot in program.potentials:
-        total += pot.weight * pot.distance(values) ** pot.power
-    return total
+    return float(_potential_energies(program, np.asarray(values, dtype=float)).sum())
 
 
 def energy_by_pair(program: GroundProgram, values: np.ndarray) -> dict[str, float]:
-    values = np.asarray(values, dtype=float)
-    shares: dict[str, float] = {pid: 0.0 for pid in program.block_pair_ids}
-    for pot in program.potentials:
-        shares[pot.pair_id] += pot.weight * pot.distance(values) ** pot.power
-    return shares
+    """Each pair's share of the program's energy (all 0.0 if it is 0)."""
+    per_pair = np.bincount(
+        program.pot_block[:len(program.potentials)],
+        weights=_potential_energies(program, np.asarray(values, dtype=float)),
+        minlength=program.n_pairs)
+    total = per_pair.sum()
+    shares = per_pair / total if total > 0 else np.zeros(program.n_pairs)
+    return dict(zip(program.block_pair_ids, shares.tolist()))

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chains import ChainTriple, build_indirect
-from .grounding import GroundProgram, ground
-from .model import ArgumentGraph, ScoreBundle, connected_components, default_label
+from .grounding import ground
+from .model import (ArgumentGraph, ScoreBundle, connected_components, default_label,
+                    labels_for_mode)
 from .predicates import evaluate_all
 from .rules import RuleSetConfig, build_ruleset
-from .solver import Assignment, SolverParams, solve_map_admm
+from .solver import SolverParams, solve_map_admm
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,6 @@ def run_inference(
     config: RuleSetConfig,
     params: SolverParams | None = None,
     ablate: frozenset[str] = frozenset(),
-    jobs: int = 1,
     restrict_split: str | None = None,
 ) -> InferenceResult:
     """Solve MAP per connected component and collect per-pair predictions.
@@ -99,19 +98,14 @@ def run_inference(
                          task_mode=work.task_mode)
         return program, solve_map_admm(program, params)
 
-    if jobs > 1 and len(components) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve_component, components))
-    else:
-        solved = [solve_component(c) for c in components]
-
     predictions: dict[str, PairPrediction] = {}
     total_energy = 0.0
     total_weight = 0.0
     n_potentials = 0
     all_converged = True
     fallback = default_label(work.task_mode)
-    for (program, assignment) in solved:
+    labels = labels_for_mode(work.task_mode)
+    for program, assignment in map(solve_component, components):
         total_energy += assignment.energy
         total_weight += program.total_weight
         n_potentials += len(program.potentials)
@@ -121,14 +115,13 @@ def run_inference(
                         "(%d iterations, primal %.2e, dual %.2e)",
                         program.block_pair_ids[:3], assignment.iterations,
                         assignment.primal_residual, assignment.dual_residual)
-        for block, pair_id in zip(program.blocks, program.block_pair_ids):
+        rows = assignment.values.reshape(program.n_pairs, len(labels)).tolist()
+        for pair_id, row in zip(program.block_pair_ids, rows):
             if work.pairs[pair_id].kind != "direct":
                 continue
-            scores = {program.atoms[i].relation: float(assignment.values[i])
-                      for i in block}
             predictions[pair_id] = PairPrediction(
                 pair_id=pair_id,
-                scores=scores,
+                scores=dict(zip(labels, row)),
                 predicted=assignment.labels[pair_id],
                 energy_share=assignment.energy_shares[pair_id],
                 converged=assignment.converged,
@@ -150,10 +143,12 @@ def run_inference(
     )
 
 
-def predictions_to_records(result: InferenceResult, task_mode: str) -> list[dict]:
+def predictions_to_records(predictions: dict[str, PairPrediction],
+                           task_mode: str) -> list[dict]:
+    """One output record per pair, in pair-id order (see FORMATS.md)."""
     records = []
-    for pid in sorted(result.predictions):
-        pred = result.predictions[pid]
+    for pid in sorted(predictions):
+        pred = predictions[pid]
         rec = {
             "pair_id": pid,
             "support": pred.scores.get("support", 0.0),

@@ -1,11 +1,12 @@
-"""Hot numeric kernels for consensus ADMM, in two interchangeable backends.
+"""The consensus ADMM kernel, vectorized in numpy.
 
-The numba backend compiles the full iteration loop; the numpy backend is
-a vectorized fallback selected by setting the environment variable
-ARGLOGIC_NO_NUMBA=1 (or when numba is unavailable).  Both implement the
-identical update rules; see benchmarks/bench_solver.py for a comparison.
+Each hinge potential and each simplex row holds private copies of its
+atoms.  One iteration applies every row's proximal update to its copies
+(a closed-form hinge step, or a Euclidean projection onto the simplex),
+averages the copies of each atom into the consensus z, clipped to
+[0, 1], and advances the scaled duals.
 
-Flat program layout (shared by both backends):
+Flat program layout (`grounding.GroundProgram` holds these arrays):
   copy_atom[m]   atom index of each local copy
   copy_pot[m]    owning potential of each copy
   copy_coef[m]   hinge coefficient of each copy (unused for simplex rows)
@@ -18,32 +19,14 @@ Flat program layout (shared by both backends):
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("ARGLOGIC_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:  # pragma: no cover - exercised indirectly
-    if _DISABLED:
-        raise ImportError("numba disabled by ARGLOGIC_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+# The benchmark stamps this name into every result it writes.
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def project_rows_numpy(V: np.ndarray) -> np.ndarray:
+def project_rows(V: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row onto the probability simplex."""
     k = V.shape[1]
     U = np.sort(V, axis=1)[:, ::-1]
@@ -56,9 +39,11 @@ def project_rows_numpy(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def solve_admm_numpy(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
-                     pot_weight, pot_power, n_atoms, z0, rho, eps_abs,
-                     eps_rel, max_iters):
+def solve_admm(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
+               pot_weight, pot_power, n_atoms, z0, rho, eps_abs,
+               eps_rel, max_iters):
+    """Run ADMM from z0; returns (z, iterations, primal residual,
+    dual residual, converged, NaN seen)."""
     m = len(copy_atom)
     n_pots = len(pot_const)
     z = z0.astype(float).copy()
@@ -95,8 +80,7 @@ def solve_admm_numpy(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
                      np.where(pot_power == 1, t1, t2), 0.0)
         y = v - t[copy_pot] * copy_coef
         if simplex_idx.size:
-            y_flat = y  # views into the copy vector
-            y_flat[simplex_idx] = project_rows_numpy(v[simplex_idx])
+            y[simplex_idx] = project_rows(v[simplex_idx])
 
         z_old = z
         acc = np.bincount(copy_atom, weights=y + u, minlength=n_atoms)
@@ -119,152 +103,3 @@ def solve_admm_numpy(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
             break
 
     return z, it, r_norm, s_norm, converged, False
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-@njit(cache=True)
-def _project_simplex_inplace(buf, out, k):  # pragma: no cover - jit
-    # insertion sort descending into buf
-    for i in range(1, k):
-        key = buf[i]
-        j = i - 1
-        while j >= 0 and buf[j] < key:
-            buf[j + 1] = buf[j]
-            j -= 1
-        buf[j + 1] = key
-    css = -1.0
-    theta = 0.0
-    for j in range(k):
-        css += buf[j]
-        cand = css / (j + 1)
-        if buf[j] - cand > 0:
-            theta = cand
-    for j in range(k):
-        val = out[j] - theta
-        out[j] = val if val > 0 else 0.0
-
-
-@njit(cache=True)
-def _solve_admm_numba(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
-                      pot_weight, pot_power, n_atoms, z0, rho, eps_abs,
-                      eps_rel, max_iters):  # pragma: no cover - jit
-    m = copy_atom.shape[0]
-    n_pots = pot_const.shape[0]
-    z = z0.copy()
-    z_old = np.empty(n_atoms)
-    u = np.zeros(m)
-    y = np.empty(m)
-    for i in range(m):
-        y[i] = z[copy_atom[i]]
-    counts = np.zeros(n_atoms)
-    for i in range(m):
-        counts[copy_atom[i]] += 1.0
-    norm2 = np.zeros(n_pots)
-    for i in range(m):
-        norm2[copy_pot[i]] += copy_coef[i] * copy_coef[i]
-    acc = np.empty(n_atoms)
-    buf = np.empty(8)
-    sqrt_m = math.sqrt(m)
-
-    it = 0
-    r_norm = 1e300
-    s_norm = 1e300
-    converged = False
-    nan_seen = False
-    while it < max_iters:
-        it += 1
-        # local prox updates
-        for p in range(n_pots):
-            lo = pot_ptr[p]
-            hi = pot_ptr[p + 1]
-            if pot_power[p] == 0:
-                k = hi - lo
-                for j in range(k):
-                    val = z[copy_atom[lo + j]] - u[lo + j]
-                    y[lo + j] = val
-                    buf[j] = val
-                _project_simplex_inplace(buf, y[lo:hi], k)
-            else:
-                s_val = pot_const[p]
-                for i in range(lo, hi):
-                    s_val += copy_coef[i] * (z[copy_atom[i]] - u[i])
-                if s_val <= 0.0:
-                    t = 0.0
-                elif pot_power[p] == 1:
-                    t = s_val / norm2[p]
-                    cap = pot_weight[p] / rho
-                    if t > cap:
-                        t = cap
-                else:
-                    t = 2.0 * pot_weight[p] * s_val / (rho + 2.0 * pot_weight[p] * norm2[p])
-                for i in range(lo, hi):
-                    y[i] = (z[copy_atom[i]] - u[i]) - t * copy_coef[i]
-
-        # consensus
-        for a in range(n_atoms):
-            z_old[a] = z[a]
-            acc[a] = 0.0
-        for i in range(m):
-            acc[copy_atom[i]] += y[i] + u[i]
-        for a in range(n_atoms):
-            val = acc[a] / counts[a]
-            if val < 0.0:
-                val = 0.0
-            elif val > 1.0:
-                val = 1.0
-            z[a] = val
-
-        # duals and residuals
-        r2 = 0.0
-        y2 = 0.0
-        u2 = 0.0
-        for i in range(m):
-            d = y[i] - z[copy_atom[i]]
-            u[i] += d
-            r2 += d * d
-            y2 += y[i] * y[i]
-            u2 += u[i] * u[i]
-        s2 = 0.0
-        zc2 = 0.0
-        for a in range(n_atoms):
-            dz = z[a] - z_old[a]
-            s2 += counts[a] * dz * dz
-            zc2 += counts[a] * z[a] * z[a]
-        r_norm = math.sqrt(r2)
-        s_norm = rho * math.sqrt(s2)
-        if math.isnan(r_norm) or math.isnan(s_norm):
-            nan_seen = True
-            break
-        y_norm = math.sqrt(y2)
-        zc_norm = math.sqrt(zc2)
-        big = y_norm if y_norm > zc_norm else zc_norm
-        eps_pri = sqrt_m * eps_abs + eps_rel * big
-        eps_dua = sqrt_m * eps_abs + eps_rel * rho * math.sqrt(u2)
-        if r_norm <= eps_pri and s_norm <= eps_dua:
-            converged = True
-            break
-
-    return z, it, r_norm, s_norm, converged, nan_seen
-
-
-def solve_admm_numba(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
-                     pot_weight, pot_power, n_atoms, z0, rho, eps_abs,
-                     eps_rel, max_iters):
-    return _solve_admm_numba(
-        np.ascontiguousarray(copy_atom, dtype=np.int64),
-        np.ascontiguousarray(copy_pot, dtype=np.int64),
-        np.ascontiguousarray(copy_coef, dtype=np.float64),
-        np.ascontiguousarray(pot_ptr, dtype=np.int64),
-        np.ascontiguousarray(pot_const, dtype=np.float64),
-        np.ascontiguousarray(pot_weight, dtype=np.float64),
-        np.ascontiguousarray(pot_power, dtype=np.int64),
-        int(n_atoms),
-        np.ascontiguousarray(z0, dtype=np.float64),
-        float(rho), float(eps_abs), float(eps_rel), int(max_iters),
-    )
-
-
-solve_admm = solve_admm_numba if HAVE_NUMBA else solve_admm_numpy
-BACKEND = "numba" if HAVE_NUMBA else "numpy"

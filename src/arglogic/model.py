@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 log = logging.getLogger(__name__)
@@ -433,10 +434,18 @@ def bundle_to_record(bundle: ScoreBundle) -> dict:
     return rec
 
 
-def dump_jsonl(records: Iterable[dict], path):
-    import os
+def _write_atomic(path, text_lines: Iterable[str]):
+    """Write through a temporary file, so readers never see a partial file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(text_lines)
     os.replace(tmp, path)
+
+
+def dump_jsonl(records: Iterable[dict], path):
+    _write_atomic(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+
+
+def dump_json(payload: dict, path):
+    """One indented JSON object (sweep and eval reports)."""
+    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])

@@ -101,6 +101,19 @@ DEFAULT_CHAIN_GRID = (1.0, 0.5, 0.1)
 DEFAULT_PRIOR_GRID = (0.2, 0.3)
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"config field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(record: dict, name: str, default: bool) -> bool:
+    value = record.get(name, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"config field {name!r} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_record(record: dict) -> RuleSetConfig:
     known = {"task_mode", "w_logic", "w_chain", "w_prior", "chains",
              "hinge_power", "prior_on_indirect", "grids"}
@@ -108,23 +121,30 @@ def config_from_record(record: dict) -> RuleSetConfig:
         if key not in known:
             log.warning("config: ignoring unknown field %r", key)
     w_logic = record.get("w_logic", {})
-    if isinstance(w_logic, (int, float)):
-        w_logic = {rid: float(w_logic) for rid in LOGIC_RULES}
+    if not isinstance(w_logic, dict):
+        w_logic = dict.fromkeys(LOGIC_RULES, w_logic)
+    for rid in w_logic:
+        if rid not in LOGIC_RULES:
+            raise ValidationError(
+                f"config field 'w_logic' names unknown rule {rid!r} (expected R1-R13)")
     return RuleSetConfig(
         task_mode=record.get("task_mode", "ternary"),
-        w_logic=dict(w_logic),
-        w_chain=float(record.get("w_chain", 1.0)),
-        w_prior=float(record.get("w_prior", 0.2)),
-        chains=bool(record.get("chains", False)),
+        w_logic={rid: _number(w, f"w_logic.{rid}") for rid, w in w_logic.items()},
+        w_chain=_number(record.get("w_chain", 1.0), "w_chain"),
+        w_prior=_number(record.get("w_prior", 0.2), "w_prior"),
+        chains=_flag(record, "chains", False),
         hinge_power=record.get("hinge_power", "linear"),
-        prior_on_indirect=bool(record.get("prior_on_indirect", True)),
+        prior_on_indirect=_flag(record, "prior_on_indirect", True),
     )
 
 
 def load_config(path) -> tuple[RuleSetConfig, dict]:
     """Read a config file; returns (config, grids) where grids may be empty."""
     with open(path) as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(record, dict):
         raise ValidationError("config file must hold a JSON object")
     grids = record.get("grids", {})
@@ -151,7 +171,7 @@ class SweepRow:
     normalized_objective: float
 
 
-def sweep(configs, graph, bundles, params=None, jobs=1):
+def sweep(configs, graph, bundles, params=None):
     """Pick the config whose validation-split MAP energy, normalized by
     ground weight mass, is smallest.  Gold labels are never consulted.
 
@@ -170,7 +190,7 @@ def sweep(configs, graph, bundles, params=None, jobs=1):
     for i, config in enumerate(configs):
         try:
             result = run_inference(graph, bundles, config, params=params,
-                                   jobs=jobs, restrict_split="val")
+                                   restrict_split="val")
         except Exception as exc:
             raise RuntimeError(f"sweep config #{i} ({config}) failed: {exc}") from exc
         raw = result.total_energy

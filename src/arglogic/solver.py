@@ -8,8 +8,7 @@ projected block-wise onto the simplex so it is exactly feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,9 @@ class SolverParams:
     eps_abs: float = 1e-5
     eps_rel: float = 1e-4
     max_iters: int = 25_000
-    grid_resolution: float = 0.05
 
     def __post_init__(self):
-        for name in ("rho", "eps_abs", "eps_rel", "max_iters", "grid_resolution"):
+        for name in ("rho", "eps_abs", "eps_rel", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"solver parameter {name} must be positive")
 
@@ -40,7 +38,7 @@ class Assignment:
     values: np.ndarray  # per free atom
     labels: dict[str, str]  # pair_id -> predicted relation
     energy: float
-    energy_shares: dict[str, float]
+    energy_shares: dict[str, float]  # pair_id -> share of the energy
     iterations: int = 0
     primal_residual: float = 0.0
     dual_residual: float = 0.0
@@ -50,82 +48,35 @@ class Assignment:
 def project_simplex(values) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) = 1}."""
     v = np.asarray(values, dtype=float)
-    return kernels.project_rows_numpy(v[None, :])[0]
+    return kernels.project_rows(v[None, :])[0]
 
 
 def _predict_labels(program: GroundProgram, values: np.ndarray) -> dict[str, str]:
-    labels = {}
-    for block, pair_id in zip(program.blocks, program.block_pair_ids):
-        atoms = [program.atoms[i] for i in block]
-        vals = [values[i] for i in block]
-        best = max(vals)
-        chosen = None
-        for rel in LABEL_PRIORITY:
-            for atom, v in zip(atoms, vals):
-                if atom.relation == rel and v >= best - TIE_TOL:
-                    chosen = rel
-                    break
-            if chosen:
-                break
-        labels[pair_id] = chosen
-    return labels
-
-
-def _compile(program: GroundProgram):
-    copy_atom: list[int] = []
-    copy_pot: list[int] = []
-    copy_coef: list[float] = []
-    pot_ptr = [0]
-    pot_const: list[float] = []
-    pot_weight: list[float] = []
-    pot_power: list[int] = []
-
-    for pot in program.potentials:
-        for idx, coef in pot.terms:
-            copy_atom.append(idx)
-            copy_pot.append(len(pot_const))
-            copy_coef.append(coef)
-        pot_ptr.append(len(copy_atom))
-        pot_const.append(pot.const)
-        pot_weight.append(pot.weight)
-        pot_power.append(pot.power)
-    for block in program.blocks:  # hard simplex constraints as indicator rows
-        for idx in block:
-            copy_atom.append(idx)
-            copy_pot.append(len(pot_const))
-            copy_coef.append(0.0)
-        pot_ptr.append(len(copy_atom))
-        pot_const.append(0.0)
-        pot_weight.append(0.0)
-        pot_power.append(0)
-
-    return (np.array(copy_atom, dtype=np.int64),
-            np.array(copy_pot, dtype=np.int64),
-            np.array(copy_coef, dtype=float),
-            np.array(pot_ptr, dtype=np.int64),
-            np.array(pot_const, dtype=float),
-            np.array(pot_weight, dtype=float),
-            np.array(pot_power, dtype=np.int64))
+    """Each pair's highest-valued relation; near-ties go to LABEL_PRIORITY."""
+    labels = program.labels
+    rows = values.reshape(program.n_pairs, len(labels))
+    near_best = rows >= rows.max(axis=1, keepdims=True) - TIE_TOL
+    order = [labels.index(rel) for rel in LABEL_PRIORITY if rel in labels]
+    chosen = np.argmax(near_best[:, order], axis=1)
+    return {pid: labels[order[c]]
+            for pid, c in zip(program.block_pair_ids, chosen.tolist())}
 
 
 def _finish(program: GroundProgram, raw_values: np.ndarray) -> np.ndarray:
     """Project each pair block exactly onto the simplex."""
-    values = np.asarray(raw_values, dtype=float).copy()
-    for block in program.blocks:
-        idx = list(block)
-        values[idx] = project_simplex(values[idx])
-    return values
+    rows = np.asarray(raw_values, dtype=float).reshape(program.n_pairs, -1)
+    return kernels.project_rows(rows).ravel()
 
 
-def solve_map_admm(program: GroundProgram, params: SolverParams = SolverParams(),
-                   backend=None) -> Assignment:
+def solve_map_admm(program: GroundProgram,
+                   params: SolverParams = SolverParams()) -> Assignment:
     if program.n_atoms == 0:
         return Assignment(np.empty(0), {}, 0.0, {}, converged=True)
-    arrays = _compile(program)
-    z0 = np.full(program.n_atoms, 1.0 / len(program.blocks[0]))
-    solve = backend or kernels.solve_admm
-    z, iters, r_norm, s_norm, converged, nan_seen = solve(
-        *arrays, program.n_atoms, z0, params.rho, params.eps_abs,
+    z0 = np.full(program.n_atoms, 1.0 / len(program.labels))
+    z, iters, r_norm, s_norm, converged, nan_seen = kernels.solve_admm(
+        program.copy_atom, program.copy_pot, program.copy_coef,
+        program.pot_ptr, program.pot_const, program.pot_weight,
+        program.pot_power, program.n_atoms, z0, params.rho, params.eps_abs,
         params.eps_rel, params.max_iters)
     if nan_seen:
         raise FloatingPointError("ADMM produced NaN iterates")
@@ -179,32 +130,27 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
     if nb > MAX_GRID_PAIRS:
         raise ValidationError(
             f"grid oracle limited to {MAX_GRID_PAIRS} pairs, got {nb}")
-    k = len(program.blocks[0])
+    k = len(program.labels)
     grid = simplex_grid(k, resolution)
     n_points = len(grid)
 
-    atom_block = {}
-    atom_pos = {}
-    for b, block in enumerate(program.blocks):
-        for pos, idx in enumerate(block):
-            atom_block[idx] = b
-            atom_pos[idx] = pos
-
+    ptr = program.pot_ptr.tolist()
+    atoms = program.copy_atom.tolist()
+    coefs = program.copy_coef.tolist()
     total = np.zeros([n_points] * nb)
-    for pot in program.potentials:
-        expr = np.full([1] * nb, pot.const)
-        for idx, coef in pot.terms:
-            b = atom_block[idx]
+    for p in range(len(program.potentials)):
+        expr = np.full([1] * nb, program.pot_const[p].item())
+        for c in range(ptr[p], ptr[p + 1]):
+            b, pos = divmod(atoms[c], k)
             shape = [1] * nb
             shape[b] = n_points
-            expr = expr + coef * grid[:, atom_pos[idx]].reshape(shape)
-        total = total + pot.weight * np.maximum(expr, 0.0) ** pot.power
+            expr = expr + coefs[c] * grid[:, pos].reshape(shape)
+        total = total + (program.pot_weight[p].item()
+                         * np.maximum(expr, 0.0) ** program.pot_power[p].item())
 
     flat = int(np.argmin(total.reshape(-1)))
     choice = np.unravel_index(flat, total.shape)
-    values = np.empty(program.n_atoms)
-    for b, block in enumerate(program.blocks):
-        values[list(block)] = grid[choice[b]]
+    values = grid[list(choice)].ravel()
     return Assignment(
         values=values,
         labels=_predict_labels(program, values),

@@ -204,3 +204,56 @@ def test_chain_scenario_synth(runner, tmp_path):
     preds = {r["pair_id"]: r["predicted"] for r in read_jsonl(on)}
     hits = sum(preds[pid] == golds[pid] for pid in masked)
     assert hits / len(masked) > 0.9
+
+
+def test_energy_shares_sum_to_one_per_component(runner, tmp_path):
+    from arglogic.model import connected_components, load_arguments
+
+    args_path, scores_path = tmp_path / "args.jsonl", tmp_path / "scores.jsonl"
+    res = runner.invoke(main, ["synth", "--seed", "1",
+                               "--out-arguments", str(args_path),
+                               "--out-scores", str(scores_path)])
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "preds.jsonl"
+    res = runner.invoke(main, ["infer", str(args_path), str(scores_path),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    shares = {r["pair_id"]: r["energy_share"] for r in read_jsonl(out)}
+    components = connected_components(load_arguments(args_path, "ternary"))
+    assert len(components) > 1
+    for comp in components:
+        comp_shares = [shares[p.pair_id] for p in comp]
+        assert (abs(sum(comp_shares) - 1.0) <= 1e-9
+                or all(s == 0.0 for s in comp_shares))
+
+
+def run_with_config(dataset, runner, tmp_path, text):
+    _, args_path, scores_path = dataset
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    return runner.invoke(main, ["infer", str(args_path), str(scores_path),
+                                "--config", str(cfg),
+                                "--out", str(tmp_path / "out.jsonl")])
+
+
+def test_malformed_config_json_exit_code_2(dataset, runner, tmp_path):
+    res = run_with_config(dataset, runner, tmp_path, '{"chains": true,')
+    assert res.exit_code == 2
+    assert "invalid JSON" in res.output and "config" in res.output
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chains", "false"), ("prior_on_indirect", "false"), ("w_chain", "heavy")])
+def test_config_field_of_wrong_type_exit_code_2(dataset, runner, tmp_path,
+                                                field, value):
+    res = run_with_config(dataset, runner, tmp_path,
+                          json.dumps({field: value}))
+    assert res.exit_code == 2
+    assert field in res.output
+
+
+def test_config_unknown_logic_rule_exit_code_2(dataset, runner, tmp_path):
+    res = run_with_config(dataset, runner, tmp_path,
+                          json.dumps({"w_logic": {"R99": 0.5}}))
+    assert res.exit_code == 2
+    assert "w_logic" in res.output and "R99" in res.output

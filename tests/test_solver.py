@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arglogic import kernels
 from arglogic.grounding import (
     GroundProgram,
     distance_to_satisfaction,
     energy,
+    energy_by_pair,
     ground,
 )
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError
@@ -15,6 +15,7 @@ from arglogic.predicates import PredicateVector
 from arglogic.rules import RuleSetConfig, build_ruleset
 from arglogic.solver import (
     SolverParams,
+    _predict_labels,
     project_simplex,
     simplex_grid,
     solve_map_admm,
@@ -50,7 +51,7 @@ def test_grounding_counts():
 
     nli_only = single_pair_program(PredicateVector(fact_entail=.5,
                                                    fact_contradict=.3))
-    assert sorted(p.rule_id for p in nli_only.potentials) == ["C1", "R1", "R2"]
+    assert sorted(nli_only.potentials) == ["C1", "R1", "R2"]
 
 
 def test_grounding_chain_triple():
@@ -61,11 +62,11 @@ def test_grounding_chain_triple():
     g, triples = build_indirect(g)
     cfg = RuleSetConfig(chains=True)
     prog = ground(build_ruleset(cfg), list(g), {}, triples, task_mode="ternary")
-    chain_pots = [p for p in prog.potentials if p.rule_id in
-                  ("R14", "R15", "R16", "R17")]
-    assert len(chain_pots) == 4
-    touched = {idx for p in chain_pots for idx, _ in p.terms}
-    relations = {prog.atoms[i].relation for i in touched}
+    chain_rows = [p for p, rid in enumerate(prog.potentials)
+                  if rid in ("R14", "R15", "R16", "R17")]
+    assert len(chain_rows) == 4
+    touched = set(prog.copy_atom[np.isin(prog.copy_pot, chain_rows)].tolist())
+    relations = {prog.labels[i % len(prog.labels)] for i in touched}
     assert relations == {"support", "attack"}
     assert len(touched) == 6
 
@@ -81,13 +82,47 @@ def test_energy_examples():
 
 
 def test_energy_weighted_sum():
-    prog = GroundProgram(task_mode="binary")
-    prog.add_pair_atoms("p")
-    from arglogic.grounding import GroundPotential
-    # two hand-built potentials: w=2 d=0.5 and w=1 d=0.25 at support=0.5
-    prog.potentials.append(GroundPotential("R1", 2.0, 1, ((0, -1.0),), 1.0, "p"))
-    prog.potentials.append(GroundPotential("R1", 1.0, 1, ((0, -1.0),), 0.75, "p"))
+    # two hand-built potentials over support, w=2 d=0.5 and w=1 d=0.25 at
+    # support=0.5, then the pair's simplex row
+    prog = GroundProgram(
+        task_mode="binary", block_pair_ids=["p"], potentials=("R1", "R1"),
+        pot_block=np.zeros(3, dtype=np.int64),
+        pot_ptr=np.array([0, 1, 2, 4]), pot_const=np.array([1.0, 0.75, 0.0]),
+        pot_weight=np.array([2.0, 1.0, 0.0]), pot_power=np.array([1, 1, 0]),
+        copy_atom=np.array([0, 0, 0, 1]), copy_pot=np.array([0, 1, 2, 2]),
+        copy_coef=np.array([-1.0, -1.0, 0.0, 0.0]))
     assert energy(prog, np.array([0.5, 0.5])) == pytest.approx(1.25)
+    assert energy_by_pair(prog, np.array([0.5, 0.5])) == {"p": 1.0}
+
+
+def test_energy_matches_per_potential_loop():
+    rng = np.random.default_rng(3)
+    for seed in range(20):
+        prog = random_ground_program(seed)
+        values = rng.dirichlet(np.ones(len(prog.labels)), prog.n_pairs).ravel()
+        per_pair = dict.fromkeys(prog.block_pair_ids, 0.0)
+        for p in range(len(prog.potentials)):
+            copies = range(prog.pot_ptr[p], prog.pot_ptr[p + 1])
+            s = prog.pot_const[p] + sum(prog.copy_coef[c] * values[prog.copy_atom[c]]
+                                        for c in copies)
+            per_pair[prog.block_pair_ids[prog.pot_block[p]]] += (
+                prog.pot_weight[p] * max(0.0, s) ** prog.pot_power[p])
+        total = sum(per_pair.values())
+        assert energy(prog, values) == pytest.approx(total, rel=1e-12, abs=1e-15)
+        shares = energy_by_pair(prog, values)
+        for pid, e in per_pair.items():
+            assert shares[pid] == pytest.approx(e / total, rel=1e-12, abs=1e-15)
+
+
+def test_label_ties_go_to_the_most_conservative_relation():
+    g = ArgumentGraph(task_mode="ternary")
+    for pid in ("a", "b", "c"):
+        g.add_pair(ArgumentPair(pid, "s" + pid, "c" + pid))
+    prog = ground(build_ruleset(RuleSetConfig()), list(g), {})
+    # support/attack/neutral per pair: all tied, attack~support, clear support
+    values = np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5 - 1e-10, 0.0, 0.6, 0.4, 0.0])
+    assert _predict_labels(prog, values) == {
+        "a": "neutral", "b": "attack", "c": "support"}
 
 
 def test_project_simplex_examples():
@@ -134,13 +169,12 @@ def test_admm_deterministic():
     assert a1.iterations == a2.iterations
 
 
-def test_backends_agree():
-    for seed in (1, 5, 9):
-        prog = random_ground_program(seed)
-        a = solve_map_admm(prog, backend=kernels.solve_admm_numpy)
-        b = solve_map_admm(prog)
-        assert a.energy == pytest.approx(b.energy, abs=1e-6)
-        assert a.labels == b.labels
+def test_admm_iterations_golden():
+    # pinned counts: the kernel is deterministic, so a change to the
+    # grounded arrays or their order moves them
+    iterations = [solve_map_admm(random_ground_program(s)).iterations
+                  for s in range(10)]
+    assert iterations == [35, 30, 149, 168, 56, 123, 27, 33, 186, 38]
 
 
 def test_admm_matches_grid_oracle_sample():
@@ -195,11 +229,7 @@ def test_argmin_invariant_under_weight_scaling():
     from dataclasses import replace
     for seed in (3, 14):
         prog = random_ground_program(seed)
-        scaled = GroundProgram(task_mode=prog.task_mode, atoms=prog.atoms,
-                               atom_index=prog.atom_index, blocks=prog.blocks,
-                               block_pair_ids=prog.block_pair_ids,
-                               potentials=[replace(p, weight=3.5 * p.weight)
-                                           for p in prog.potentials])
+        scaled = replace(prog, pot_weight=3.5 * prog.pot_weight)
         a = solve_map_grid(prog, 0.1)
         b = solve_map_grid(scaled, 0.1)
         assert np.array_equal(a.values, b.values)
