@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import logging
 import sys
 
@@ -17,7 +16,8 @@ from . import baselines as baselines_mod
 from . import metrics as metrics_mod
 from .chains import build_indirect, emit_pair_manifest
 from .infer import PairPrediction, predictions_to_records, run_inference
-from .model import ValidationError, dump_json, dump_jsonl, load_dataset, load_arguments
+from .model import (ValidationError, dump_json, dump_jsonl, load_arguments, load_dataset,
+                    load_json_object)
 from .rules import RuleSetConfig, expand_grid, load_config, sweep
 from .synth import SynthConfig, generate, plant_chain_scenario
 
@@ -148,16 +148,23 @@ def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, out_path):
 
 
 def _read_predictions(path, task_mode):
-    from .model import _iter_jsonl
+    """Prediction records as written by `infer` or `baseline`; labels
+    must belong to the mode and scores be numbers in [0, 1]."""
+    from .model import _check_prob, _iter_jsonl, labels_for_mode
+    labels = labels_for_mode(task_mode)
     preds = {}
     for lineno, rec in _iter_jsonl(path):
         if "pair_id" not in rec or "predicted" not in rec:
             raise ValidationError("prediction line missing pair_id/predicted", lineno)
-        scores = {rel: float(rec[rel]) for rel in ("support", "attack", "neutral")
-                  if rel in rec}
+        if rec["predicted"] not in labels:
+            raise ValidationError(f"field 'predicted' must be one of {list(labels)}, "
+                                  f"got {rec['predicted']!r}", lineno)
+        scores = {rel: _check_prob(rec[rel], rel, lineno)
+                  for rel in ("support", "attack", "neutral") if rel in rec}
         preds[rec["pair_id"]] = PairPrediction(
             rec["pair_id"], scores, rec["predicted"],
-            float(rec.get("energy_share", 0.0)), bool(rec.get("converged", True)))
+            _check_prob(rec.get("energy_share", 0.0), "energy_share", lineno),
+            bool(rec.get("converged", True)))
     return preds
 
 
@@ -238,17 +245,14 @@ def cmd_synth(config_path, seed, mode, chain_scenario, mask_fraction,
     """Generate a synthetic dataset in the standard file formats."""
     from .model import bundle_to_record, pair_to_record
 
-    overrides = {}
-    if config_path:
-        with open(config_path) as fh:
-            overrides = json.load(fh)
+    overrides = load_json_object(config_path, "synth config") if config_path else {}
     if seed is not None:
         overrides["seed"] = seed
     if mode is not None:
         overrides["task_mode"] = mode
         if mode == "binary":
             overrides.setdefault("fractions", {"support": 0.5, "attack": 0.5})
-    config = SynthConfig(**overrides)
+    config = SynthConfig.from_record(overrides)
 
     if chain_scenario:
         scenario = plant_chain_scenario(config, mask_fraction)

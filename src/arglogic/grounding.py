@@ -28,13 +28,21 @@ class GroundProgram:
 
     Atoms: with labels = labels_for_mode(task_mode) and k = len(labels),
     atom b*k + j is relation labels[j] of pair b.  Pairs (blocks) are
-    numbered in pair-id order; block_pair_ids[b] names pair b.
+    numbered in pair-id order within each component; block_pair_ids[b]
+    names pair b.
 
-    Rows: the first len(potentials) rows are the soft hinge potentials in
+    Components: block_comp[b] is the component of block b.  A program from
+    `ground` is one component (all 0).  `join` lays several out one after
+    another: ids 0, 1, ... in block order, and each component's blocks,
+    atoms, rows and copies are contiguous runs in that order.
+
+    Rows, within each component: first its soft hinge potentials in
     grounding order (per pair, its logic rules in LOGIC_RULES order and
-    then its prior; then per chain triple, one row per chain rule).  One
-    simplex row per pair follows, in block order.
-      potentials[p]         rule id of soft row p
+    then its prior; then per chain triple, one row per chain rule), then
+    one simplex row per pair, in block order.  So the soft rows are a
+    prefix of the rows only in a one-component program; in general they
+    are the rows with pot_power > 0.
+      potentials            rule ids of the soft rows, in row order
       pot_block[p]          block the row is attributed to (its head's pair)
       pot_ptr[p]:pot_ptr[p+1]  the row's copies
       pot_const[p]          hinge constant
@@ -56,6 +64,11 @@ class GroundProgram:
     copy_atom: np.ndarray
     copy_pot: np.ndarray
     copy_coef: np.ndarray
+    block_comp: np.ndarray | None = None  # None: one component
+
+    def __post_init__(self):
+        if self.block_comp is None:
+            self.block_comp = np.zeros(self.n_pairs, dtype=np.int64)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -170,6 +183,37 @@ def ground(
     )
 
 
+def join(programs: Sequence[GroundProgram]) -> GroundProgram:
+    """One program holding each given one-component program as a
+    component, in order; all must share a task mode."""
+    modes = {p.task_mode for p in programs}
+    if len(modes) != 1:
+        raise ValidationError(f"cannot join programs of task modes {sorted(modes)}")
+
+    def shifted(arrays, sizes):
+        """The arrays end to end, each plus the sum of the sizes before it."""
+        return np.concatenate([a + off for a, off in zip(arrays, np.cumsum([0] + sizes[:-1]))])
+
+    k = len(programs[0].labels)
+    n_blocks = [p.n_pairs for p in programs]
+    return GroundProgram(
+        task_mode=programs[0].task_mode,
+        block_pair_ids=[pid for p in programs for pid in p.block_pair_ids],
+        potentials=tuple(rid for p in programs for rid in p.potentials),
+        pot_block=shifted([p.pot_block for p in programs], n_blocks),
+        pot_ptr=np.concatenate([[0], shifted([p.pot_ptr[1:] for p in programs],
+                                             [len(p.copy_atom) for p in programs])]),
+        pot_const=np.concatenate([p.pot_const for p in programs]),
+        pot_weight=np.concatenate([p.pot_weight for p in programs]),
+        pot_power=np.concatenate([p.pot_power for p in programs]),
+        copy_atom=shifted([p.copy_atom for p in programs], [k * n for n in n_blocks]),
+        copy_pot=shifted([p.copy_pot for p in programs],
+                         [len(p.pot_const) for p in programs]),
+        copy_coef=np.concatenate([p.copy_coef for p in programs]),
+        block_comp=np.repeat(np.arange(len(programs), dtype=np.int64), n_blocks),
+    )
+
+
 def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS_TOL):
     values = np.asarray(values, dtype=float)
     if values.shape != (program.n_atoms,):
@@ -184,29 +228,28 @@ def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS
             f"simplex constraint violated: block sums to {sums[bad[0]]:.8f}")
 
 
-def _potential_energies(program: GroundProgram, values: np.ndarray) -> np.ndarray:
-    """Weighted hinge loss of each soft potential."""
-    n = len(program.potentials)
-    soft = slice(0, program.pot_ptr[n])
-    s = program.pot_const[:n] + np.bincount(
-        program.copy_pot[soft],
-        weights=program.copy_coef[soft] * values[program.copy_atom[soft]],
-        minlength=n)
-    return program.pot_weight[:n] * np.maximum(s, 0.0) ** program.pot_power[:n]
+def _row_energies(program: GroundProgram, values: np.ndarray) -> np.ndarray:
+    """Weighted hinge loss of each row (0 for the simplex rows)."""
+    s = program.pot_const + np.bincount(
+        program.copy_pot, weights=program.copy_coef * values[program.copy_atom],
+        minlength=len(program.pot_const))
+    return program.pot_weight * np.maximum(s, 0.0) ** program.pot_power
 
 
 def energy(program: GroundProgram, values: np.ndarray) -> float:
     """Total weighted hinge loss; raises if the assignment is infeasible."""
     check_feasible(program, values)
-    return float(_potential_energies(program, np.asarray(values, dtype=float)).sum())
+    rows = _row_energies(program, np.asarray(values, dtype=float))
+    return float(rows[program.pot_power > 0].sum())
 
 
 def energy_by_pair(program: GroundProgram, values: np.ndarray) -> dict[str, float]:
-    """Each pair's share of the program's energy (all 0.0 if it is 0)."""
+    """Each pair's share of its component's energy (0.0 where that is 0)."""
     per_pair = np.bincount(
-        program.pot_block[:len(program.potentials)],
-        weights=_potential_energies(program, np.asarray(values, dtype=float)),
+        program.pot_block,
+        weights=_row_energies(program, np.asarray(values, dtype=float)),
         minlength=program.n_pairs)
-    total = per_pair.sum()
-    shares = per_pair / total if total > 0 else np.zeros(program.n_pairs)
+    starts = np.flatnonzero(np.diff(program.block_comp, prepend=-1))
+    total = np.add.reduceat(per_pair, starts)[program.block_comp]
+    shares = np.divide(per_pair, total, out=np.zeros(program.n_pairs), where=total > 0)
     return dict(zip(program.block_pair_ids, shares.tolist()))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chains import ChainTriple, build_indirect
-from .grounding import ground
+from .grounding import GroundProgram, ground, join
 from .model import (ArgumentGraph, ScoreBundle, connected_components, default_label,
                     labels_for_mode)
 from .predicates import evaluate_all
@@ -14,6 +16,11 @@ from .rules import RuleSetConfig, build_ruleset
 from .solver import SolverParams, solve_map_admm
 
 log = logging.getLogger(__name__)
+
+# Components are solved in batches of at most this many ADMM local copies:
+# one kernel call per batch instead of per component, while the batch's
+# working arrays stay small.  A larger component is a batch of its own.
+MAX_BATCH_COPIES = 1024
 
 
 @dataclass
@@ -43,7 +50,8 @@ def run_inference(
     ablate: frozenset[str] = frozenset(),
     restrict_split: str | None = None,
 ) -> InferenceResult:
-    """Solve MAP per connected component and collect per-pair predictions.
+    """Solve MAP per connected component, in batches of components, and
+    collect per-pair predictions.
 
     `restrict_split` keeps only direct pairs of that split (plus the
     indirect pairs chained from them); used by the validation sweep.
@@ -84,7 +92,7 @@ def run_inference(
 
     components = connected_components(work)
 
-    def solve_component(pairs):
+    def ground_component(pairs):
         seen: set[int] = set()
         comp_triples = []
         for p in pairs:
@@ -92,11 +100,10 @@ def run_inference(
                 if id(t) not in seen:
                     seen.add(id(t))
                     comp_triples.append(t)
-        program = ground(rules, pairs, vectors, comp_triples,
-                         power=config.power,
-                         prior_on_indirect=config.prior_on_indirect,
-                         task_mode=work.task_mode)
-        return program, solve_map_admm(program, params)
+        return ground(rules, pairs, vectors, comp_triples,
+                      power=config.power,
+                      prior_on_indirect=config.prior_on_indirect,
+                      task_mode=work.task_mode)
 
     predictions: dict[str, PairPrediction] = {}
     total_energy = 0.0
@@ -105,18 +112,21 @@ def run_inference(
     all_converged = True
     fallback = default_label(work.task_mode)
     labels = labels_for_mode(work.task_mode)
-    for program, assignment in map(solve_component, components):
+    for batch in _batches(map(ground_component, components), MAX_BATCH_COPIES):
+        program = join(batch)
+        assignment = solve_map_admm(program, params)
         total_energy += assignment.energy
-        total_weight += program.total_weight
+        total_weight += sum(p.total_weight for p in batch)
         n_potentials += len(program.potentials)
         all_converged = all_converged and assignment.converged
-        if not assignment.converged:
+        for c in np.flatnonzero(~assignment.component_converged).tolist():
             log.warning("component with pairs %s did not converge "
                         "(%d iterations, primal %.2e, dual %.2e)",
-                        program.block_pair_ids[:3], assignment.iterations,
-                        assignment.primal_residual, assignment.dual_residual)
+                        batch[c].block_pair_ids[:3], assignment.component_iterations[c],
+                        assignment.primal_residual[c], assignment.dual_residual[c])
         rows = assignment.values.reshape(program.n_pairs, len(labels)).tolist()
-        for pair_id, row in zip(program.block_pair_ids, rows):
+        converged = assignment.component_converged[program.block_comp].tolist()
+        for pair_id, row, conv in zip(program.block_pair_ids, rows, converged):
             if work.pairs[pair_id].kind != "direct":
                 continue
             predictions[pair_id] = PairPrediction(
@@ -124,7 +134,7 @@ def run_inference(
                 scores=dict(zip(labels, row)),
                 predicted=assignment.labels[pair_id],
                 energy_share=assignment.energy_shares[pair_id],
-                converged=assignment.converged,
+                converged=conv,
             )
 
     # pairs excluded from all components (e.g. no pairs at all) fall back
@@ -141,6 +151,22 @@ def run_inference(
         n_potentials=n_potentials,
         converged=all_converged,
     )
+
+
+def _batches(programs, max_copies: int):
+    """Consecutive programs grouped into lists of at most max_copies local
+    copies; a larger program forms a list of its own."""
+    batch: list[GroundProgram] = []
+    copies = 0
+    for program in programs:
+        size = len(program.copy_atom)
+        if batch and copies + size > max_copies:
+            yield batch
+            batch, copies = [], 0
+        batch.append(program)
+        copies += size
+    if batch:
+        yield batch
 
 
 def predictions_to_records(predictions: dict[str, PairPrediction],

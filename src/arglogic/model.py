@@ -212,6 +212,18 @@ def _check_prob(value, name, line):
     return v
 
 
+def _object(value, name, line) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"field {name!r} must be an object, got {value!r}", line)
+    return value
+
+
+def _array(value, name, line) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"field {name!r} must be an array, got {value!r}", line)
+    return value
+
+
 def _normalize_dist(values, names, line, context):
     vals = [_check_prob(v, n, line) for v, n in zip(values, names)]
     total = sum(vals)
@@ -270,7 +282,7 @@ def parse_bundle(record: dict, line=None) -> ScoreBundle:
 
     nli = None
     if record.get("nli") is not None:
-        r = record["nli"]
+        r = _object(record["nli"], "nli", line)
         p_ent, p_con, p_neu = _normalize_dist(
             (r.get("p_ent", 0), r.get("p_con", 0), r.get("p_neu", 0)),
             ("nli.p_ent", "nli.p_con", "nli.p_neu"), line, f"bundle {pair_id!r}")
@@ -279,29 +291,30 @@ def parse_bundle(record: dict, line=None) -> ScoreBundle:
     fact_pairs = None
     if record.get("fact_pairs") is not None:
         pairs = []
-        for i, tp in enumerate(record["fact_pairs"]):
-            slots = tp.get("slots", [])
+        for i, tp in enumerate(_array(record["fact_pairs"], "fact_pairs", line)):
+            tp = _object(tp, f"fact_pairs[{i}]", line)
+            slots = _array(tp.get("slots", []), f"fact_pairs[{i}].slots", line)
             if not slots:
                 raise ValidationError(
                     f"bundle {pair_id!r}: fact_pairs[{i}] has no slots", line)
-            parsed = tuple(
-                SlotScore(
-                    _check_prob(s.get("p_ent", 0), f"fact_pairs[{i}].slots[{k}].p_ent", line),
-                    _check_prob(s.get("p_con", 0), f"fact_pairs[{i}].slots[{k}].p_con", line),
-                )
-                for k, s in enumerate(slots)
-            )
-            pairs.append(TuplePairScores(parsed))
+            parsed = []
+            for k, slot in enumerate(slots):
+                name = f"fact_pairs[{i}].slots[{k}]"
+                slot = _object(slot, name, line)
+                parsed.append(SlotScore(_check_prob(slot.get("p_ent", 0), f"{name}.p_ent", line),
+                                        _check_prob(slot.get("p_con", 0), f"{name}.p_con", line)))
+            pairs.append(TuplePairScores(tuple(parsed)))
         fact_pairs = tuple(pairs)
 
     senti_pairs = None
     if record.get("senti_pairs") is not None:
         pairs = []
-        for i, sp in enumerate(record["senti_pairs"]):
+        for i, sp in enumerate(_array(record["senti_pairs"], "senti_pairs", line)):
+            sp = _object(sp, f"senti_pairs[{i}]", line)
             p_match = _check_prob(sp.get("p_match", 0), f"senti_pairs[{i}].p_match", line)
             dists = []
             for side in ("s_stmt", "s_claim"):
-                d = sp.get(side, {})
+                d = _object(sp.get(side, {}), f"senti_pairs[{i}].{side}", line)
                 vals = _normalize_dist(
                     (d.get("p_pos", 0), d.get("p_neg", 0), d.get("p_neu", 0)),
                     (f"senti_pairs[{i}].{side}.p_pos",
@@ -314,7 +327,7 @@ def parse_bundle(record: dict, line=None) -> ScoreBundle:
 
     causal = None
     if record.get("causal") is not None:
-        r = record["causal"]
+        r = _object(record["causal"], "causal", line)
         causal = CausalScores(
             _check_prob(r.get("sc_cause", 0), "causal.sc_cause", line),
             _check_prob(r.get("sc_obstruct", 0), "causal.sc_obstruct", line),
@@ -324,7 +337,7 @@ def parse_bundle(record: dict, line=None) -> ScoreBundle:
 
     normative = None
     if record.get("normative") is not None:
-        r = record["normative"]
+        r = _object(record["normative"], "normative", line)
         vals = {
             name: _check_prob(r.get(name, 0), f"normative.{name}", line)
             for name in ("p_conseq", "p_norm", "q_pos", "q_neg",
@@ -353,6 +366,18 @@ def _iter_jsonl(path):
             if not isinstance(record, dict):
                 raise ValidationError("record is not an object", lineno)
             yield lineno, record
+
+
+def load_json_object(path, what: str) -> dict:
+    """One JSON object from a file (a config); `what` names it in errors."""
+    with open(path) as fh:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} {path}: invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return record
 
 
 def load_arguments(path, task_mode: str) -> ArgumentGraph:

@@ -7,13 +7,13 @@ prior on the default relation and C2 a hard per-pair simplex constraint.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
 
-from .model import ATTACK, NEUTRAL, SUPPORT, ValidationError, default_label
+from .model import (ATTACK, NEUTRAL, SUPPORT, ValidationError, default_label,
+                    load_json_object)
 
 log = logging.getLogger(__name__)
 
@@ -140,13 +140,7 @@ def config_from_record(record: dict) -> RuleSetConfig:
 
 def load_config(path) -> tuple[RuleSetConfig, dict]:
     """Read a config file; returns (config, grids) where grids may be empty."""
-    with open(path) as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path}: invalid JSON: {exc}") from None
-    if not isinstance(record, dict):
-        raise ValidationError("config file must hold a JSON object")
+    record = load_json_object(path, "config")
     grids = record.get("grids", {})
     return config_from_record(record), grids
 

@@ -8,7 +8,7 @@ projected block-wise onto the simplex so it is exactly feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +33,23 @@ class SolverParams:
                 raise ValidationError(f"solver parameter {name} must be positive")
 
 
+def _empty(dtype):
+    return field(default_factory=lambda: np.zeros(0, dtype=dtype))
+
+
 @dataclass
 class Assignment:
     values: np.ndarray  # per free atom
     labels: dict[str, str]  # pair_id -> predicted relation
     energy: float
-    energy_shares: dict[str, float]  # pair_id -> share of the energy
-    iterations: int = 0
-    primal_residual: float = 0.0
-    dual_residual: float = 0.0
-    converged: bool = True
+    energy_shares: dict[str, float]  # pair_id -> share of its component's energy
+    iterations: int = 0  # summed over the program's components
+    converged: bool = True  # every component converged
+    # per component, indexed by GroundProgram.block_comp (ADMM only)
+    component_iterations: np.ndarray = _empty(np.int64)
+    component_converged: np.ndarray = _empty(bool)
+    primal_residual: np.ndarray = _empty(float)
+    dual_residual: np.ndarray = _empty(float)
 
 
 def project_simplex(values) -> np.ndarray:
@@ -72,25 +79,27 @@ def solve_map_admm(program: GroundProgram,
                    params: SolverParams = SolverParams()) -> Assignment:
     if program.n_atoms == 0:
         return Assignment(np.empty(0), {}, 0.0, {}, converged=True)
-    z0 = np.full(program.n_atoms, 1.0 / len(program.labels))
-    z, iters, r_norm, s_norm, converged, nan_seen = kernels.solve_admm(
+    k = len(program.labels)
+    z0 = np.full(program.n_atoms, 1.0 / k)
+    result = kernels.solve_admm(
         program.copy_atom, program.copy_pot, program.copy_coef,
         program.pot_ptr, program.pot_const, program.pot_weight,
         program.pot_power, program.n_atoms, z0, params.rho, params.eps_abs,
-        params.eps_rel, params.max_iters)
-    if nan_seen:
+        params.eps_rel, params.max_iters, np.repeat(program.block_comp, k))
+    if result.nan_seen.any():
         raise FloatingPointError("ADMM produced NaN iterates")
-    values = _finish(program, z)
-    total = energy(program, values)
+    values = _finish(program, result.z)
     return Assignment(
         values=values,
         labels=_predict_labels(program, values),
-        energy=total,
+        energy=energy(program, values),
         energy_shares=energy_by_pair(program, values),
-        iterations=int(iters),
-        primal_residual=float(r_norm),
-        dual_residual=float(s_norm),
-        converged=bool(converged),
+        iterations=result.iterations,
+        converged=bool(result.converged.all()),
+        component_iterations=result.component_iterations,
+        component_converged=result.converged,
+        primal_residual=result.primal_residual,
+        dual_residual=result.dual_residual,
     )
 
 
@@ -138,7 +147,7 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
     atoms = program.copy_atom.tolist()
     coefs = program.copy_coef.tolist()
     total = np.zeros([n_points] * nb)
-    for p in range(len(program.potentials)):
+    for p in np.flatnonzero(program.pot_power > 0).tolist():
         expr = np.full([1] * nb, program.pot_const[p].item())
         for c in range(ptr[p], ptr[p + 1]):
             b, pos = divmod(atoms[c], k)

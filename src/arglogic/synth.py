@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,6 +65,37 @@ class SynthConfig:
             raise ValidationError(f"label fractions sum to {total}, expected 1")
         if self.task_mode == "binary" and self.fractions.get(NEUTRAL, 0.0) > 0:
             raise ValidationError("binary mode cannot plant neutral pairs")
+
+    @classmethod
+    def from_record(cls, record: dict) -> "SynthConfig":
+        """A config from a JSON object of overrides.  Each field must exist
+        and have its default's type; numbers must be non-negative, and a
+        dict field may only use its default's keys."""
+        defaults = cls()
+        for name, value in record.items():
+            if not hasattr(defaults, name):
+                known = [f.name for f in fields(cls)]
+                raise ValidationError(
+                    f"synth config field {name!r} is unknown (expected one of {known})")
+            default = getattr(defaults, name)
+            if isinstance(default, dict):
+                ok = isinstance(value, dict) and all(
+                    key in default and _non_negative(v) for key, v in value.items())
+                expected = f"an object mapping some of {sorted(default)} to non-negative numbers"
+            elif isinstance(default, str):
+                ok, expected = isinstance(value, str), "a string"
+            elif isinstance(default, int):
+                ok, expected = _non_negative(value) and isinstance(value, int), "a non-negative integer"
+            else:
+                ok, expected = _non_negative(value), "a non-negative number"
+            if not ok:
+                raise ValidationError(
+                    f"synth config field {name!r} must be {expected}, got {value!r}")
+        return cls(**record)
+
+
+def _non_negative(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
 
 
 def _noisy(p: float, sigma: float, rng) -> float:

@@ -257,3 +257,43 @@ def test_config_unknown_logic_rule_exit_code_2(dataset, runner, tmp_path):
                           json.dumps({"w_logic": {"R99": 0.5}}))
     assert res.exit_code == 2
     assert "w_logic" in res.output and "R99" in res.output
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"n_topics": 3,', "invalid JSON"),
+    ('{"n_topics": "3"}', "n_topics"),
+    ('{"nope": 1}', "nope")])
+def test_synth_config_errors_exit_code_2(runner, tmp_path, text, field):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(text)
+    res = runner.invoke(main, ["synth", "--config", str(cfg),
+                               "--out-arguments", str(tmp_path / "a.jsonl"),
+                               "--out-scores", str(tmp_path / "s.jsonl")])
+    assert res.exit_code == 2
+    assert field in res.output
+
+
+def test_score_block_not_an_object_exit_code_2(dataset, runner, tmp_path):
+    _, args_path, _ = dataset
+    pair_id = read_jsonl(args_path)[0]["pair_id"]
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"pair_id": pair_id, "nli": [0.1, 0.2]}) + "\n")
+    res = runner.invoke(main, ["infer", str(args_path), str(scores),
+                               "--out", str(tmp_path / "out.jsonl")])
+    assert res.exit_code == 2
+    assert "line 1" in res.output and "'nli'" in res.output
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"predicted": "maybe"}, "predicted"),
+    ({"support": "x"}, "support")])
+def test_eval_malformed_prediction_exit_code_2(dataset, runner, tmp_path,
+                                               change, field):
+    _, args_path, _ = dataset
+    record = {"pair_id": read_jsonl(args_path)[0]["pair_id"], "support": 0.5,
+              "attack": 0.3, "neutral": 0.2, "predicted": "support"}
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({**record, **change}) + "\n")
+    res = runner.invoke(main, ["eval", str(preds), str(args_path)])
+    assert res.exit_code == 2
+    assert "line 1" in res.output and field in res.output

@@ -9,7 +9,9 @@ from arglogic.grounding import (
     energy,
     energy_by_pair,
     ground,
+    join,
 )
+from arglogic.kernels import project_rows
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError
 from arglogic.predicates import PredicateVector
 from arglogic.rules import RuleSetConfig, build_ruleset
@@ -257,3 +259,65 @@ def test_non_convergence_is_reported_not_fatal():
     assert a.iterations == 2
     for block in prog.blocks:  # still exactly feasible
         assert a.values[list(block)].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def programs_of_mode(mode, count):
+    """Random one-component programs of one mode, with distinct pair ids."""
+    from dataclasses import replace
+    programs = [p for p in map(random_ground_program, range(200))
+                if p.task_mode == mode][:count]
+    return [replace(p, block_pair_ids=[f"c{i}/{pid}" for pid in p.block_pair_ids])
+            for i, p in enumerate(programs)]
+
+
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+def test_batched_solve_equals_per_component_solve(mode):
+    programs = programs_of_mode(mode, 12)
+    assert {int(p.pot_power.max()) for p in programs} == {1, 2}
+    alone = [solve_map_admm(p) for p in programs]
+    for order in (range(12), range(11, -1, -1)):
+        solo = [alone[i] for i in order]
+        a = solve_map_admm(join([programs[i] for i in order]))
+        assert np.array_equal(a.values, np.concatenate([s.values for s in solo]))
+        assert a.component_iterations.tolist() == [s.iterations for s in solo]
+        assert a.component_converged.tolist() == [s.converged for s in solo]
+        assert a.iterations == sum(s.iterations for s in solo)
+        assert a.labels == {k: v for s in solo for k, v in s.labels.items()}
+        assert a.energy_shares == {k: v for s in solo for k, v in s.energy_shares.items()}
+
+
+def test_capped_component_does_not_stop_the_batch():
+    programs = [random_ground_program(s) for s in (0, 4, 8, 7)]  # binary
+    iters = [solve_map_admm(p).iterations for p in programs]
+    assert iters == [35, 56, 186, 33]
+    params = SolverParams(max_iters=100)
+    a = solve_map_admm(join(programs), params)
+    assert a.component_converged.tolist() == [True, True, False, True]
+    assert a.component_iterations.tolist() == [35, 56, 100, 33]
+    assert not a.converged
+    capped = solve_map_admm(programs[2], params)
+    assert not capped.converged
+    start = programs[0].n_atoms + programs[1].n_atoms
+    assert np.array_equal(a.values[start:start + programs[2].n_atoms], capped.values)
+
+
+def project_rows_by_sort(V):
+    """Reference: the sort-based simplex projection, row by row."""
+    k = V.shape[1]
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    cond = U - css / np.arange(1, k + 1, dtype=float) > 0
+    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(len(V)), rho] / (rho + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_project_rows_matches_sort_reference(k):
+    rng = np.random.default_rng(k)
+    rows = [rng.normal(0.3, 1.0, (4000, k)),
+            rng.integers(-4, 5, (4000, k)) / 4.0,  # many exact ties
+            np.repeat(rng.normal(0.0, 2.0, (1000, 1)), k, axis=1),  # all equal
+            rng.random((4000, k)) * 1e-9 + 1.0 / k]
+    V = np.concatenate(rows)
+    assert np.array_equal(project_rows(V), project_rows_by_sort(V))
