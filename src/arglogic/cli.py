@@ -161,8 +161,9 @@ def _read_predictions(path, task_mode):
                                   f"got {rec['predicted']!r}", lineno)
         scores = {rel: _check_prob(rec[rel], rel, lineno)
                   for rel in ("support", "attack", "neutral") if rel in rec}
-        preds[rec["pair_id"]] = PairPrediction(
-            rec["pair_id"], scores, rec["predicted"],
+        pair_id = str(rec["pair_id"])
+        preds[pair_id] = PairPrediction(
+            pair_id, scores, rec["predicted"],
             _check_prob(rec.get("energy_share", 0.0), "energy_share", lineno),
             bool(rec.get("converged", True)))
     return preds

@@ -189,6 +189,8 @@ def join(programs: Sequence[GroundProgram]) -> GroundProgram:
     modes = {p.task_mode for p in programs}
     if len(modes) != 1:
         raise ValidationError(f"cannot join programs of task modes {sorted(modes)}")
+    if len(programs) == 1:
+        return programs[0]  # already in the one-component layout
 
     def shifted(arrays, sizes):
         """The arrays end to end, each plus the sum of the sizes before it."""

@@ -56,6 +56,8 @@ class SynthConfig:
         "fit": 0.0, "val": 0.3, "test": 0.7})
 
     def __post_init__(self):
+        if self.task_mode not in ("ternary", "binary"):
+            raise ValidationError(f"unknown task_mode {self.task_mode!r}")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be non-negative")
         if not (0 < self.informative_strength <= 1):
@@ -65,6 +67,8 @@ class SynthConfig:
             raise ValidationError(f"label fractions sum to {total}, expected 1")
         if self.task_mode == "binary" and self.fractions.get(NEUTRAL, 0.0) > 0:
             raise ValidationError("binary mode cannot plant neutral pairs")
+        if sum(self.split_fractions.values()) <= 0:
+            raise ValidationError("split_fractions has no mass")
 
     @classmethod
     def from_record(cls, record: dict) -> "SynthConfig":
@@ -72,9 +76,9 @@ class SynthConfig:
         and have its default's type; numbers must be non-negative, and a
         dict field may only use its default's keys."""
         defaults = cls()
+        known = [f.name for f in fields(cls)]
         for name, value in record.items():
-            if not hasattr(defaults, name):
-                known = [f.name for f in fields(cls)]
+            if name not in known:
                 raise ValidationError(
                     f"synth config field {name!r} is unknown (expected one of {known})")
             default = getattr(defaults, name)

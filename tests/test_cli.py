@@ -262,7 +262,10 @@ def test_config_unknown_logic_rule_exit_code_2(dataset, runner, tmp_path):
 @pytest.mark.parametrize("text, field", [
     ('{"n_topics": 3,', "invalid JSON"),
     ('{"n_topics": "3"}', "n_topics"),
-    ('{"nope": 1}', "nope")])
+    ('{"nope": 1}', "nope"),
+    ('{"seed": -1}', "seed"),
+    ('{"task_mode": "quaternary"}', "task_mode"),
+    ('{"split_fractions": {"val": 0}}', "split_fractions")])
 def test_synth_config_errors_exit_code_2(runner, tmp_path, text, field):
     cfg = tmp_path / "synth.json"
     cfg.write_text(text)
