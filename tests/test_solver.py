@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,6 @@ def test_convexity_witness():
 
 
 def test_argmin_invariant_under_weight_scaling():
-    from dataclasses import replace
     for seed in (3, 14):
         prog = random_ground_program(seed)
         scaled = replace(prog, pot_weight=3.5 * prog.pot_weight)
@@ -263,7 +264,6 @@ def test_non_convergence_is_reported_not_fatal():
 
 def programs_of_mode(mode, count):
     """Random one-component programs of one mode, with distinct pair ids."""
-    from dataclasses import replace
     programs = [p for p in map(random_ground_program, range(200))
                 if p.task_mode == mode][:count]
     return [replace(p, block_pair_ids=[f"c{i}/{pid}" for pid in p.block_pair_ids])
