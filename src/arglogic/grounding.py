@@ -95,6 +95,34 @@ class GroundProgram:
         return (self.block_pair_ids.index(pair_id) * len(self.labels)
                 + self.labels.index(relation))
 
+    def select(self, keep: np.ndarray) -> "GroundProgram":
+        """The blocks where keep holds, with every row on their atoms, in
+        the same order; no such row may touch a block that is dropped."""
+        keep_atom = np.repeat(keep, len(self.labels))
+        keep_row = keep_atom[self.copy_atom[self.pot_ptr[:-1]]]
+        keep_copy = keep_row[self.copy_pot]
+        soft_kept = keep_row[self.pot_power > 0].tolist()
+        return GroundProgram(
+            task_mode=self.task_mode,
+            block_pair_ids=[pid for pid, kept in zip(self.block_pair_ids, keep.tolist())
+                            if kept],
+            potentials=tuple(rid for rid, kept in zip(self.potentials, soft_kept) if kept),
+            pot_block=_renumber(keep)[self.pot_block[keep_row]],
+            pot_ptr=np.concatenate([[0], np.cumsum(np.diff(self.pot_ptr)[keep_row])]),
+            pot_const=self.pot_const[keep_row],
+            pot_weight=self.pot_weight[keep_row],
+            pot_power=self.pot_power[keep_row],
+            copy_atom=_renumber(keep_atom)[self.copy_atom[keep_copy]],
+            copy_pot=_renumber(keep_row)[self.copy_pot[keep_copy]],
+            copy_coef=self.copy_coef[keep_copy],
+            block_comp=self.block_comp[keep],
+        )
+
+
+def _renumber(keep: np.ndarray) -> np.ndarray:
+    """The new index of each kept entry (the others' values are unused)."""
+    return np.cumsum(keep) - 1
+
 
 def distance_to_satisfaction(body_values: Sequence[float], head_value: float) -> float:
     """Hinge distance of a soft implication under Lukasiewicz semantics."""

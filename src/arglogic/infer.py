@@ -125,7 +125,8 @@ def run_inference(
                         batch[c].block_pair_ids[:3], assignment.component_iterations[c],
                         assignment.primal_residual[c], assignment.dual_residual[c])
         rows = assignment.values.reshape(program.n_pairs, len(labels)).tolist()
-        converged = assignment.component_converged[program.block_comp].tolist()
+        converged = (assignment.component_converged[program.block_comp]
+                     | assignment.closed_form).tolist()
         for pair_id, row, conv in zip(program.block_pair_ids, rows, converged):
             if work.pairs[pair_id].kind != "direct":
                 continue

@@ -1,7 +1,8 @@
 """The consensus ADMM kernel, vectorized in numpy.
 
-Each hinge potential and each simplex row holds private copies of its
-atoms.  One iteration applies every row's proximal update to its copies
+`solver.solve_map_admm` passes it only the pair blocks that it cannot
+solve in closed form: in practice, those a chain row reaches.  Each hinge potential and each simplex row holds private
+copies of its atoms.  One iteration applies every row's proximal update to its copies
 (a closed-form hinge step, or a Euclidean projection onto the simplex),
 averages the copies of each atom into the consensus z, clipped to
 [0, 1], and advances the scaled duals.

@@ -138,11 +138,33 @@ def config_from_record(record: dict) -> RuleSetConfig:
     )
 
 
+GRID_AXES = ("w_chain", "w_prior")
+
+
+def grids_from_record(value) -> dict[str, list[float]]:
+    """The `grids` field: an object mapping sweep axes to non-empty lists
+    of non-negative numbers."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"config field 'grids' must be an object, got {value!r}")
+    grids = {}
+    for axis, points in value.items():
+        name = f"grids.{axis}"
+        if axis not in GRID_AXES:
+            raise ValidationError(f"config field 'grids' names unknown axis {axis!r} "
+                                  f"(expected one of {', '.join(GRID_AXES)})")
+        if not isinstance(points, list) or not points:
+            raise ValidationError(
+                f"config field {name!r} must be a non-empty list of numbers, got {points!r}")
+        grids[axis] = [_number(w, name) for w in points]
+        if min(grids[axis]) < 0:
+            raise ValidationError(f"config field {name!r} holds a negative weight: {points!r}")
+    return grids
+
+
 def load_config(path) -> tuple[RuleSetConfig, dict]:
     """Read a config file; returns (config, grids) where grids may be empty."""
     record = load_json_object(path, "config")
-    grids = record.get("grids", {})
-    return config_from_record(record), grids
+    return config_from_record(record), grids_from_record(record.get("grids", {}))
 
 
 def expand_grid(base: RuleSetConfig, grids: dict) -> list[RuleSetConfig]:
@@ -185,6 +207,8 @@ def sweep(configs, graph, bundles, params=None):
         try:
             result = run_inference(graph, bundles, config, params=params,
                                    restrict_split="val")
+        except ValidationError as exc:
+            raise ValidationError(f"sweep config #{i} ({config}): {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"sweep config #{i} ({config}) failed: {exc}") from exc
         raw = result.total_energy

@@ -300,3 +300,21 @@ def test_eval_malformed_prediction_exit_code_2(dataset, runner, tmp_path,
     res = runner.invoke(main, ["eval", str(preds), str(args_path)])
     assert res.exit_code == 2
     assert "line 1" in res.output and field in res.output
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({"grids": {"w_chain": [-1.0]}}, ["grids.w_chain"]),
+    ({"hinge_power": 2}, ["hinge_power", "sweep config #0"]),
+    ({"grids": 5}, ["grids"]),
+    ({"grids": {"w_chain": "abc"}}, ["grids.w_chain"]),
+    ({"grids": {"w_chain": 1.0}}, ["grids.w_chain"]),
+    ({"grids": {"w_prior": [True]}}, ["grids.w_prior"]),
+    ({"grids": {"nope": [1]}}, ["grids", "nope"])])
+def test_sweep_config_errors_exit_code_2(dataset, runner, tmp_path, config, expected):
+    _, args_path, scores_path = dataset
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["sweep", str(args_path), str(scores_path),
+                               "--config", str(cfg), "--out", str(tmp_path / "sweep.json")])
+    assert res.exit_code == 2
+    assert all(text in res.output for text in expected), res.output

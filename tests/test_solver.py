@@ -13,6 +13,7 @@ from arglogic.grounding import (
     ground,
     join,
 )
+from arglogic import kernels
 from arglogic.kernels import project_rows
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError
 from arglogic.predicates import PredicateVector
@@ -24,6 +25,7 @@ from arglogic.solver import (
     simplex_grid,
     solve_map_admm,
     solve_map_grid,
+    uncoupled_blocks,
 )
 from conftest import random_ground_program
 
@@ -173,11 +175,20 @@ def test_admm_deterministic():
     assert a1.iterations == a2.iterations
 
 
+def kernel_iterations(prog, params=SolverParams()):
+    """ADMM iterations of the kernel on all of the program's blocks."""
+    k = len(prog.labels)
+    return kernels.solve_admm(
+        prog.copy_atom, prog.copy_pot, prog.copy_coef, prog.pot_ptr,
+        prog.pot_const, prog.pot_weight, prog.pot_power, prog.n_atoms,
+        np.full(prog.n_atoms, 1.0 / k), params.rho, params.eps_abs,
+        params.eps_rel, params.max_iters).iterations
+
+
 def test_admm_iterations_golden():
     # pinned counts: the kernel is deterministic, so a change to the
     # grounded arrays or their order moves them
-    iterations = [solve_map_admm(random_ground_program(s)).iterations
-                  for s in range(10)]
+    iterations = [kernel_iterations(random_ground_program(s)) for s in range(10)]
     assert iterations == [35, 30, 149, 168, 56, 123, 27, 33, 186, 38]
 
 
@@ -254,7 +265,8 @@ def test_solver_params_validation():
 
 
 def test_non_convergence_is_reported_not_fatal():
-    prog = random_ground_program(2)
+    prog = random_ground_program(1)  # three pairs coupled by a chain triple
+    assert not uncoupled_blocks(prog).any()
     a = solve_map_admm(prog, SolverParams(max_iters=2))
     assert not a.converged
     assert a.iterations == 2
@@ -287,13 +299,15 @@ def test_batched_solve_equals_per_component_solve(mode):
 
 
 def test_capped_component_does_not_stop_the_batch():
-    programs = [random_ground_program(s) for s in (0, 4, 8, 7)]  # binary
+    # binary, each three pairs coupled by a chain triple
+    programs = [random_ground_program(s) for s in (15, 16, 25, 41)]
+    assert not any(uncoupled_blocks(p).any() for p in programs)
     iters = [solve_map_admm(p).iterations for p in programs]
-    assert iters == [35, 56, 186, 33]
+    assert iters == [51, 62, 224, 46]
     params = SolverParams(max_iters=100)
     a = solve_map_admm(join(programs), params)
     assert a.component_converged.tolist() == [True, True, False, True]
-    assert a.component_iterations.tolist() == [35, 56, 100, 33]
+    assert a.component_iterations.tolist() == [51, 62, 100, 46]
     assert not a.converged
     capped = solve_map_admm(programs[2], params)
     assert not capped.converged
@@ -321,3 +335,171 @@ def test_project_rows_matches_sort_reference(k):
             rng.random((4000, k)) * 1e-9 + 1.0 / k]
     V = np.concatenate(rows)
     assert np.array_equal(project_rows(V), project_rows_by_sort(V))
+
+
+# ---------------------------------------------------------------------------
+# closed form for uncoupled blocks
+
+def uncoupled_program(mode, power, rows, n_pairs=1):
+    """A hand-built program of one-copy rows (atom, coefficient, constant,
+    weight) followed by one simplex row per pair."""
+    k = 3 if mode == "ternary" else 2
+    atoms = np.array([r[0] for r in rows], dtype=np.int64)
+    n_rows = len(rows)
+    sizes = np.concatenate([np.ones(n_rows, dtype=np.int64),
+                            np.full(n_pairs, k, dtype=np.int64)])
+    return GroundProgram(
+        task_mode=mode, block_pair_ids=[f"p{b}" for b in range(n_pairs)],
+        potentials=("R1",) * n_rows,
+        pot_block=np.concatenate([atoms // k, np.arange(n_pairs)]),
+        pot_ptr=np.concatenate([[0], np.cumsum(sizes)]),
+        pot_const=np.concatenate([[r[2] for r in rows], np.zeros(n_pairs)]),
+        pot_weight=np.concatenate([[r[3] for r in rows], np.zeros(n_pairs)]),
+        pot_power=np.concatenate([np.full(n_rows, power), np.zeros(n_pairs)]).astype(np.int64),
+        copy_atom=np.concatenate([atoms, np.arange(n_pairs * k)]),
+        copy_pot=np.repeat(np.arange(len(sizes)), sizes),
+        copy_coef=np.concatenate([[r[1] for r in rows], np.zeros(n_pairs * k)]))
+
+
+def random_uncoupled_program(rng, mode, power, n_pairs=4):
+    """Random rows: coefficients in [-2, -0.5], constants on both sides of
+    0 and 1, weights in [0, 2]."""
+    k = 3 if mode == "ternary" else 2
+    n_rows = int(rng.integers(0, 5 * n_pairs))
+    rows = zip(np.sort(rng.integers(0, n_pairs * k, n_rows)).tolist(),
+               rng.uniform(-2.0, -0.5, n_rows).tolist(),
+               rng.uniform(-0.3, 1.5, n_rows).tolist(),
+               rng.uniform(0.0, 2.0, n_rows).tolist())
+    return uncoupled_program(mode, power, list(rows), n_pairs)
+
+
+def uncoupled_programs(power):
+    """Grounded uncoupled programs among the random ones, and hand-built
+    ones, in both task modes."""
+    rng = np.random.default_rng(power)
+    grounded = [p for p in map(random_ground_program, range(120))
+                if int(p.pot_power.max()) == power and uncoupled_blocks(p).all()]
+    built = [random_uncoupled_program(rng, mode, power)
+             for mode in ("ternary", "binary") for _ in range(30)]
+    assert {p.task_mode for p in grounded} == {"ternary", "binary"}
+    return grounded + built
+
+
+def lp_energy(prog):
+    """Optimum of the linear-hinge MAP as an LP over (x, slacks)."""
+    from scipy.optimize import linprog
+
+    hinge = np.flatnonzero(prog.pot_power > 0)
+    n, m = prog.n_atoms, len(hinge)
+    a_ub = np.zeros((m, n + m))
+    for i, r in enumerate(hinge.tolist()):
+        for c in range(prog.pot_ptr[r], prog.pot_ptr[r + 1]):
+            a_ub[i, prog.copy_atom[c]] += prog.copy_coef[c]
+    a_ub[np.arange(m), n + np.arange(m)] = -1.0
+    a_eq = np.hstack([np.kron(np.eye(prog.n_pairs), np.ones(len(prog.labels))),
+                      np.zeros((prog.n_pairs, m))])
+    res = linprog(np.concatenate([np.zeros(n), prog.pot_weight[hinge]]),
+                  A_ub=a_ub, b_ub=-prog.pot_const[hinge], A_eq=a_eq,
+                  b_eq=np.ones(prog.n_pairs),
+                  bounds=[(0, 1)] * n + [(0, None)] * m, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_closed_form_linear_matches_lp_optimum():
+    programs = uncoupled_programs(power=1)
+    for prog in programs:
+        a = solve_map_admm(prog)
+        assert a.iterations == 0 and a.closed_form.all()
+        assert abs(a.energy - lp_energy(prog)) <= 1e-9
+
+
+def test_closed_form_squared_meets_kkt():
+    for prog in uncoupled_programs(power=2):
+        a = solve_map_admm(prog)
+        assert a.iterations == 0 and a.closed_form.all()
+        x = a.values
+        # marginal decrease -f'(x) of each atom's energy
+        hinge = np.flatnonzero(prog.pot_power > 0)
+        copy = prog.pot_ptr[hinge]
+        atom, coef = prog.copy_atom[copy], prog.copy_coef[copy]
+        slack = np.maximum(prog.pot_const[hinge] + coef * x[atom], 0.0)
+        decrease = np.bincount(atom, weights=-2 * prog.pot_weight[hinge] * slack * coef,
+                               minlength=prog.n_atoms).reshape(prog.n_pairs, -1)
+        rows = x.reshape(prog.n_pairs, -1)
+        assert np.all(rows >= 0) and np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+        # one multiplier per block: atoms holding mass share the largest
+        # marginal decrease, and no atom has a larger one
+        nu = decrease.max(axis=1, keepdims=True)
+        assert np.all(rows * (nu - decrease) <= 1e-9)
+
+
+def test_closed_form_tied_slopes_share_in_proportion_to_length():
+    # support and attack both lose 1 per unit on segments of 0.6 and 0.8;
+    # together 1.4 > 1, so each segment gets 1/1.4 of its length
+    for w_attack in (1.0, 1.0 + 1e-13):
+        prog = uncoupled_program("binary", 1, [(0, -1.0, 0.6, 1.0),
+                                               (1, -1.0, 0.8, w_attack)])
+        a = solve_map_admm(prog)
+        assert a.values == pytest.approx([0.6 / 1.4, 0.8 / 1.4], abs=1e-15)
+    # a slope steeper by more than the tolerance fills first
+    prog = uncoupled_program("binary", 1, [(0, -1.0, 0.6, 1.0),
+                                           (1, -1.0, 0.8, 1.0 + 1e-9)])
+    assert solve_map_admm(prog).values == pytest.approx([0.2, 0.8], abs=1e-15)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_closed_form_leftover_mass_is_spread_equally(power):
+    # every row is satisfied at support 0.3 and attack 0.2; the remaining
+    # 0.5 goes to the three atoms in equal parts
+    prog = uncoupled_program("ternary", power, [(0, -1.0, 0.3, 1.0),
+                                                (1, -1.0, 0.2, 2.0),
+                                                (2, -1.0, -0.1, 1.0)])
+    a = solve_map_admm(prog)
+    assert a.values == pytest.approx([0.3 + 0.5 / 3, 0.2 + 0.5 / 3, 0.5 / 3], abs=1e-15)
+    assert a.energy == 0.0
+
+
+def test_closed_form_single_pairs_not_above_grid_oracle():
+    singles = [p for p in map(random_ground_program, range(100)) if p.n_pairs == 1]
+    assert len(singles) > 10
+    for prog in singles:
+        a = solve_map_admm(prog)
+        assert a.closed_form.all()
+        assert a.energy <= solve_map_grid(prog, 0.05).energy + 1e-12
+
+
+def test_coupled_blocks_of_a_mixed_component_solve_as_if_alone():
+    # a chain links a, b and the indirect pair; pair x shares a node but
+    # no potential with them, so it is solved in closed form
+    g = ArgumentGraph(task_mode="ternary")
+    g.add_pair(ArgumentPair("a", "S", "I"))
+    g.add_pair(ArgumentPair("b", "I", "C"))
+    from arglogic.chains import build_indirect
+    g, triples = build_indirect(g)
+    g.add_pair(ArgumentPair("x", "S", "D"))
+    vectors = {pid: PredicateVector(fact_entail=0.7, fact_contradict=0.4)
+               for pid in ("a", "b", "x")}
+    prog = ground(build_ruleset(RuleSetConfig(chains=True)), list(g), vectors,
+                  triples, task_mode="ternary")
+    exact = uncoupled_blocks(prog)
+    assert exact.tolist() == [b == "x" for b in prog.block_pair_ids]
+    a = solve_map_admm(prog)
+    alone = solve_map_admm(prog.select(~exact))
+    assert a.iterations == alone.iterations > 0
+    k = len(prog.labels)
+    assert np.array_equal(a.values.reshape(-1, k)[~exact], alone.values.reshape(-1, k))
+    assert a.closed_form.tolist() == exact.tolist()
+
+
+def test_closed_form_pairs_report_converged():
+    from arglogic.infer import run_inference
+
+    g = ArgumentGraph(task_mode="ternary")
+    for pid, s, c in (("a", "S", "I"), ("b", "I", "C"), ("x", "S", "D")):
+        g.add_pair(ArgumentPair(pid, s, c))
+    result = run_inference(g, {}, RuleSetConfig(chains=True),
+                           params=SolverParams(max_iters=2))
+    assert not result.converged
+    assert {pid: p.converged for pid, p in result.predictions.items()} == {
+        "a": False, "b": False, "x": True}
