@@ -149,7 +149,8 @@ def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, out_path):
 
 def _read_predictions(path, task_mode):
     """Prediction records as written by `infer` or `baseline`; labels
-    must belong to the mode and scores be numbers in [0, 1]."""
+    must belong to the mode, scores be numbers in [0, 1] and `converged`,
+    when present, a boolean."""
     from .model import _check_prob, _iter_jsonl, labels_for_mode
     labels = labels_for_mode(task_mode)
     preds = {}
@@ -161,11 +162,15 @@ def _read_predictions(path, task_mode):
                                   f"got {rec['predicted']!r}", lineno)
         scores = {rel: _check_prob(rec[rel], rel, lineno)
                   for rel in ("support", "attack", "neutral") if rel in rec}
+        converged = rec.get("converged", True)
+        if not isinstance(converged, bool):
+            raise ValidationError(f"field 'converged' must be true or false, "
+                                  f"got {converged!r}", lineno)
         pair_id = str(rec["pair_id"])
         preds[pair_id] = PairPrediction(
             pair_id, scores, rec["predicted"],
             _check_prob(rec.get("energy_share", 0.0), "energy_share", lineno),
-            bool(rec.get("converged", True)))
+            converged)
     return preds
 
 

@@ -9,7 +9,7 @@ program straight into the flat arrays the ADMM kernel reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .chains import ChainTriple
 from .model import ArgumentPair, ValidationError, labels_for_mode
 from .predicates import PredicateVector
-from .rules import Rule
+from .rules import CHAIN_RULES, Rule, RuleSetConfig
 
 FEAS_TOL = 1e-6
 
@@ -99,7 +99,29 @@ class GroundProgram:
         """The blocks where keep holds, with every row on their atoms, in
         the same order; no such row may touch a block that is dropped."""
         keep_atom = np.repeat(keep, len(self.labels))
-        keep_row = keep_atom[self.copy_atom[self.pot_ptr[:-1]]]
+        return self._subset(keep, keep_atom[self.copy_atom[self.pot_ptr[:-1]]])
+
+    def with_weights(self, config: RuleSetConfig) -> "GroundProgram":
+        """The program `ground` writes under config, from one grounded under
+        a config of the same structure (`rules.structure`): the chain rows
+        are weighted config.w_chain and the prior rows config.w_prior, and
+        a soft row whose weight is then 0 is dropped with its copies.  When
+        no row is dropped, every array but pot_weight is shared."""
+        swept = {"C1": config.w_prior, **dict.fromkeys(CHAIN_RULES, config.w_chain)}
+        soft = self.pot_power > 0
+        weight = self.pot_weight.copy()
+        weight[soft] = [swept.get(rid, w)
+                        for rid, w in zip(self.potentials, weight[soft].tolist())]
+        reweighted = replace(self, pot_weight=weight)
+        keep_row = (weight != 0.0) | (self.pot_power == 0)
+        if keep_row.all():
+            return reweighted
+        return reweighted._subset(np.ones(self.n_pairs, dtype=bool), keep_row)
+
+    def _subset(self, keep: np.ndarray, keep_row: np.ndarray) -> "GroundProgram":
+        """The blocks where keep holds and the rows where keep_row holds, in
+        the same order; a kept row may touch only kept blocks."""
+        keep_atom = np.repeat(keep, len(self.labels))
         keep_copy = keep_row[self.copy_pot]
         soft_kept = keep_row[self.pot_power > 0].tolist()
         return GroundProgram(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from .grounding import GroundProgram, ground, join
 from .model import (ArgumentGraph, ScoreBundle, connected_components, default_label,
                     labels_for_mode)
 from .predicates import evaluate_all
-from .rules import RuleSetConfig, build_ruleset
+from .rules import RuleSetConfig, build_ruleset, structure
 from .solver import SolverParams, solve_map_admm
 
 log = logging.getLogger(__name__)
@@ -20,7 +21,7 @@ log = logging.getLogger(__name__)
 # Components are solved in batches of at most this many ADMM local copies:
 # one kernel call per batch instead of per component, while the batch's
 # working arrays stay small.  A larger component is a batch of its own.
-MAX_BATCH_COPIES = 1024
+MAX_BATCH_COPIES = 4096
 
 
 @dataclass
@@ -42,22 +43,35 @@ class InferenceResult:
     converged: bool
 
 
-def run_inference(
+@dataclass
+class Grounding:
+    """The ground programs of a graph under one rule-set structure.
+
+    `programs` holds one program per component, in component order, with
+    the swept weights (w_chain, w_prior) at a placeholder: `ground_graph`
+    gives an iterator that grounds each one as it is reached; a list of
+    them can be solved under every config of the same structure."""
+    structure: RuleSetConfig
+    work: ArgumentGraph  # the pairs that were grounded, indirect ones included
+    n_components: int
+    programs: Iterable[GroundProgram]
+
+
+def ground_graph(
     graph: ArgumentGraph,
     bundles: dict[str, ScoreBundle],
     config: RuleSetConfig,
-    params: SolverParams | None = None,
     ablate: frozenset[str] = frozenset(),
     restrict_split: str | None = None,
-) -> InferenceResult:
-    """Solve MAP per connected component, in batches of components, and
-    collect per-pair predictions.
+) -> Grounding:
+    """Chains, predicates and components of the graph, and a lazy
+    per-component grounding under `structure(config)`.
 
     `restrict_split` keeps only direct pairs of that split (plus the
     indirect pairs chained from them); used by the validation sweep.
     """
-    params = params or SolverParams()
-    rules = build_ruleset(config)
+    shape = structure(config)
+    rules = build_ruleset(shape)
 
     work = ArgumentGraph(task_mode=graph.task_mode)
     for pair in graph:
@@ -101,9 +115,36 @@ def run_inference(
                     seen.add(id(t))
                     comp_triples.append(t)
         return ground(rules, pairs, vectors, comp_triples,
-                      power=config.power,
-                      prior_on_indirect=config.prior_on_indirect,
+                      power=shape.power,
+                      prior_on_indirect=shape.prior_on_indirect,
                       task_mode=work.task_mode)
+
+    return Grounding(shape, work, len(components), map(ground_component, components))
+
+
+def run_inference(
+    graph: ArgumentGraph,
+    bundles: dict[str, ScoreBundle],
+    config: RuleSetConfig,
+    params: SolverParams | None = None,
+    ablate: frozenset[str] = frozenset(),
+    restrict_split: str | None = None,
+    grounding: Grounding | None = None,
+) -> InferenceResult:
+    """Solve MAP per connected component, in batches of components, and
+    collect per-pair predictions.
+
+    `grounding` is `ground_graph`'s output for this graph, bundles, ablate
+    and restrict_split under a config of the same structure; without it
+    the graph is grounded here, one component at a time.
+    """
+    params = params or SolverParams()
+    build_ruleset(config)  # checks the weights the programs are given
+    if grounding is None:
+        grounding = ground_graph(graph, bundles, config, ablate, restrict_split)
+    elif grounding.structure != structure(config):
+        raise ValueError("grounding was made under another rule-set structure")
+    work = grounding.work
 
     predictions: dict[str, PairPrediction] = {}
     total_energy = 0.0
@@ -112,7 +153,8 @@ def run_inference(
     all_converged = True
     fallback = default_label(work.task_mode)
     labels = labels_for_mode(work.task_mode)
-    for batch in _batches(map(ground_component, components), MAX_BATCH_COPIES):
+    weighted = (program.with_weights(config) for program in grounding.programs)
+    for batch in _batches(weighted, MAX_BATCH_COPIES):
         program = join(batch)
         assignment = solve_map_admm(program, params)
         total_energy += assignment.energy
@@ -148,7 +190,7 @@ def run_inference(
         predictions=predictions,
         total_energy=total_energy,
         total_weight=total_weight,
-        n_components=len(components),
+        n_components=grounding.n_components,
         n_potentials=n_potentials,
         converged=all_converged,
     )

@@ -48,8 +48,11 @@ class PredicateVector:
     refuting_norm: Optional[float] = None
 
     def present(self) -> dict[str, float]:
-        return {f.name: v for f in fields(self)
-                if (v := getattr(self, f.name)) is not None}
+        return {name: v for name in PREDICATE_NAMES
+                if (v := getattr(self, name)) is not None}
+
+
+PREDICATE_NAMES = tuple(f.name for f in fields(PredicateVector))
 
 
 def eval_fact(nli: NliScores) -> tuple[float, float]:

@@ -140,6 +140,16 @@ def config_from_record(record: dict) -> RuleSetConfig:
 
 GRID_AXES = ("w_chain", "w_prior")
 
+# The value the swept weights are grounded at when the programs are
+# re-weighted per config: any non-zero value grounds every row.
+SWEPT_PLACEHOLDER = 1.0
+
+
+def structure(config: RuleSetConfig) -> RuleSetConfig:
+    """The config with the swept weights (GRID_AXES) masked: configs of one
+    structure ground the same rows, differing only in those rows' weights."""
+    return replace(config, **dict.fromkeys(GRID_AXES, SWEPT_PLACEHOLDER))
+
 
 def grids_from_record(value) -> dict[str, list[float]]:
     """The `grids` field: an object mapping sweep axes to non-empty lists
@@ -191,10 +201,13 @@ def sweep(configs, graph, bundles, params=None):
     """Pick the config whose validation-split MAP energy, normalized by
     ground weight mass, is smallest.  Gold labels are never consulted.
 
+    The split is grounded once per distinct structure and each config
+    solves those programs with its own weights.
+
     Returns (best_config, [SweepRow...]); ties resolve to the earliest
     config in declaration order.
     """
-    from .infer import run_inference  # local import to avoid a cycle
+    from . import infer  # local import to avoid a cycle
 
     if not configs:
         raise ValidationError("sweep requires at least one config")
@@ -202,11 +215,18 @@ def sweep(configs, graph, bundles, params=None):
     if not val_ids:
         raise ValidationError("validation split is empty")
 
+    groundings = []  # one per distinct structure; RuleSetConfig holds a dict, so no hashing
     rows: list[SweepRow] = []
     for i, config in enumerate(configs):
         try:
-            result = run_inference(graph, bundles, config, params=params,
-                                   restrict_split="val")
+            shape = structure(config)
+            grounding = next((g for g in groundings if g.structure == shape), None)
+            if grounding is None:
+                grounding = infer.ground_graph(graph, bundles, config, restrict_split="val")
+                grounding.programs = list(grounding.programs)
+                groundings.append(grounding)
+            result = infer.run_inference(graph, bundles, config, params=params,
+                                         restrict_split="val", grounding=grounding)
         except ValidationError as exc:
             raise ValidationError(f"sweep config #{i} ({config}): {exc}") from exc
         except Exception as exc:

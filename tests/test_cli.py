@@ -289,7 +289,8 @@ def test_score_block_not_an_object_exit_code_2(dataset, runner, tmp_path):
 
 @pytest.mark.parametrize("change, field", [
     ({"predicted": "maybe"}, "predicted"),
-    ({"support": "x"}, "support")])
+    ({"support": "x"}, "support"),
+    ({"converged": "no"}, "converged")])
 def test_eval_malformed_prediction_exit_code_2(dataset, runner, tmp_path,
                                                change, field):
     _, args_path, _ = dataset

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from arglogic import infer
 from arglogic.model import ValidationError
 from arglogic.rules import (
     RuleSetConfig,
@@ -114,3 +115,67 @@ def test_sweep_requires_validation_split():
     graph, bundles, _ = generate(cfg)
     with pytest.raises(ValidationError, match="validation split"):
         sweep([RuleSetConfig()], graph, bundles)
+
+
+@pytest.fixture
+def recorded_sweep(monkeypatch):
+    """Runs sweep with `arglogic.infer.ground` and `run_inference` counted;
+    returns (best, rows, the inference results, the ground call count)."""
+    ground_calls = []
+    results = []
+    ground, run = infer.ground, infer.run_inference
+
+    def counted_ground(*args, **kwargs):
+        ground_calls.append(1)
+        return ground(*args, **kwargs)
+
+    def recorded_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    def run_sweep(configs, graph, bundles):
+        ground_calls.clear()
+        results.clear()
+        with monkeypatch.context() as m:
+            m.setattr(infer, "ground", counted_ground)
+            m.setattr(infer, "run_inference", recorded_run)
+            best, rows = sweep(configs, graph, bundles)
+        return best, rows, list(results), len(ground_calls)
+    return run_sweep
+
+
+def assert_same_as_alone(config, row, result, graph, bundles):
+    alone = infer.run_inference(graph, bundles, config, restrict_split="val")
+    assert {p: (v.scores, v.predicted) for p, v in result.predictions.items()} == {
+        p: (v.scores, v.predicted) for p, v in alone.predictions.items()}
+    assert row.raw_objective == pytest.approx(alone.total_energy, rel=1e-12, abs=0)
+    assert row.normalized_objective == pytest.approx(
+        alone.total_energy / alone.total_weight, rel=1e-12, abs=0)
+
+
+def test_sweep_grounds_once_and_matches_run_inference_alone(val_dataset, recorded_sweep):
+    graph, bundles, _ = val_dataset
+    configs = expand_grid(RuleSetConfig(chains=True), {})
+    best, rows, results, ground_calls = recorded_sweep(configs, graph, bundles)
+    assert len(results) == len(configs)
+    assert ground_calls == results[0].n_components > 1
+    for config, row, result in zip(configs, rows, results):
+        assert row.config == config
+        assert_same_as_alone(config, row, result, graph, bundles)
+
+
+def test_sweep_over_structures_grounds_once_per_structure(val_dataset, recorded_sweep):
+    graph, bundles, _ = val_dataset
+    grids = {"w_chain": [1.0, 0.0], "w_prior": [0.3]}
+    linear = expand_grid(RuleSetConfig(chains=True), grids)
+    squared = expand_grid(RuleSetConfig(chains=True, hinge_power="squared"), grids)
+    configs = [c for pair in zip(linear, squared) for c in pair]
+    best, rows, results, ground_calls = recorded_sweep(configs, graph, bundles)
+    assert ground_calls == 2 * results[0].n_components
+    for config, row, result in zip(configs, rows, results):
+        assert_same_as_alone(config, row, result, graph, bundles)
+
+    grounding = infer.ground_graph(graph, bundles, linear[0], restrict_split="val")
+    with pytest.raises(ValueError, match="structure"):
+        infer.run_inference(graph, bundles, squared[0], restrict_split="val",
+                            grounding=grounding)

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from arglogic.grounding import (
 )
 from arglogic import kernels
 from arglogic.kernels import project_rows
+from arglogic.chains import build_indirect
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError
-from arglogic.predicates import PredicateVector
-from arglogic.rules import RuleSetConfig, build_ruleset
+from arglogic.predicates import PredicateVector, evaluate_all
+from arglogic.rules import RuleSetConfig, build_ruleset, structure
 from arglogic.solver import (
     SolverParams,
     _predict_labels,
@@ -27,6 +29,7 @@ from arglogic.solver import (
     solve_map_grid,
     uncoupled_blocks,
 )
+from arglogic.synth import SynthConfig, generate
 from conftest import random_ground_program
 
 
@@ -64,7 +67,6 @@ def test_grounding_chain_triple():
     g = ArgumentGraph(task_mode="ternary")
     g.add_pair(ArgumentPair("a", "S", "I"))
     g.add_pair(ArgumentPair("b", "I", "C"))
-    from arglogic.chains import build_indirect
     g, triples = build_indirect(g)
     cfg = RuleSetConfig(chains=True)
     prog = ground(build_ruleset(cfg), list(g), {}, triples, task_mode="ternary")
@@ -75,6 +77,37 @@ def test_grounding_chain_triple():
     relations = {prog.labels[i % len(prog.labels)] for i in touched}
     assert relations == {"support", "attack"}
     assert len(touched) == 6
+
+
+def assert_programs_equal(a: GroundProgram, b: GroundProgram):
+    for f in fields(GroundProgram):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("power", ["linear", "squared"])
+def test_with_weights_equals_ground_under_the_config(power):
+    cfg = SynthConfig(n_topics=3, tree_depth=3, branching=2, seed=4)
+    graph, bundles, _ = generate(cfg)
+    graph, triples = build_indirect(graph)
+    assert triples
+    vectors = {pid: evaluate_all(b) for pid, b in bundles.items()}
+    base = RuleSetConfig(chains=True, hinge_power=power)
+
+    def ground_under(config):
+        return ground(build_ruleset(config), list(graph), vectors, triples,
+                      power=config.power, task_mode=config.task_mode)
+
+    placeholder = ground_under(structure(base))
+    for w_chain, w_prior in product((0.0, 0.1, 1.0), (0.0, 0.3)):
+        config = replace(base, w_chain=w_chain, w_prior=w_prior)
+        reweighted = placeholder.with_weights(config)
+        assert_programs_equal(reweighted, ground_under(config))
+        if w_chain and w_prior:  # no row dropped: the arrays are shared
+            assert reweighted.copy_atom is placeholder.copy_atom
 
 
 def test_energy_examples():
@@ -475,7 +508,6 @@ def test_coupled_blocks_of_a_mixed_component_solve_as_if_alone():
     g = ArgumentGraph(task_mode="ternary")
     g.add_pair(ArgumentPair("a", "S", "I"))
     g.add_pair(ArgumentPair("b", "I", "C"))
-    from arglogic.chains import build_indirect
     g, triples = build_indirect(g)
     g.add_pair(ArgumentPair("x", "S", "D"))
     vectors = {pid: PredicateVector(fact_entail=0.7, fact_contradict=0.4)
