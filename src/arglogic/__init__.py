@@ -11,7 +11,7 @@ from .model import (
 from .predicates import PredicateVector, evaluate_all
 from .rules import Rule, RuleSetConfig, build_ruleset, sweep
 from .chains import ChainTriple, build_indirect, emit_pair_manifest
-from .grounding import GroundProgram, distance_to_satisfaction, energy, ground
+from .grounding import GroundProgram, energy, ground
 from .solver import (
     Assignment,
     SolverParams,
@@ -30,7 +30,7 @@ __all__ = [
     "connected_components", "load_dataset", "PredicateVector", "evaluate_all",
     "Rule", "RuleSetConfig", "build_ruleset", "sweep", "ChainTriple",
     "build_indirect", "emit_pair_manifest", "GroundProgram",
-    "distance_to_satisfaction", "energy", "ground", "Assignment",
+    "energy", "ground", "Assignment",
     "SolverParams", "project_simplex", "solve_map_admm", "solve_map_grid",
     "run_inference", "MetricsReport", "compute_metrics", "paired_bootstrap",
     "SynthConfig", "generate", "plant_chain_scenario",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .model import ArgumentGraph, ArgumentPair
+from .model import PAIR_TABLE, ArgumentGraph, ArgumentPair, Table
 
 log = logging.getLogger(__name__)
 
@@ -60,17 +60,11 @@ def build_indirect(graph: ArgumentGraph) -> tuple[ArgumentGraph, list[ChainTripl
     return graph, triples
 
 
+_MANIFEST_TABLE = Table(ArgumentPair, [row for row in PAIR_TABLE.rows
+                                        if row[0] not in ("gold", "split")])
+
+
 def emit_pair_manifest(graph: ArgumentGraph, bundles: dict) -> list[dict]:
     """List every pair still lacking a ScoreBundle, ordered by pair_id."""
-    records = []
-    for pid in sorted(graph.pairs):
-        if pid in bundles:
-            continue
-        pair = graph.pairs[pid]
-        records.append({
-            "pair_id": pair.pair_id,
-            "statement_id": pair.statement_id,
-            "claim_id": pair.claim_id,
-            "kind": pair.kind,
-        })
-    return records
+    return [_MANIFEST_TABLE.write(graph.pairs[pid])
+            for pid in sorted(graph.pairs) if pid not in bundles]

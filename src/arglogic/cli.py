@@ -15,9 +15,9 @@ import click
 from . import baselines as baselines_mod
 from . import metrics as metrics_mod
 from .chains import build_indirect, emit_pair_manifest
-from .infer import PairPrediction, predictions_to_records, run_inference
+from .infer import PREDICTION_TABLES, predictions_to_records, run_inference
 from .model import (ValidationError, dump_json, dump_jsonl, load_arguments, load_dataset,
-                    load_json_object)
+                    load_json_object, read_jsonl)
 from .rules import RuleSetConfig, expand_grid, load_config, sweep
 from .synth import SynthConfig, generate, plant_chain_scenario
 
@@ -148,30 +148,8 @@ def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, out_path):
 
 
 def _read_predictions(path, task_mode):
-    """Prediction records as written by `infer` or `baseline`; labels
-    must belong to the mode, scores be numbers in [0, 1] and `converged`,
-    when present, a boolean."""
-    from .model import _check_prob, _iter_jsonl, labels_for_mode
-    labels = labels_for_mode(task_mode)
-    preds = {}
-    for lineno, rec in _iter_jsonl(path):
-        if "pair_id" not in rec or "predicted" not in rec:
-            raise ValidationError("prediction line missing pair_id/predicted", lineno)
-        if rec["predicted"] not in labels:
-            raise ValidationError(f"field 'predicted' must be one of {list(labels)}, "
-                                  f"got {rec['predicted']!r}", lineno)
-        scores = {rel: _check_prob(rec[rel], rel, lineno)
-                  for rel in ("support", "attack", "neutral") if rel in rec}
-        converged = rec.get("converged", True)
-        if not isinstance(converged, bool):
-            raise ValidationError(f"field 'converged' must be true or false, "
-                                  f"got {converged!r}", lineno)
-        pair_id = str(rec["pair_id"])
-        preds[pair_id] = PairPrediction(
-            pair_id, scores, rec["predicted"],
-            _check_prob(rec.get("energy_share", 0.0), "energy_share", lineno),
-            converged)
-    return preds
+    """Prediction records as written by `infer` or `baseline` (FORMATS.md)."""
+    return {pred.pair_id: pred for _, pred in read_jsonl(path, PREDICTION_TABLES[task_mode])}
 
 
 @main.command("eval")

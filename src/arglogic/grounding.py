@@ -146,11 +146,6 @@ def _renumber(keep: np.ndarray) -> np.ndarray:
     return np.cumsum(keep) - 1
 
 
-def distance_to_satisfaction(body_values: Sequence[float], head_value: float) -> float:
-    """Hinge distance of a soft implication under Lukasiewicz semantics."""
-    return max(0.0, sum(body_values) - (len(body_values) - 1) - head_value)
-
-
 def ground(
     rules: list[Rule],
     pairs: Iterable[ArgumentPair],

@@ -10,8 +10,9 @@ import numpy as np
 
 from .chains import ChainTriple, build_indirect
 from .grounding import GroundProgram, ground, join
-from .model import (ArgumentGraph, ScoreBundle, connected_components, default_label,
-                    labels_for_mode)
+from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, Group,
+                    ScoreBundle, Table, choice, connected_components, default_label,
+                    labels_for_mode, sums_to_one)
 from .predicates import evaluate_all
 from .rules import RuleSetConfig, build_ruleset, structure
 from .solver import SolverParams, solve_map_admm
@@ -27,10 +28,22 @@ MAX_BATCH_COPIES = 4096
 @dataclass
 class PairPrediction:
     pair_id: str
-    scores: dict[str, float]  # relation -> atom value
+    scores: dict[str, float]  # each label of the mode -> its atom value
     predicted: str
     energy_share: float
     converged: bool
+
+
+# The prediction record of each task mode; its label scores are a
+# distribution, held in `PairPrediction.scores`.
+_LABEL_SCORES = Group(sums_to_one, held_in="scores")
+PREDICTION_TABLES = {mode: Table(PairPrediction, [
+    ("pair_id", STRING, REQUIRED, None),
+    *((label, PROB, REQUIRED, _LABEL_SCORES) for label in labels_for_mode(mode)),
+    ("predicted", choice(*labels_for_mode(mode)), REQUIRED, None),
+    ("energy_share", PROB, 0.0, None),
+    ("converged", BOOL, True, None),
+]) for mode in TASK_MODES}
 
 
 @dataclass
@@ -183,8 +196,9 @@ def run_inference(
     # pairs excluded from all components (e.g. no pairs at all) fall back
     for pair in work.direct_pairs():
         if pair.pair_id not in predictions:
+            scores = {label: float(label == fallback) for label in labels}
             predictions[pair.pair_id] = PairPrediction(
-                pair.pair_id, {fallback: 1.0}, fallback, 0.0, True)
+                pair.pair_id, scores, fallback, 0.0, True)
 
     return InferenceResult(
         predictions=predictions,
@@ -215,18 +229,5 @@ def _batches(programs, max_copies: int):
 def predictions_to_records(predictions: dict[str, PairPrediction],
                            task_mode: str) -> list[dict]:
     """One output record per pair, in pair-id order (see FORMATS.md)."""
-    records = []
-    for pid in sorted(predictions):
-        pred = predictions[pid]
-        rec = {
-            "pair_id": pid,
-            "support": pred.scores.get("support", 0.0),
-            "attack": pred.scores.get("attack", 0.0),
-            "predicted": pred.predicted,
-            "energy_share": pred.energy_share,
-            "converged": pred.converged,
-        }
-        if task_mode == "ternary":
-            rec["neutral"] = pred.scores.get("neutral", 0.0)
-        records.append(rec)
-    return records
+    write = PREDICTION_TABLES[task_mode].write
+    return [write(predictions[pid]) for pid in sorted(predictions)]

@@ -3,15 +3,27 @@
 The dataset lives in two line-delimited JSON files: an arguments file
 (one statement/claim pair per line) and a scores file (one bundle of
 upstream probabilities per line).  See FORMATS.md for field names.
+
+Every record read or written is declared once, as a `Table` of (field
+name, kind, default, group) rows: `Table.read` checks a JSON object and
+builds its value, `Table.write` turns the value back into the object.
+The score block types are made from their tables.  The tables of configs
+and predictions live next to the types they build (`rules.py`,
+`synth.py`, `infer.py`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import partial
+from itertools import takewhile
+from typing import Callable, Iterable, NamedTuple, Optional
 
 log = logging.getLogger(__name__)
 
@@ -21,6 +33,8 @@ NEUTRAL = "neutral"
 
 TERNARY_LABELS = (SUPPORT, ATTACK, NEUTRAL)
 BINARY_LABELS = (SUPPORT, ATTACK)
+TASK_MODES = ("ternary", "binary")
+SPLITS = ("fit", "val", "test")
 
 DIST_TOL = 1e-3  # pairwise-sum slack (normative blocks)
 DIST_RENORM_TOL = 1e-2 + 1e-9  # 3-way distributions further off are hard errors
@@ -63,74 +77,6 @@ class ArgumentPair:
             raise ValidationError(
                 f"pair {self.pair_id!r}: statement_id equals claim_id"
             )
-        if self.kind not in ("direct", "indirect"):
-            raise ValidationError(f"pair {self.pair_id!r}: bad kind {self.kind!r}")
-        if self.split not in ("fit", "val", "test"):
-            raise ValidationError(f"pair {self.pair_id!r}: bad split {self.split!r}")
-        if self.gold is not None and self.gold not in TERNARY_LABELS:
-            raise ValidationError(f"pair {self.pair_id!r}: bad gold {self.gold!r}")
-
-
-@dataclass(frozen=True)
-class NliScores:
-    p_ent: float
-    p_con: float
-    p_neu: float
-
-
-@dataclass(frozen=True)
-class SlotScore:
-    p_ent: float
-    p_con: float
-
-
-@dataclass(frozen=True)
-class TuplePairScores:
-    slots: tuple[SlotScore, ...]
-
-
-@dataclass(frozen=True)
-class SentiDist:
-    p_pos: float
-    p_neg: float
-    p_neu: float
-
-
-@dataclass(frozen=True)
-class SentiPairScores:
-    p_match: float
-    s_stmt: SentiDist
-    s_claim: SentiDist
-
-
-@dataclass(frozen=True)
-class CausalScores:
-    sc_cause: float
-    sc_obstruct: float
-    cs_cause: float
-    cs_obstruct: float
-
-
-@dataclass(frozen=True)
-class NormativeScores:
-    p_conseq: float
-    p_norm: float
-    q_pos: float
-    q_neg: float
-    p_adv: float
-    p_opp: float
-    r_consist: float
-    r_contra: float
-
-
-@dataclass(frozen=True)
-class ScoreBundle:
-    pair_id: str
-    nli: Optional[NliScores] = None
-    fact_pairs: Optional[tuple[TuplePairScores, ...]] = None
-    senti_pairs: Optional[tuple[SentiPairScores, ...]] = None
-    causal: Optional[CausalScores] = None
-    normative: Optional[NormativeScores] = None
 
 
 @dataclass
@@ -200,172 +146,257 @@ def connected_components(graph: ArgumentGraph) -> list[list[ArgumentPair]]:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# record schema
 
-def _check_prob(value, name, line):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field {name!r} is not a number: {value!r}", line)
-    if not (0.0 <= v <= 1.0):
-        raise ValidationError(f"field {name!r} out of [0, 1]: {v}", line)
-    return v
+class _Invalid(Exception):
+    """A value that does not fit its row.  `path` gathers field names and
+    array indices outwards as the error unwinds; `fields` names a group's
+    fields inside the object at `path`."""
 
+    def __init__(self, problem, *path, fields=()):
+        super().__init__(problem)
+        self.problem, self.path, self.fields = problem, list(path), fields
 
-def _object(value, name, line) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"field {name!r} must be an object, got {value!r}", line)
-    return value
-
-
-def _array(value, name, line) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"field {name!r} must be an array, got {value!r}", line)
-    return value
+    def message(self, what: str) -> str:
+        def dotted(*parts):
+            return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)[1:]
+        outer = self.path[::-1]
+        if self.fields:
+            names = ", ".join(repr(dotted(*outer, name)) for name in self.fields)
+            return f"{what}s {names} {self.problem}"
+        return f"{what} {dotted(*outer)!r} {self.problem}" if outer else f"record {self.problem}"
 
 
-def _normalize_dist(values, names, line, context):
-    vals = [_check_prob(v, n, line) for v, n in zip(values, names)]
+class Kind(NamedTuple):
+    """`read(value, line)` returns a field's value or raises _Invalid.  The
+    writer recurses into `table`: a nested object's, or each item's if `many`."""
+    read: Callable
+    table: Optional["Table"] = None
+    many: bool = False
+
+
+def _number(name: str, high=sys.float_info.max, json_types=(float, int), convert=float) -> Kind:
+    def read(value, line):
+        if type(value) in json_types and 0 <= value <= high:
+            return convert(value)
+        raise _Invalid(f"must be {name}, got {value!r}")
+    return Kind(read)
+
+
+def _of_type(json_type: type, name: str, values=None) -> Kind:
+    def read(value, line):
+        if type(value) is json_type and (values is None or value in values):
+            return value
+        raise _Invalid(f"must be {name}, got {value!r}")
+    return Kind(read)
+
+
+def choice(*values: str) -> Kind:
+    return _of_type(str, f"one of {list(values)}", values)
+
+
+PROB = _number("a probability, a JSON number in [0, 1]", high=1)
+NUMBER = _number("a finite non-negative JSON number")
+COUNT = _number("a non-negative JSON integer", math.inf, (int,), int)
+BOOL, STRING = _of_type(bool, "true or false"), _of_type(str, "a JSON string")
+UNCHECKED = Kind(lambda value, line: value)  # for a field its receiver checks
+
+
+def nested(table: "Table") -> Kind:
+    return Kind(partial(_read, table), table)
+
+
+def array(item: Kind, non_empty: bool = False) -> Kind:
+    """A JSON array of `item` values, read as a tuple."""
+    def read(value, line):
+        if type(value) is not list or (non_empty and not value):
+            raise _Invalid(f"must be a {'non-empty ' * non_empty}JSON array, got {value!r}")
+        items = []
+        for i, entry in enumerate(value):
+            try:
+                items.append(item.read(entry, line))
+            except _Invalid as exc:
+                exc.path.append(i)
+                raise
+        return tuple(items)
+    return Kind(read, item.table, many=True)
+
+
+def sums_to_one(values, names, line):
+    """A distribution; one off by at most DIST_RENORM_TOL is renormalised."""
+    vals = list(map(values.__getitem__, names))
     total = sum(vals)
-    deviation = abs(total - 1.0)
-    if deviation > DIST_RENORM_TOL:
-        raise ValidationError(
-            f"{context}: distribution {dict(zip(names, vals))} sums to {total:.6f}", line
-        )
-    if deviation > 1e-12:
-        if deviation > 1e-6:
-            log.warning("%s: distribution sums to %.6f, renormalizing (line %s)",
-                        context, total, line)
-        vals = [v / total for v in vals]
-    return vals
+    if abs(total - 1.0) > DIST_RENORM_TOL:
+        raise _Invalid(f"sum to {total:.6f}, not 1", fields=names)
+    if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > 1e-6:
+            log.warning("line %s: %s sum to %.6f, renormalizing", line, " + ".join(names), total)
+        values.update((name, v / total) for name, v in zip(names, vals))
 
 
-def _check_pair_sum(a, b, names, line, context):
-    if a + b > 1.0 + DIST_TOL:
-        raise ValidationError(
-            f"{context}: {names[0]} + {names[1]} = {a + b:.6f} exceeds 1", line
-        )
+def at_most_one(values, names, line):
+    total = sum(map(values.__getitem__, names))
+    if total > 1.0 + DIST_TOL:
+        raise _Invalid(f"sum to {total:.6f}, more than 1", fields=names)
 
 
-_PAIR_FIELDS = {"pair_id", "statement_id", "claim_id", "kind", "gold", "split"}
-_BUNDLE_FIELDS = {"pair_id", "nli", "fact_pairs", "senti_pairs", "causal", "normative"}
+class Group:
+    """Rows sharing one Group are checked together by `check(values, names, line)`;
+    a group `held_in` an attribute is one dict there, not one attribute per field."""
+
+    def __init__(self, check: Callable, held_in: Optional[str] = None):
+        self.check, self.held_in = check, held_in
 
 
-def _warn_unknown(record, known, line, context):
-    for key in record:
-        if key not in known:
-            log.warning("%s: ignoring unknown field %r (line %s)", context, key, line)
+REQUIRED = object()  # the default of a field that must be given
 
 
-def parse_pair(record: dict, line=None) -> ArgumentPair:
-    _warn_unknown(record, _PAIR_FIELDS, line, "arguments")
-    try:
-        return ArgumentPair(
-            pair_id=str(record["pair_id"]),
-            statement_id=str(record["statement_id"]),
-            claim_id=str(record["claim_id"]),
-            kind=record.get("kind", "direct"),
-            gold=record.get("gold"),
-            split=record.get("split", "test"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"missing field {exc.args[0]!r}", line)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), line) from None
+class Table:
+    """One record kind: rows of (field name, Kind, default, Group or None)
+    and `make(**fields)`, which builds the value read (given a class name,
+    the table makes a named tuple of its fields).  A REQUIRED field must be
+    given.  A field whose default is None may be left out, the value then
+    taking its own default, and is not written while it is None.  Any other
+    default is the value of a field left out.  Unknown fields are errors."""
+
+    def __init__(self, make, rows):
+        self.rows = rows = tuple(rows)
+        if isinstance(make, str):
+            trailing = takewhile(lambda d: d is not REQUIRED, (row[2] for row in rows[::-1]))
+            make = namedtuple(make, [row[0] for row in rows], defaults=list(trailing)[::-1])
+        self.make = make
+        self.readers = {name: kind.read for name, kind, _, _ in rows}
+        self.defaults = {name: d for name, _, d, _ in rows if d is not None and d is not REQUIRED}
+        self.required = frozenset(name for name, _, d, _ in rows if d is REQUIRED)
+        groups: dict[Group, list[str]] = {}
+        for name, _, _, group in rows:
+            if group is not None:
+                groups.setdefault(group, []).append(name)
+        self.groups = tuple((group, tuple(names)) for group, names in groups.items())
+        self.write = _writer(self)
+
+    def read(self, record, line=None, what: str = "field"):
+        """The value of one JSON object.  A ValidationError names the line
+        and the field's dotted path, e.g. `fact_pairs[0].slots[1].p_con`;
+        `what` is the word before the path."""
+        try:
+            return _read(self, record, line)
+        except _Invalid as exc:
+            raise ValidationError(exc.message(what), line) from None
+        except ValidationError as exc:  # from `make`, which knows no line
+            raise ValidationError(str(exc), line) from None
 
 
-def parse_bundle(record: dict, line=None) -> ScoreBundle:
-    _warn_unknown(record, _BUNDLE_FIELDS, line, "scores")
-    if "pair_id" not in record:
-        raise ValidationError("missing field 'pair_id'", line)
-    pair_id = str(record["pair_id"])
-
-    nli = None
-    if record.get("nli") is not None:
-        r = _object(record["nli"], "nli", line)
-        p_ent, p_con, p_neu = _normalize_dist(
-            (r.get("p_ent", 0), r.get("p_con", 0), r.get("p_neu", 0)),
-            ("nli.p_ent", "nli.p_con", "nli.p_neu"), line, f"bundle {pair_id!r}")
-        nli = NliScores(p_ent, p_con, p_neu)
-
-    fact_pairs = None
-    if record.get("fact_pairs") is not None:
-        pairs = []
-        for i, tp in enumerate(_array(record["fact_pairs"], "fact_pairs", line)):
-            tp = _object(tp, f"fact_pairs[{i}]", line)
-            slots = _array(tp.get("slots", []), f"fact_pairs[{i}].slots", line)
-            if not slots:
-                raise ValidationError(
-                    f"bundle {pair_id!r}: fact_pairs[{i}] has no slots", line)
-            parsed = []
-            for k, slot in enumerate(slots):
-                name = f"fact_pairs[{i}].slots[{k}]"
-                slot = _object(slot, name, line)
-                parsed.append(SlotScore(_check_prob(slot.get("p_ent", 0), f"{name}.p_ent", line),
-                                        _check_prob(slot.get("p_con", 0), f"{name}.p_con", line)))
-            pairs.append(TuplePairScores(tuple(parsed)))
-        fact_pairs = tuple(pairs)
-
-    senti_pairs = None
-    if record.get("senti_pairs") is not None:
-        pairs = []
-        for i, sp in enumerate(_array(record["senti_pairs"], "senti_pairs", line)):
-            sp = _object(sp, f"senti_pairs[{i}]", line)
-            p_match = _check_prob(sp.get("p_match", 0), f"senti_pairs[{i}].p_match", line)
-            dists = []
-            for side in ("s_stmt", "s_claim"):
-                d = _object(sp.get(side, {}), f"senti_pairs[{i}].{side}", line)
-                vals = _normalize_dist(
-                    (d.get("p_pos", 0), d.get("p_neg", 0), d.get("p_neu", 0)),
-                    (f"senti_pairs[{i}].{side}.p_pos",
-                     f"senti_pairs[{i}].{side}.p_neg",
-                     f"senti_pairs[{i}].{side}.p_neu"),
-                    line, f"bundle {pair_id!r}")
-                dists.append(SentiDist(*vals))
-            pairs.append(SentiPairScores(p_match, dists[0], dists[1]))
-        senti_pairs = tuple(pairs)
-
-    causal = None
-    if record.get("causal") is not None:
-        r = _object(record["causal"], "causal", line)
-        causal = CausalScores(
-            _check_prob(r.get("sc_cause", 0), "causal.sc_cause", line),
-            _check_prob(r.get("sc_obstruct", 0), "causal.sc_obstruct", line),
-            _check_prob(r.get("cs_cause", 0), "causal.cs_cause", line),
-            _check_prob(r.get("cs_obstruct", 0), "causal.cs_obstruct", line),
-        )
-
-    normative = None
-    if record.get("normative") is not None:
-        r = _object(record["normative"], "normative", line)
-        vals = {
-            name: _check_prob(r.get(name, 0), f"normative.{name}", line)
-            for name in ("p_conseq", "p_norm", "q_pos", "q_neg",
-                         "p_adv", "p_opp", "r_consist", "r_contra")
-        }
-        ctx = f"bundle {pair_id!r}"
-        _check_pair_sum(vals["q_pos"], vals["q_neg"], ("q_pos", "q_neg"), line, ctx)
-        _check_pair_sum(vals["p_adv"], vals["p_opp"], ("p_adv", "p_opp"), line, ctx)
-        _check_pair_sum(vals["r_consist"], vals["r_contra"],
-                        ("r_consist", "r_contra"), line, ctx)
-        normative = NormativeScores(**vals)
-
-    return ScoreBundle(pair_id, nli, fact_pairs, senti_pairs, causal, normative)
+def _read(table: Table, value, line):
+    if type(value) is not dict:
+        raise _Invalid(f"must be a JSON object, got {value!r}")
+    values = table.defaults.copy()
+    readers = table.readers
+    for name, field_value in value.items():
+        try:
+            values[name] = readers[name](field_value, line)
+        except _Invalid as exc:
+            exc.path.append(name)
+            raise
+        except KeyError:  # no reader raises KeyError
+            raise _Invalid(f"is unknown (expected one of {', '.join(readers)})", name) from None
+    if table.required and not value.keys() >= table.required:
+        raise _Invalid("is missing", min(table.required - value.keys()))
+    for group, names in table.groups:
+        group.check(values, names, line)
+        if group.held_in is not None:
+            values[group.held_in] = {name: values.pop(name) for name in names}
+    return table.make(**values)
 
 
-def _iter_jsonl(path):
+def _writer(table: Table) -> Callable:
+    """One dict display over the rows, compiled once per table as `dataclasses`
+    compiles `__init__`, so a record costs what a hand-written display costs;
+    then a None optional field is dropped and a nested value written."""
+    display = eval("lambda o: {%s}" % ", ".join(
+        f"{name!r}: o.{group.held_in}[{name!r}]" if group and group.held_in
+        else f"{name!r}: o.{name}" for name, _, _, group in table.rows))
+    post = [(name, kind.table, kind.many) for name, kind, default, _ in table.rows
+            if default is None or kind.table is not None]
+    if not post:
+        return display
+
+    def write(obj) -> dict:
+        record = display(obj)
+        for name, sub, many in post:
+            value = record[name]
+            if value is None:
+                del record[name]
+            elif sub is not None:
+                record[name] = [sub.write(v) for v in value] if many else sub.write(value)
+        return record
+    return write
+
+
+# ---------------------------------------------------------------------------
+# argument and score records (FORMATS.md)
+
+PAIR_TABLE = Table(ArgumentPair, [
+    *((name, STRING, REQUIRED, None) for name in ("pair_id", "statement_id", "claim_id")),
+    ("kind", choice("direct", "indirect"), None, None),
+    ("gold", choice(*TERNARY_LABELS), None, None),
+    ("split", choice(*SPLITS), None, None),
+])
+
+
+def _probs(names: str, group: Optional[Group] = None) -> list:
+    """Probability rows; a probability left out of its block reads as 0."""
+    return [(name, PROB, 0.0, group) for name in names.split()]
+
+
+_NLI = Table("NliScores", _probs("p_ent p_con p_neu", Group(sums_to_one)))
+_SLOT = Table("SlotScore", _probs("p_ent p_con"))
+_TUPLE_PAIR = Table("TuplePairScores", [
+    ("slots", array(nested(_SLOT), non_empty=True), REQUIRED, None)])
+_SENTI_DIST = Table("SentiDist", _probs("p_pos p_neg p_neu", Group(sums_to_one)))
+_SENTI_PAIR = Table("SentiPairScores", [
+    *_probs("p_match"),
+    ("s_stmt", nested(_SENTI_DIST), REQUIRED, None),
+    ("s_claim", nested(_SENTI_DIST), REQUIRED, None)])
+_CAUSAL = Table("CausalScores", _probs("sc_cause sc_obstruct cs_cause cs_obstruct"))
+_NORMATIVE = Table("NormativeScores", [
+    *_probs("p_conseq p_norm"), *_probs("q_pos q_neg", Group(at_most_one)),
+    *_probs("p_adv p_opp", Group(at_most_one)), *_probs("r_consist r_contra", Group(at_most_one))])
+BUNDLE_TABLE = Table("ScoreBundle", [
+    ("pair_id", STRING, REQUIRED, None),
+    ("nli", nested(_NLI), None, None),
+    ("fact_pairs", array(nested(_TUPLE_PAIR)), None, None),
+    ("senti_pairs", array(nested(_SENTI_PAIR)), None, None),
+    ("causal", nested(_CAUSAL), None, None),
+    ("normative", nested(_NORMATIVE), None, None)])
+
+NliScores, SlotScore, TuplePairScores = _NLI.make, _SLOT.make, _TUPLE_PAIR.make
+SentiDist, SentiPairScores = _SENTI_DIST.make, _SENTI_PAIR.make
+CausalScores, NormativeScores, ScoreBundle = _CAUSAL.make, _NORMATIVE.make, BUNDLE_TABLE.make
+
+parse_pair = PAIR_TABLE.read
+parse_bundle = BUNDLE_TABLE.read
+pair_to_record = PAIR_TABLE.write
+bundle_to_record = BUNDLE_TABLE.write
+
+
+_decode = json.JSONDecoder().raw_decode  # json.loads less its Python-level checks
+
+
+def read_jsonl(path, table: Table):
+    """(line number, value) for each non-blank line of a JSONL file."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                record = json.loads(raw)
+                record, end = _decode(raw)
+                if end < len(raw):
+                    raise json.JSONDecodeError("Extra data", raw, end)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"malformed JSON: {exc}", lineno)
-            if not isinstance(record, dict):
-                raise ValidationError("record is not an object", lineno)
-            yield lineno, record
+            yield lineno, table.read(record, lineno)
 
 
 def load_json_object(path, what: str) -> dict:
@@ -382,15 +413,14 @@ def load_json_object(path, what: str) -> dict:
 
 def load_arguments(path, task_mode: str) -> ArgumentGraph:
     graph = ArgumentGraph(task_mode=task_mode)
-    for lineno, record in _iter_jsonl(path):
-        graph.add_pair(parse_pair(record, lineno), lineno)
+    for lineno, pair in read_jsonl(path, PAIR_TABLE):
+        graph.add_pair(pair, lineno)
     return graph
 
 
 def load_scores(path, graph: ArgumentGraph) -> dict[str, ScoreBundle]:
     bundles: dict[str, ScoreBundle] = {}
-    for lineno, record in _iter_jsonl(path):
-        bundle = parse_bundle(record, lineno)
+    for lineno, bundle in read_jsonl(path, BUNDLE_TABLE):
         if bundle.pair_id not in graph.pairs:
             raise ValidationError(
                 f"bundle references unknown pair_id {bundle.pair_id!r}", lineno)
@@ -408,56 +438,7 @@ def load_dataset(arguments_path, scores_path, task_mode="ternary"):
 
 
 # ---------------------------------------------------------------------------
-# serialization (round-trips through load_dataset)
-
-def pair_to_record(pair: ArgumentPair) -> dict:
-    rec = {
-        "pair_id": pair.pair_id,
-        "statement_id": pair.statement_id,
-        "claim_id": pair.claim_id,
-        "kind": pair.kind,
-        "split": pair.split,
-    }
-    if pair.gold is not None:
-        rec["gold"] = pair.gold
-    return rec
-
-
-def bundle_to_record(bundle: ScoreBundle) -> dict:
-    rec: dict = {"pair_id": bundle.pair_id}
-    if bundle.nli is not None:
-        rec["nli"] = {"p_ent": bundle.nli.p_ent, "p_con": bundle.nli.p_con,
-                      "p_neu": bundle.nli.p_neu}
-    if bundle.fact_pairs is not None:
-        rec["fact_pairs"] = [
-            {"slots": [{"p_ent": s.p_ent, "p_con": s.p_con} for s in tp.slots]}
-            for tp in bundle.fact_pairs
-        ]
-    if bundle.senti_pairs is not None:
-        rec["senti_pairs"] = [
-            {
-                "p_match": sp.p_match,
-                "s_stmt": {"p_pos": sp.s_stmt.p_pos, "p_neg": sp.s_stmt.p_neg,
-                           "p_neu": sp.s_stmt.p_neu},
-                "s_claim": {"p_pos": sp.s_claim.p_pos, "p_neg": sp.s_claim.p_neg,
-                            "p_neu": sp.s_claim.p_neu},
-            }
-            for sp in bundle.senti_pairs
-        ]
-    if bundle.causal is not None:
-        c = bundle.causal
-        rec["causal"] = {"sc_cause": c.sc_cause, "sc_obstruct": c.sc_obstruct,
-                         "cs_cause": c.cs_cause, "cs_obstruct": c.cs_obstruct}
-    if bundle.normative is not None:
-        n = bundle.normative
-        rec["normative"] = {
-            "p_conseq": n.p_conseq, "p_norm": n.p_norm,
-            "q_pos": n.q_pos, "q_neg": n.q_neg,
-            "p_adv": n.p_adv, "p_opp": n.p_opp,
-            "r_consist": n.r_consist, "r_contra": n.r_contra,
-        }
-    return rec
-
+# writing
 
 def _write_atomic(path, text_lines: Iterable[str]):
     """Write through a temporary file, so readers never see a partial file."""

@@ -7,15 +7,12 @@ prior on the default relation and C2 a hard per-pair simplex constraint.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
 
-from .model import (ATTACK, NEUTRAL, SUPPORT, ValidationError, default_label,
-                    load_json_object)
-
-log = logging.getLogger(__name__)
+from .model import (ATTACK, BOOL, NEUTRAL, NUMBER, SUPPORT, UNCHECKED, Kind, Table,
+                    ValidationError, array, default_label, load_json_object, nested)
 
 # rule id -> (body predicate field, head relation)
 LOGIC_RULES: dict[str, tuple[str, str]] = {
@@ -100,44 +97,6 @@ def build_ruleset(config: RuleSetConfig) -> list[Rule]:
 DEFAULT_CHAIN_GRID = (1.0, 0.5, 0.1)
 DEFAULT_PRIOR_GRID = (0.2, 0.3)
 
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"config field {name!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _flag(record: dict, name: str, default: bool) -> bool:
-    value = record.get(name, default)
-    if not isinstance(value, bool):
-        raise ValidationError(f"config field {name!r} must be true or false, got {value!r}")
-    return value
-
-
-def config_from_record(record: dict) -> RuleSetConfig:
-    known = {"task_mode", "w_logic", "w_chain", "w_prior", "chains",
-             "hinge_power", "prior_on_indirect", "grids"}
-    for key in record:
-        if key not in known:
-            log.warning("config: ignoring unknown field %r", key)
-    w_logic = record.get("w_logic", {})
-    if not isinstance(w_logic, dict):
-        w_logic = dict.fromkeys(LOGIC_RULES, w_logic)
-    for rid in w_logic:
-        if rid not in LOGIC_RULES:
-            raise ValidationError(
-                f"config field 'w_logic' names unknown rule {rid!r} (expected R1-R13)")
-    return RuleSetConfig(
-        task_mode=record.get("task_mode", "ternary"),
-        w_logic={rid: _number(w, f"w_logic.{rid}") for rid, w in w_logic.items()},
-        w_chain=_number(record.get("w_chain", 1.0), "w_chain"),
-        w_prior=_number(record.get("w_prior", 0.2), "w_prior"),
-        chains=_flag(record, "chains", False),
-        hinge_power=record.get("hinge_power", "linear"),
-        prior_on_indirect=_flag(record, "prior_on_indirect", True),
-    )
-
-
 GRID_AXES = ("w_chain", "w_prior")
 
 # The value the swept weights are grounded at when the programs are
@@ -151,30 +110,37 @@ def structure(config: RuleSetConfig) -> RuleSetConfig:
     return replace(config, **dict.fromkeys(GRID_AXES, SWEPT_PLACEHOLDER))
 
 
-def grids_from_record(value) -> dict[str, list[float]]:
-    """The `grids` field: an object mapping sweep axes to non-empty lists
-    of non-negative numbers."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"config field 'grids' must be an object, got {value!r}")
-    grids = {}
-    for axis, points in value.items():
-        name = f"grids.{axis}"
-        if axis not in GRID_AXES:
-            raise ValidationError(f"config field 'grids' names unknown axis {axis!r} "
-                                  f"(expected one of {', '.join(GRID_AXES)})")
-        if not isinstance(points, list) or not points:
-            raise ValidationError(
-                f"config field {name!r} must be a non-empty list of numbers, got {points!r}")
-        grids[axis] = [_number(w, name) for w in points]
-        if min(grids[axis]) < 0:
-            raise ValidationError(f"config field {name!r} holds a negative weight: {points!r}")
-    return grids
+_W_LOGIC = nested(Table(dict, [(rid, NUMBER, None, None) for rid in LOGIC_RULES]))
+
+
+def _w_logic(value, line) -> dict:
+    """Weights of some of R1-R13, or one weight for all thirteen."""
+    return _W_LOGIC.read(value if isinstance(value, dict) else dict.fromkeys(LOGIC_RULES, value),
+                         line)
+
+
+_GRIDS = Table(dict, [(axis, array(NUMBER, non_empty=True), None, None) for axis in GRID_AXES])
+# Reads as (config, grids).  task_mode and hinge_power are checked by build_ruleset,
+# which also sees configs built in code and names the sweep config holding a bad value.
+CONFIG_TABLE = Table(lambda grids=None, **fields: (RuleSetConfig(**fields), grids or {}), [
+    ("task_mode", UNCHECKED, None, None),
+    ("w_logic", Kind(_w_logic), None, None),
+    ("w_chain", NUMBER, None, None),
+    ("w_prior", NUMBER, None, None),
+    ("chains", BOOL, None, None),
+    ("hinge_power", UNCHECKED, None, None),
+    ("prior_on_indirect", BOOL, None, None),
+    ("grids", nested(_GRIDS), None, None),
+])
+
+
+def config_from_record(record: dict) -> RuleSetConfig:
+    return CONFIG_TABLE.read(record, what="config field")[0]
 
 
 def load_config(path) -> tuple[RuleSetConfig, dict]:
     """Read a config file; returns (config, grids) where grids may be empty."""
-    record = load_json_object(path, "config")
-    return config_from_record(record), grids_from_record(record.get("grids", {}))
+    return CONFIG_TABLE.read(load_json_object(path, "config"), what="config field")
 
 
 def expand_grid(base: RuleSetConfig, grids: dict) -> list[RuleSetConfig]:

@@ -11,32 +11,24 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import ChainTriple, build_indirect
-from .model import (
-    ATTACK,
-    NEUTRAL,
-    SUPPORT,
-    ArgumentGraph,
-    ArgumentPair,
-    CausalScores,
-    NliScores,
-    NormativeScores,
-    ScoreBundle,
-    SentiDist,
-    SentiPairScores,
-    SlotScore,
-    TuplePairScores,
-    ValidationError,
-)
+from .model import (ATTACK, COUNT, NEUTRAL, NUMBER, PROB, SPLITS, SUPPORT, TASK_MODES,
+                    TERNARY_LABELS, ArgumentGraph, ArgumentPair, CausalScores, NliScores,
+                    NormativeScores, ScoreBundle, SentiDist, SentiPairScores, SlotScore, Table,
+                    TuplePairScores, ValidationError, choice, nested)
+from .predicates import MECHANISMS
 
 log = logging.getLogger(__name__)
 
 NEUTRAL_MIN_DISTANCE = 4  # tree hops; emulates pairing only distant statements
 _EPS = 1e-6
+# At this noise a planted 0.9 is near a coin flip, and math.exp in _noisy
+# overflows only for a draw 70 standard deviations out (planted |logit| < 14).
+MAX_NOISE_SIGMA = 10.0
 
 
 @dataclass(frozen=True)
@@ -58,8 +50,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.task_mode not in ("ternary", "binary"):
             raise ValidationError(f"unknown task_mode {self.task_mode!r}")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValidationError(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA}]")
         if not (0 < self.informative_strength <= 1):
             raise ValidationError("informative_strength must be in (0, 1]")
         total = sum(self.fractions.values())
@@ -67,39 +59,33 @@ class SynthConfig:
             raise ValidationError(f"label fractions sum to {total}, expected 1")
         if self.task_mode == "binary" and self.fractions.get(NEUTRAL, 0.0) > 0:
             raise ValidationError("binary mode cannot plant neutral pairs")
-        if sum(self.split_fractions.values()) <= 0:
-            raise ValidationError("split_fractions has no mass")
+        for name in ("split_fractions", "mechanism_mix"):
+            if not 0 < sum(getattr(self, name).values()) < math.inf:
+                raise ValidationError(f"{name} must have a positive, finite total")
 
     @classmethod
     def from_record(cls, record: dict) -> "SynthConfig":
-        """A config from a JSON object of overrides.  Each field must exist
-        and have its default's type; numbers must be non-negative, and a
-        dict field may only use its default's keys."""
-        defaults = cls()
-        known = [f.name for f in fields(cls)]
-        for name, value in record.items():
-            if name not in known:
-                raise ValidationError(
-                    f"synth config field {name!r} is unknown (expected one of {known})")
-            default = getattr(defaults, name)
-            if isinstance(default, dict):
-                ok = isinstance(value, dict) and all(
-                    key in default and _non_negative(v) for key, v in value.items())
-                expected = f"an object mapping some of {sorted(default)} to non-negative numbers"
-            elif isinstance(default, str):
-                ok, expected = isinstance(value, str), "a string"
-            elif isinstance(default, int):
-                ok, expected = _non_negative(value) and isinstance(value, int), "a non-negative integer"
-            else:
-                ok, expected = _non_negative(value), "a non-negative number"
-            if not ok:
-                raise ValidationError(
-                    f"synth config field {name!r} must be {expected}, got {value!r}")
-        return cls(**record)
+        """A config from a JSON object of overrides (FORMATS.md)."""
+        return SYNTH_TABLE.read(record, what="synth config field")
 
 
-def _non_negative(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+def _weights(names) -> Table:
+    """An object of non-negative weights; a name left out weighs nothing."""
+    return Table(dict, [(name, NUMBER, None, None) for name in names])
+
+
+SYNTH_TABLE = Table(SynthConfig, [
+    ("n_topics", COUNT, None, None),
+    ("tree_depth", COUNT, None, None),
+    ("branching", COUNT, None, None),
+    ("fractions", nested(_weights(TERNARY_LABELS)), None, None),
+    ("mechanism_mix", nested(_weights(MECHANISMS)), None, None),
+    ("noise_sigma", NUMBER, None, None),
+    ("informative_strength", PROB, None, None),
+    ("task_mode", choice(*TASK_MODES), None, None),
+    ("seed", COUNT, None, None),
+    ("split_fractions", nested(_weights(SPLITS)), None, None),
+])
 
 
 def _noisy(p: float, sigma: float, rng) -> float:
@@ -223,8 +209,6 @@ def generate(config: SynthConfig):
 
     mechanisms = sorted(config.mechanism_mix)
     mech_probs = np.array([config.mechanism_mix[m] for m in mechanisms], dtype=float)
-    if mech_probs.sum() <= 0:
-        raise ValidationError("mechanism_mix has no mass")
     mech_probs = mech_probs / mech_probs.sum()
 
     pair_no = 0

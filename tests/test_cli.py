@@ -265,7 +265,10 @@ def test_config_unknown_logic_rule_exit_code_2(dataset, runner, tmp_path):
     ('{"nope": 1}', "nope"),
     ('{"seed": -1}', "seed"),
     ('{"task_mode": "quaternary"}', "task_mode"),
-    ('{"split_fractions": {"val": 0}}', "split_fractions")])
+    ('{"split_fractions": {"val": 0}}', "split_fractions"),
+    ('{"noise_sigma": 1e308}', "noise_sigma"),
+    ('{"split_fractions": {"fit": 1e308, "val": 1e308, "test": 1e308}}', "split_fractions"),
+    ('{"mechanism_mix": {"fact": 1e308, "causal": 1e308}}', "mechanism_mix")])
 def test_synth_config_errors_exit_code_2(runner, tmp_path, text, field):
     cfg = tmp_path / "synth.json"
     cfg.write_text(text)
@@ -287,20 +290,77 @@ def test_score_block_not_an_object_exit_code_2(dataset, runner, tmp_path):
     assert "line 1" in res.output and "'nli'" in res.output
 
 
+LEFT_OUT = object()
+
+
 @pytest.mark.parametrize("change, field", [
     ({"predicted": "maybe"}, "predicted"),
     ({"support": "x"}, "support"),
-    ({"converged": "no"}, "converged")])
+    ({"converged": "no"}, "converged"),
+    ({"support": 0.9, "attack": 0.9, "neutral": 0.9}, "support"),
+    ({"support": LEFT_OUT}, "support")])
 def test_eval_malformed_prediction_exit_code_2(dataset, runner, tmp_path,
                                                change, field):
     _, args_path, _ = dataset
     record = {"pair_id": read_jsonl(args_path)[0]["pair_id"], "support": 0.5,
               "attack": 0.3, "neutral": 0.2, "predicted": "support"}
+    record = {key: value for key, value in {**record, **change}.items() if value is not LEFT_OUT}
     preds = tmp_path / "preds.jsonl"
-    preds.write_text(json.dumps({**record, **change}) + "\n")
+    preds.write_text(json.dumps(record) + "\n")
     res = runner.invoke(main, ["eval", str(preds), str(args_path)])
     assert res.exit_code == 2
     assert "line 1" in res.output and field in res.output
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"w_logic": {"R1": 1e400}}', "'w_logic.R1'"),
+    ('{"w_chain": 1e400}', "'w_chain'"),
+    ('{"grids": {"w_prior": [0.2, 1e400]}}', "'grids.w_prior[1]'")])
+def test_config_number_not_finite_exit_code_2(dataset, runner, tmp_path, text, field):
+    res = run_with_config(dataset, runner, tmp_path, text)
+    assert res.exit_code == 2
+    assert field in res.output
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"nli": {"p_ent": "0.7", "p_con": 0.2, "p_neu": 0.1}}, "'nli.p_ent'"),
+    ({"causal": {"sc_cause": True}}, "'causal.sc_cause'"),
+    ({"pair_id": {"a": 1}}, "'pair_id'")])
+def test_score_or_id_of_wrong_json_type_exit_code_2(dataset, runner, tmp_path, change, field):
+    """Probabilities are JSON numbers and ids JSON strings, in both files."""
+    _, args_path, scores_path = dataset
+    args, scores = read_jsonl(args_path), read_jsonl(scores_path)
+    if "pair_id" in change:
+        args[0].update(change)
+    else:
+        scores[0] = {"pair_id": scores[0]["pair_id"], **change}
+    for path, records in ((tmp_path / "args.jsonl", args), (tmp_path / "scores.jsonl", scores)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    res = runner.invoke(main, ["infer", str(tmp_path / "args.jsonl"),
+                               str(tmp_path / "scores.jsonl"), "--out", str(tmp_path / "o.jsonl")])
+    assert res.exit_code == 2
+    assert "line 1" in res.output and field in res.output
+
+
+@pytest.mark.parametrize("file, change, field", [
+    ("arguments", {"extra": 1}, "'extra'"),
+    ("scores", {"nope": 1}, "'nope'"),
+    ("scores", {"causal": {"sc_caus": 0.9}}, "'causal.sc_caus'"),
+    ("config", {"nope": 1}, "'nope'")])
+def test_unknown_field_exit_code_2(dataset, runner, tmp_path, file, change, field):
+    """A field the format does not define is an error at any depth."""
+    _, args_path, scores_path = dataset
+    args, scores = read_jsonl(args_path), read_jsonl(scores_path)
+    config = {}
+    {"arguments": args[0], "scores": scores[0], "config": config}[file].update(change)
+    for path, records in ((tmp_path / "args.jsonl", args), (tmp_path / "scores.jsonl", scores)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    res = runner.invoke(main, ["infer", str(tmp_path / "args.jsonl"), str(tmp_path / "scores.jsonl"),
+                               "--config", str(tmp_path / "config.json"),
+                               "--out", str(tmp_path / "o.jsonl")])
+    assert res.exit_code == 2
+    assert field in res.output and ("line 1" in res.output or file == "config")
 
 
 @pytest.mark.parametrize("config, expected", [

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arglogic.cli import main
+from arglogic.infer import PREDICTION_TABLES
 from arglogic.model import (
     ArgumentGraph,
     ArgumentPair,
@@ -15,7 +18,10 @@ from arglogic.model import (
     load_dataset,
     pair_to_record,
     parse_bundle,
+    parse_pair,
 )
+from arglogic.rules import config_from_record
+from arglogic.synth import SynthConfig
 
 
 def write_jsonl(path, records):
@@ -58,6 +64,23 @@ def test_load_round_trip(tmp_path):
                                     tmp_path / "scores2.jsonl", "ternary")
     assert graph2.pairs == graph.pairs
     assert bundles2 == bundles
+
+    # `synth` output, loaded and written again, is the same bytes
+    runner = CliRunner()
+    for seed in range(1, 6):
+        for mode, options in (("ternary", []), ("binary", ["--mode", "binary"]),
+                              ("ternary", ["--chain-scenario"])):
+            args, scores = tmp_path / "synth_args.jsonl", tmp_path / "synth_scores.jsonl"
+            res = runner.invoke(main, ["synth", "--seed", str(seed), *options,
+                                       "--out-arguments", str(args), "--out-scores", str(scores)])
+            assert res.exit_code == 0, res.output
+            graph, bundles = load_dataset(args, scores, mode)
+            dump_jsonl([pair_to_record(graph.pairs[p]) for p in sorted(graph.pairs)],
+                       tmp_path / "again_args.jsonl")
+            dump_jsonl([bundle_to_record(bundles[p]) for p in sorted(bundles)],
+                       tmp_path / "again_scores.jsonl")
+            assert (tmp_path / "again_args.jsonl").read_bytes() == args.read_bytes()
+            assert (tmp_path / "again_scores.jsonl").read_bytes() == scores.read_bytes()
 
 
 def test_probability_out_of_bounds(tmp_path):
@@ -179,3 +202,83 @@ def test_components_match_brute_force(edges):
     # partition: disjoint and covering
     all_ids = [p.pair_id for comp in comps for p in comp]
     assert sorted(all_ids) == sorted(g.pairs)
+
+
+# One valid record of each kind, and the reader that checks it.
+VALID_RECORDS = {
+    "arguments": (ARGS[0], parse_pair),
+    "scores": ({**SCORES[0], **SCORES[1], **SCORES[2], "pair_id": "p1",
+                "fact_pairs": [{"slots": [{"p_ent": 0.9, "p_con": 0.05}]}],
+                "normative": {"p_conseq": 0.9, "p_norm": 0.1, "q_pos": 0.6, "q_neg": 0.1,
+                              "p_adv": 0.5, "p_opp": 0.2, "r_consist": 0.7, "r_contra": 0.1}},
+               parse_bundle),
+    "predictions": ({"pair_id": "p1", "support": 0.93, "attack": 0.05, "neutral": 0.02,
+                     "predicted": "support", "energy_share": 0.143, "converged": True},
+                    PREDICTION_TABLES["ternary"].read),
+    "config": ({"task_mode": "ternary", "chains": True, "hinge_power": "linear",
+                "w_logic": {"R4": 0.5}, "w_chain": 1.0, "w_prior": 0.2,
+                "prior_on_indirect": False,
+                "grids": {"w_chain": [1.0, 0.5, 0.1], "w_prior": [0.2, 0.3]}},
+               config_from_record),
+    "synth config": ({"n_topics": 3, "tree_depth": 3, "branching": 2, "noise_sigma": 0.3,
+                      "fractions": {"support": 0.35, "attack": 0.35, "neutral": 0.3},
+                      "mechanism_mix": {"fact": 1.0, "causal": 2.0}, "seed": 11,
+                      "informative_strength": 0.9, "task_mode": "ternary",
+                      "split_fractions": {"fit": 0.0, "val": 0.3, "test": 0.7}},
+                     SynthConfig.from_record),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from([10 ** 400, -0.0])
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e308, 1e-320])
+    | st.text(max_size=4) | st.sampled_from(["support", "ternary", "0.5", "p1"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(["p_ent", "slots", "R1"]),
+                      children, max_size=3),
+    max_leaves=6)
+
+
+def containers(value, found):
+    """Every dict and list inside `value`, `value` included."""
+    if isinstance(value, (dict, list)):
+        found.append(value)
+        for child in (value.values() if isinstance(value, dict) else value):
+            containers(child, found)
+    return found
+
+
+@st.composite
+def mutated(draw, record):
+    """A deep copy of `record` with a few keys set, dropped or added at any depth."""
+    record = json.loads(json.dumps(record))
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(containers(record, [])))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = draw(st.sampled_from(["set", "drop", "add"]))
+        if action == "add" or not keys:
+            if isinstance(target, dict):
+                target[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+            else:
+                target.append(draw(JSON_VALUES))
+        elif action == "drop":
+            del target[draw(st.sampled_from(keys))]
+        else:
+            target[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
+    return record
+
+
+@pytest.mark.parametrize("kind", VALID_RECORDS)
+def test_reader_raises_only_validation_error(kind):
+    """Every mutated record either reads or raises ValidationError, which the
+    CLI reports with exit code 2; any other exception would exit 1."""
+    record, read = VALID_RECORDS[kind]
+    read(record)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated(record) | JSON_VALUES)
+    def check(value):
+        try:
+            read(value)
+        except ValidationError:
+            pass
+    check()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from arglogic.grounding import (
     GroundProgram,
-    distance_to_satisfaction,
     energy,
     energy_by_pair,
     ground,
@@ -41,12 +40,6 @@ def single_pair_program(vector, mode="ternary", w_prior=0.2, chains=False,
                         hinge_power="linear" if power == 1 else "squared")
     return ground(build_ruleset(cfg), list(g), {"p1": vector},
                   power=power, task_mode=mode)
-
-
-def test_distance_examples():
-    assert distance_to_satisfaction([1.0], 0.0) == 1.0
-    assert distance_to_satisfaction([0.6, 0.7], 0.2) == pytest.approx(0.1)
-    assert distance_to_satisfaction([0.3, 0.4], 0.0) == 0.0
 
 
 def test_grounding_counts():
