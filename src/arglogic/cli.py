@@ -149,7 +149,12 @@ def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, out_path):
 
 def _read_predictions(path, task_mode):
     """Prediction records as written by `infer` or `baseline` (FORMATS.md)."""
-    return {pred.pair_id: pred for _, pred in read_jsonl(path, PREDICTION_TABLES[task_mode])}
+    preds = {}
+    for lineno, pred in read_jsonl(path, PREDICTION_TABLES[task_mode]):
+        if pred.pair_id in preds:
+            raise ValidationError(f"duplicate prediction for pair {pred.pair_id!r}", lineno)
+        preds[pred.pair_id] = pred
+    return preds
 
 
 @main.command("eval")

@@ -320,16 +320,16 @@ def plant_chain_scenario(config: SynthConfig,
                         if golds.get(pid) in (SUPPORT, ATTACK))
     rng.shuffle(candidates)
     target = int(round(mask_fraction * len(candidates)))
-    masked: set[str] = set()
+    masked: dict[str, None] = {}  # in the shuffled candidate order
     for pid in candidates:
         if len(masked) >= target:
             break
         partners = {t.first_hop for t in hop_triples[pid]}
         partners |= {t.second_hop for t in hop_triples[pid]}
         partners.discard(pid)
-        if partners & masked:
+        if not partners.isdisjoint(masked):
             continue
-        masked.add(pid)
+        masked[pid] = None
 
     sigma = config.noise_sigma
     for pid in masked:

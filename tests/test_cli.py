@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import arglogic
 from arglogic.cli import main
 
 
@@ -310,6 +315,47 @@ def test_eval_malformed_prediction_exit_code_2(dataset, runner, tmp_path,
     res = runner.invoke(main, ["eval", str(preds), str(args_path)])
     assert res.exit_code == 2
     assert "line 1" in res.output and field in res.output
+
+
+def test_eval_duplicate_prediction_exit_code_2(runner, tmp_path):
+    args_path, scores_path = tmp_path / "args.jsonl", tmp_path / "scores.jsonl"
+    res = runner.invoke(main, ["synth", "--seed", "3", "--out-arguments", str(args_path),
+                               "--out-scores", str(scores_path)])
+    assert res.exit_code == 0, res.output
+    preds = tmp_path / "preds.jsonl"
+    res = runner.invoke(main, ["infer", str(args_path), str(scores_path),
+                               "--out", str(preds)])
+    assert res.exit_code == 0, res.output
+    lines = preds.read_text().splitlines()
+    first = json.loads(lines[0])
+    relabelled = next(label for label in ("support", "attack", "neutral")
+                      if label != first["predicted"])
+    repeated = {**first, "predicted": relabelled}
+    preds.write_text("\n".join(lines + [json.dumps(repeated)]) + "\n")
+    res = runner.invoke(main, ["eval", str(preds), str(args_path)])
+    assert res.exit_code == 2
+    assert f"line {len(lines) + 1}" in res.output
+    assert "duplicate" in res.output and first["pair_id"] in res.output
+
+
+def test_chain_scenario_synth_ignores_hash_seed(tmp_path):
+    """Two interpreters with different string hash seeds write the same files."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(arglogic.__file__).resolve().parents[1])}
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "arglogic.cli", "synth", "--seed", "1",
+             "--chain-scenario", "--out-arguments", str(out / "args.jsonl"),
+             "--out-scores", str(out / "scores.jsonl"),
+             "--out-mask", str(out / "mask.jsonl")],
+            env={**env, "PYTHONHASHSEED": hash_seed}, check=True,
+            capture_output=True)
+        written.append([(out / name).read_bytes()
+                        for name in ("args.jsonl", "scores.jsonl", "mask.jsonl")])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("text, field", [

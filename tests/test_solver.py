@@ -1,9 +1,10 @@
 from dataclasses import fields, replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arglogic.grounding import (
@@ -16,6 +17,7 @@ from arglogic.grounding import (
 from arglogic import kernels
 from arglogic.kernels import project_rows
 from arglogic.chains import build_indirect
+from arglogic.infer import ground_graph
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError
 from arglogic.predicates import PredicateVector, evaluate_all
 from arglogic.rules import RuleSetConfig, build_ruleset, structure
@@ -363,6 +365,111 @@ def test_project_rows_matches_sort_reference(k):
     assert np.array_equal(project_rows(V), project_rows_by_sort(V))
 
 
+def synth_chain_batch():
+    """The ADMM blocks of every chain-coupled component of a small synth
+    dataset, each as `solve_map_admm` passes them on, joined in one batch."""
+    graph, bundles, _ = generate(SynthConfig(seed=1, n_topics=6, tree_depth=4, branching=2))
+    config = RuleSetConfig(chains=True)
+    programs = [p.with_weights(config) for p in ground_graph(graph, bundles, config).programs]
+    coupled = [p.select(~uncoupled_blocks(p)) for p in programs
+               if not uncoupled_blocks(p).all()]
+    return coupled, join(coupled)
+
+
+def run_kernel(prog, max_iters):
+    k = len(prog.labels)
+    return kernels.solve_admm(
+        prog.copy_atom, prog.copy_pot, prog.copy_coef, prog.pot_ptr,
+        prog.pot_const, prog.pot_weight, prog.pot_power, prog.n_atoms,
+        np.full(prog.n_atoms, 1.0 / k), 1.0, 1e-5, 1e-4, max_iters,
+        np.repeat(prog.block_comp, k))
+
+
+def test_synth_chain_batch_golden():
+    # pinned: alone, the components stop at 454, 427, 410, 460, 448 and
+    # 418 iterations; the cap stops the fourth, and the running half is
+    # gathered when the third of them stops
+    components, batch = synth_chain_batch()
+    result = run_kernel(batch, max_iters=455)
+    assert result.component_iterations.tolist() == [454, 427, 410, 455, 448, 418]
+    assert result.converged.tolist() == [True, True, True, False, True, True]
+    assert not result.nan_seen.any()
+    start = 0
+    for prog in components:
+        alone = run_kernel(prog, max_iters=455)
+        assert np.array_equal(result.z[start:start + prog.n_atoms], alone.z)
+        start += prog.n_atoms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0),
+       st.sampled_from([0.0, 1e-3, 1.0]), st.floats(-1e-6, 1e-6),
+       st.floats(1e-9, 1e-2), st.floats(1e-9, 0.5))
+def test_early_out_never_rules_out_a_passing_primal_test(
+        n_atoms, seed, along_z, noise, slack, eps_abs, eps_rel):
+    """y sits near the edge of the early-out bound, its step from z̃
+    along z̃ (where ‖y‖ = ‖z̃‖ + r, so the bound is tight) plus noise; when
+    the bound rules the iteration out, the full primal test fails too."""
+    rng = np.random.default_rng(seed)
+    copy_atom = np.repeat(np.arange(n_atoms), rng.integers(1, 4, n_atoms))
+    z = rng.random(n_atoms)
+    z_copy = z[copy_atom]
+    step = along_z * z_copy + noise * rng.normal(size=len(copy_atom))
+    assume(np.linalg.norm(step) > 0)
+    abs_tol = np.sqrt(len(copy_atom)) * eps_abs
+    z_norm = np.sqrt(np.sum(np.bincount(copy_atom) * z * z))
+    edge = (abs_tol + eps_rel * z_norm) / (1.0 - eps_rel)
+    y = z_copy + step / np.linalg.norm(step) * edge * (1.0 + slack)
+    r = np.sqrt(np.sum((y - z_copy) ** 2))
+    y_norm = np.sqrt(np.sum(y * y))
+    if kernels.primal_ruled_out(r, z_norm, abs_tol, eps_rel):
+        assert not kernels.primal_passes(r, y_norm, z_norm, abs_tol, eps_rel)
+
+
+def hand_program(seed, n_atoms, width):
+    """Linear hinge rows of one to three copies over n_atoms atoms (one row
+    on each atom, then random ones), followed by a simplex row on each run
+    of `width` atoms, or by none when width is 0; with the attributes
+    `lp_energy` reads."""
+    rng = np.random.default_rng(seed)
+    rows = [[a] for a in range(n_atoms)]
+    rows += [sorted(rng.choice(n_atoms, rng.integers(1, 4), replace=False).tolist())
+             for _ in range(2 * n_atoms)]
+    n_hinge = len(rows)
+    if width:
+        rows += [list(range(b, b + width)) for b in range(0, n_atoms, width)]
+    sizes = [len(r) for r in rows]
+    n_simplex = len(rows) - n_hinge
+    return SimpleNamespace(
+        copy_atom=np.array([a for r in rows for a in r]),
+        copy_pot=np.repeat(np.arange(len(rows)), sizes),
+        copy_coef=np.concatenate([rng.normal(size=sum(sizes[:n_hinge])),
+                                  np.zeros(sum(sizes[n_hinge:]))]),
+        pot_ptr=np.concatenate([[0], np.cumsum(sizes)]),
+        pot_const=np.concatenate([rng.normal(0.0, 0.5, n_hinge), np.zeros(n_simplex)]),
+        pot_weight=np.concatenate([rng.uniform(0.5, 2.0, n_hinge), np.zeros(n_simplex)]),
+        pot_power=np.concatenate([np.ones(n_hinge, int), np.zeros(n_simplex, int)]),
+        n_atoms=n_atoms, n_pairs=n_simplex, labels=range(width))
+
+
+@pytest.mark.parametrize("width", [0, 4, 5])
+def test_kernel_solves_programs_without_simplex_rows_or_of_other_widths(width):
+    for seed in range(3):
+        prog = hand_program(seed, 20, width)
+        result = kernels.solve_admm(
+            prog.copy_atom, prog.copy_pot, prog.copy_coef, prog.pot_ptr, prog.pot_const,
+            prog.pot_weight, prog.pot_power, prog.n_atoms, np.full(prog.n_atoms, 0.5),
+            1.0, 1e-7, 1e-6, 25_000)
+        assert result.converged.all() and not result.nan_seen.any()
+        x = result.z
+        if width:
+            assert np.allclose(x.reshape(-1, width).sum(axis=1), 1.0, atol=1e-5)
+            x = project_rows(x.reshape(-1, width)).ravel()
+        value = prog.pot_const + np.bincount(prog.copy_pot, weights=prog.copy_coef * x[prog.copy_atom])
+        energy = np.sum((prog.pot_weight * np.maximum(value, 0.0))[prog.pot_power > 0])
+        assert energy == pytest.approx(lp_energy(prog), rel=1e-4, abs=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # closed form for uncoupled blocks
 
@@ -412,7 +519,8 @@ def uncoupled_programs(power):
 
 
 def lp_energy(prog):
-    """Optimum of the linear-hinge MAP as an LP over (x, slacks)."""
+    """Optimum of the linear-hinge MAP as an LP over (x, slacks), x in
+    [0, 1] and each block of len(prog.labels) atoms on the simplex."""
     from scipy.optimize import linprog
 
     hinge = np.flatnonzero(prog.pot_power > 0)
@@ -422,8 +530,9 @@ def lp_energy(prog):
         for c in range(prog.pot_ptr[r], prog.pot_ptr[r + 1]):
             a_ub[i, prog.copy_atom[c]] += prog.copy_coef[c]
     a_ub[np.arange(m), n + np.arange(m)] = -1.0
-    a_eq = np.hstack([np.kron(np.eye(prog.n_pairs), np.ones(len(prog.labels))),
-                      np.zeros((prog.n_pairs, m))])
+    k = len(prog.labels)
+    a_eq = np.zeros((prog.n_pairs, n + m))
+    a_eq[np.repeat(np.arange(prog.n_pairs), k), np.arange(prog.n_pairs * k)] = 1.0
     res = linprog(np.concatenate([np.zeros(n), prog.pot_weight[hinge]]),
                   A_ub=a_ub, b_ub=-prog.pot_const[hinge], A_eq=a_eq,
                   b_eq=np.ones(prog.n_pairs),
