@@ -165,8 +165,8 @@ def _read_predictions(path, task_mode):
               type=click.Path(exists=True, dir_okay=False),
               help="Second prediction set for paired-bootstrap comparison.")
 @click.option("--split", default="test", show_default=True)
-@click.option("--resamples", default=10_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--resamples", default=10_000, show_default=True, type=click.IntRange(min=1))
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 @guarded
 def cmd_eval(predictions_path, arguments_path, mode, baseline_path, split,
@@ -205,7 +205,7 @@ def cmd_eval(predictions_path, arguments_path, mode, baseline_path, split,
 @click.option("--which", required=True,
               type=click.Choice(["random", "sentiment", "entailment"]))
 @click.option("--mode", type=click.Choice(["ternary", "binary"]), default="ternary")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @guarded
 def cmd_baseline(arguments_path, scores_path, which, mode, seed, out_path):

@@ -2,9 +2,9 @@
 
 Every ground potential's distance to satisfaction is a linear hinge
 max(0, a.x + c) over the free atoms of its component; observed predicate
-values are folded into the constant.  Each pair contributes one hard
-simplex row tying its relation atoms to sum to 1.  `ground` writes the
-program straight into the flat arrays the ADMM kernel reads.
+values are folded into the constant.  The simplex constraint is
+structure, not a row: each pair's relation atoms sum to 1.  `ground`
+writes the program straight into the flat arrays the ADMM kernel reads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .chains import ChainTriple
 from .model import ArgumentPair, ValidationError, labels_for_mode
 from .predicates import PredicateVector
-from .rules import CHAIN_RULES, Rule, RuleSetConfig
+from .rules import Rule
 
 FEAS_TOL = 1e-6
 
@@ -27,30 +27,27 @@ class GroundProgram:
     """One ground program in the flat layout `kernels.solve_admm` reads.
 
     Atoms: with labels = labels_for_mode(task_mode) and k = len(labels),
-    atom b*k + j is relation labels[j] of pair b.  Pairs (blocks) are
-    numbered in pair-id order within each component; block_pair_ids[b]
-    names pair b.
+    atom b*k + j is relation labels[j] of pair b, and each block of k
+    atoms lies on the probability simplex.  Pairs (blocks) are numbered in
+    pair-id order within each component; block_pair_ids[b] names pair b.
 
     Components: block_comp[b] is the component of block b.  A program from
     `ground` is one component (all 0).  `join` lays several out one after
     another: ids 0, 1, ... in block order, and each component's blocks,
     atoms, rows and copies are contiguous runs in that order.
 
-    Rows, within each component: first its soft hinge potentials in
+    Rows are the soft hinge potentials, within each component in
     grounding order (per pair, its logic rules in LOGIC_RULES order and
-    then its prior; then per chain triple, one row per chain rule), then
-    one simplex row per pair, in block order.  So the soft rows are a
-    prefix of the rows only in a one-component program; in general they
-    are the rows with pot_power > 0.
-      potentials            rule ids of the soft rows, in row order
+    then its prior; then per chain triple, one row per chain rule):
+      potentials[p]         rule id of row p
       pot_block[p]          block the row is attributed to (its head's pair)
       pot_ptr[p]:pot_ptr[p+1]  the row's copies
       pot_const[p]          hinge constant
-      pot_weight[p]         weight (0 for simplex rows)
-      pot_power[p]          1 linear hinge, 2 squared hinge, 0 simplex row
+      pot_weight[p]         weight
+    and every row has the hinge power `power`: 1 linear, 2 squared.
 
     Copies: copy_atom[c], copy_pot[c] and copy_coef[c] are the atom, the
-    row and the hinge coefficient (0 in simplex rows) of local copy c.
+    row and the hinge coefficient of local copy c.
     """
 
     task_mode: str
@@ -60,7 +57,7 @@ class GroundProgram:
     pot_ptr: np.ndarray
     pot_const: np.ndarray
     pot_weight: np.ndarray
-    pot_power: np.ndarray
+    power: int
     copy_atom: np.ndarray
     copy_pot: np.ndarray
     copy_coef: np.ndarray
@@ -83,17 +80,8 @@ class GroundProgram:
         return self.n_pairs * len(self.labels)
 
     @property
-    def blocks(self) -> np.ndarray:
-        """Atom indices per pair, one row per block."""
-        return np.arange(self.n_atoms).reshape(self.n_pairs, len(self.labels))
-
-    @property
     def total_weight(self) -> float:
         return float(self.pot_weight.sum())
-
-    def index_of(self, pair_id: str, relation: str) -> int:
-        return (self.block_pair_ids.index(pair_id) * len(self.labels)
-                + self.labels.index(relation))
 
     def select(self, keep: np.ndarray) -> "GroundProgram":
         """The blocks where keep holds, with every row on their atoms, in
@@ -101,19 +89,16 @@ class GroundProgram:
         keep_atom = np.repeat(keep, len(self.labels))
         return self._subset(keep, keep_atom[self.copy_atom[self.pot_ptr[:-1]]])
 
-    def with_weights(self, config: RuleSetConfig) -> "GroundProgram":
-        """The program `ground` writes under config, from one grounded under
-        a config of the same structure (`rules.structure`): the chain rows
-        are weighted config.w_chain and the prior rows config.w_prior, and
-        a soft row whose weight is then 0 is dropped with its copies.  When
-        no row is dropped, every array but pot_weight is shared."""
-        swept = {"C1": config.w_prior, **dict.fromkeys(CHAIN_RULES, config.w_chain)}
-        soft = self.pot_power > 0
-        weight = self.pot_weight.copy()
-        weight[soft] = [swept.get(rid, w)
-                        for rid, w in zip(self.potentials, weight[soft].tolist())]
+    def with_weights(self, weights: dict[str, float]) -> "GroundProgram":
+        """The program with each row weighted as its rule in weights, and
+        the rows whose weight is then 0 dropped with their copies.  Given
+        the rule weights of `rules.build_ruleset(config)`, this is the
+        program `ground` writes under config, from one grounded under a
+        config of the same structure (`rules.structure`).  When no row is
+        dropped, every array but pot_weight is shared."""
+        weight = np.array([weights[rid] for rid in self.potentials], dtype=float)
         reweighted = replace(self, pot_weight=weight)
-        keep_row = (weight != 0.0) | (self.pot_power == 0)
+        keep_row = weight != 0.0
         if keep_row.all():
             return reweighted
         return reweighted._subset(np.ones(self.n_pairs, dtype=bool), keep_row)
@@ -123,17 +108,17 @@ class GroundProgram:
         the same order; a kept row may touch only kept blocks."""
         keep_atom = np.repeat(keep, len(self.labels))
         keep_copy = keep_row[self.copy_pot]
-        soft_kept = keep_row[self.pot_power > 0].tolist()
         return GroundProgram(
             task_mode=self.task_mode,
             block_pair_ids=[pid for pid, kept in zip(self.block_pair_ids, keep.tolist())
                             if kept],
-            potentials=tuple(rid for rid, kept in zip(self.potentials, soft_kept) if kept),
+            potentials=tuple(rid for rid, kept in zip(self.potentials, keep_row.tolist())
+                             if kept),
             pot_block=_renumber(keep)[self.pot_block[keep_row]],
             pot_ptr=np.concatenate([[0], np.cumsum(np.diff(self.pot_ptr)[keep_row])]),
             pot_const=self.pot_const[keep_row],
             pot_weight=self.pot_weight[keep_row],
-            pot_power=self.pot_power[keep_row],
+            power=self.power,
             copy_atom=_renumber(keep_atom)[self.copy_atom[keep_copy]],
             copy_pot=_renumber(keep_row)[self.copy_pot[keep_copy]],
             copy_coef=self.copy_coef[keep_copy],
@@ -160,8 +145,8 @@ def ground(
     For each pair and each single-body rule whose predicate value is
     present, the observed body is inlined:  d = max(0, value - head).
     Chain rules ground once per triple over six free atoms.  The default
-    prior grounds as d = 1 - default_atom, and the simplex constraint is
-    structural (one row per pair).
+    prior grounds as d = 1 - default_atom.  The simplex constraint (C2)
+    is the program's structure and grounds no row.
     """
     labels = labels_for_mode(task_mode)
     k = len(labels)
@@ -203,37 +188,32 @@ def ground(
     n_chain = len(hops) * len(chain)
 
     sizes = np.concatenate([np.ones(len(u_block), dtype=np.int64),
-                            np.full(n_chain, 3, dtype=np.int64),
-                            np.full(n, k, dtype=np.int64)])
+                            np.full(n_chain, 3, dtype=np.int64)])
     return GroundProgram(
         task_mode=task_mode,
         block_pair_ids=[p.pair_id for p in pair_list],
         potentials=(tuple(unary[r].id for r in u_rule.tolist())
                     + tuple(r.id for r in chain) * len(hops)),
-        pot_block=np.concatenate([u_block, np.repeat(hops[:, 2], len(chain)),
-                                  np.arange(n)]).astype(np.int64),
+        pot_block=np.concatenate([u_block, np.repeat(hops[:, 2], len(chain))]).astype(np.int64),
         pot_ptr=np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)]),
-        pot_const=np.concatenate([consts[u_block, u_rule], np.full(n_chain, -1.0),
-                                  np.zeros(n)]),
+        pot_const=np.concatenate([consts[u_block, u_rule], np.full(n_chain, -1.0)]),
         pot_weight=np.concatenate([u_weight[u_rule],
-                                   np.tile([r.weight for r in chain], len(hops)),
-                                   np.zeros(n)]),
-        pot_power=np.concatenate([np.full(len(u_block) + n_chain, power, dtype=np.int64),
-                                  np.zeros(n, dtype=np.int64)]),
-        copy_atom=np.concatenate([u_block * k + u_head[u_rule], c_atoms,
-                                  np.arange(n * k)]).astype(np.int64),
+                                   np.tile([r.weight for r in chain], len(hops))]),
+        power=power,
+        copy_atom=np.concatenate([u_block * k + u_head[u_rule], c_atoms]).astype(np.int64),
         copy_pot=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         copy_coef=np.concatenate([np.full(len(u_block), -1.0),
-                                  np.tile([1.0, 1.0, -1.0], n_chain), np.zeros(n * k)]),
+                                  np.tile([1.0, 1.0, -1.0], n_chain)]),
     )
 
 
 def join(programs: Sequence[GroundProgram]) -> GroundProgram:
     """One program holding each given one-component program as a
-    component, in order; all must share a task mode."""
-    modes = {p.task_mode for p in programs}
-    if len(modes) != 1:
-        raise ValidationError(f"cannot join programs of task modes {sorted(modes)}")
+    component, in order; all must share a task mode and a hinge power."""
+    modes, powers = {p.task_mode for p in programs}, {p.power for p in programs}
+    if len(modes) != 1 or len(powers) != 1:
+        raise ValidationError(f"cannot join programs of task modes {sorted(modes)} "
+                              f"and hinge powers {sorted(powers)}")
     if len(programs) == 1:
         return programs[0]  # already in the one-component layout
 
@@ -252,7 +232,7 @@ def join(programs: Sequence[GroundProgram]) -> GroundProgram:
                                              [len(p.copy_atom) for p in programs])]),
         pot_const=np.concatenate([p.pot_const for p in programs]),
         pot_weight=np.concatenate([p.pot_weight for p in programs]),
-        pot_power=np.concatenate([p.pot_power for p in programs]),
+        power=programs[0].power,
         copy_atom=shifted([p.copy_atom for p in programs], [k * n for n in n_blocks]),
         copy_pot=shifted([p.copy_pot for p in programs],
                          [len(p.pot_const) for p in programs]),
@@ -276,18 +256,17 @@ def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS
 
 
 def _row_energies(program: GroundProgram, values: np.ndarray) -> np.ndarray:
-    """Weighted hinge loss of each row (0 for the simplex rows)."""
+    """Weighted hinge loss of each row."""
     s = program.pot_const + np.bincount(
         program.copy_pot, weights=program.copy_coef * values[program.copy_atom],
         minlength=len(program.pot_const))
-    return program.pot_weight * np.maximum(s, 0.0) ** program.pot_power
+    return program.pot_weight * np.maximum(s, 0.0) ** program.power
 
 
 def energy(program: GroundProgram, values: np.ndarray) -> float:
     """Total weighted hinge loss; raises if the assignment is infeasible."""
     check_feasible(program, values)
-    rows = _row_energies(program, np.asarray(values, dtype=float))
-    return float(rows[program.pot_power > 0].sum())
+    return float(_row_energies(program, np.asarray(values, dtype=float)).sum())
 
 
 def energy_by_pair(program: GroundProgram, values: np.ndarray) -> dict[str, float]:

@@ -11,17 +11,18 @@ import numpy as np
 from .chains import ChainTriple, build_indirect
 from .grounding import GroundProgram, ground, join
 from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, Group,
-                    ScoreBundle, Table, choice, connected_components, default_label,
-                    labels_for_mode, sums_to_one)
+                    ScoreBundle, Table, choice, connected_components, labels_for_mode,
+                    sums_to_one)
 from .predicates import evaluate_all
 from .rules import RuleSetConfig, build_ruleset, structure
 from .solver import SolverParams, solve_map_admm
 
 log = logging.getLogger(__name__)
 
-# Components are solved in batches of at most this many ADMM local copies:
-# one kernel call per batch instead of per component, while the batch's
-# working arrays stay small.  A larger component is a batch of its own.
+# Components are solved in batches of at most this many ADMM local copies
+# (a program's hinge copies plus one simplex copy per atom): one kernel
+# call per batch instead of per component, while the batch's working
+# arrays stay small.  A larger component is a batch of its own.
 MAX_BATCH_COPIES = 4096
 
 
@@ -152,7 +153,7 @@ def run_inference(
     the graph is grounded here, one component at a time.
     """
     params = params or SolverParams()
-    build_ruleset(config)  # checks the weights the programs are given
+    weights = {rule.id: rule.weight for rule in build_ruleset(config)}
     if grounding is None:
         grounding = ground_graph(graph, bundles, config, ablate, restrict_split)
     elif grounding.structure != structure(config):
@@ -164,9 +165,8 @@ def run_inference(
     total_weight = 0.0
     n_potentials = 0
     all_converged = True
-    fallback = default_label(work.task_mode)
     labels = labels_for_mode(work.task_mode)
-    weighted = (program.with_weights(config) for program in grounding.programs)
+    weighted = (program.with_weights(weights) for program in grounding.programs)
     for batch in _batches(weighted, MAX_BATCH_COPIES):
         program = join(batch)
         assignment = solve_map_admm(program, params)
@@ -193,13 +193,6 @@ def run_inference(
                 converged=conv,
             )
 
-    # pairs excluded from all components (e.g. no pairs at all) fall back
-    for pair in work.direct_pairs():
-        if pair.pair_id not in predictions:
-            scores = {label: float(label == fallback) for label in labels}
-            predictions[pair.pair_id] = PairPrediction(
-                pair.pair_id, scores, fallback, 0.0, True)
-
     return InferenceResult(
         predictions=predictions,
         total_energy=total_energy,
@@ -216,7 +209,7 @@ def _batches(programs, max_copies: int):
     batch: list[GroundProgram] = []
     copies = 0
     for program in programs:
-        size = len(program.copy_atom)
+        size = len(program.copy_atom) + program.n_atoms
         if batch and copies + size > max_copies:
             yield batch
             batch, copies = [], 0

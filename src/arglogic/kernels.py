@@ -2,43 +2,41 @@
 
 `solver.solve_map_admm` passes it only the pair blocks that it cannot
 solve in closed form: in practice, those a chain row reaches.  Each hinge
-potential and each simplex row holds private copies of its atoms.  One
-iteration applies every row's proximal update to its copies (a
-closed-form hinge step, or a Euclidean projection onto the simplex),
-averages the copies of each atom into the consensus z, clipped to
-[0, 1], and advances the scaled duals.
+potential holds private copies of its atoms, and so does each block's
+simplex constraint.  One iteration applies every hinge row's proximal
+update to its copies (a closed-form step) and projects each block's
+simplex copies onto the simplex, averages the copies of each atom into
+the consensus z, clipped to [0, 1], and advances the scaled duals.
 
 Flat program layout (`grounding.GroundProgram` holds these arrays):
-  copy_atom[m]   atom index of each local copy
-  copy_pot[m]    owning potential of each copy
-  copy_coef[m]   hinge coefficient of each copy (unused for simplex rows)
-  pot_ptr[p+1]   copy ranges per potential
+  copy_atom[m]   atom index of each hinge copy
+  copy_pot[m]    owning hinge row of each copy
+  copy_coef[m]   hinge coefficient of each copy
   pot_const[p]   hinge constant
-  pot_weight[p]  potential weight
-  pot_power[p]   0 = simplex indicator, 1 = linear hinge, 2 = squared hinge
+  pot_weight[p]  row weight
+  power          1 = linear hinges, 2 = squared hinges
+  k              block width: atoms b*k .. b*k + k - 1 sum to 1
   atom_comp[n]   optional component id of each atom (default: all 0)
 
-One call solves any number of independent components.  A component is a
-run of equal consecutive atom_comp values; its rows, and so its copies,
-form one contiguous run too, in the same order, and no row touches atoms
-of two components (`grounding.join` builds this layout).  Every step of an
-iteration is elementwise, per row or per atom, and each component's
-residuals are summed over its own copies and atoms only, so its iterates
-and its stopping iteration are those it would have if solved alone.  A
-component stops on its own residual test, at max_iters, or on a NaN, and
-keeps the iterate it stopped at.  Stopped components stay in the working
-arrays, their results ignored, until the copies still running are at most
-half of those arrays; then the running ones are gathered into new arrays.
+Working layout: the caller's hinge copies, then one simplex copy per
+atom, in atom order (`arange(n_atoms)`).  The hinge step reads only the
+hinge copies, and the simplex copies are one contiguous (blocks, k) view,
+projected without a gather.  An atom's hinge copies come before its
+simplex copy, so the consensus sums add every atom's copies in one fixed
+order.
 
-Working layout: the kernel first partitions the rows stably, every hinge
-row before every simplex row, and the copies follow their rows.  The hinge
-step then reads only the hinge copies, and the simplex rows (all of one
-width k) are one contiguous (rows, k) view, projected without a gather.
-An atom's copies keep their relative order as long as, within each
-component, no simplex row precedes a hinge row on the same atom (true of
-every program `grounding` builds, where the partition is the identity
-within a component), so the consensus sums, and with them every iterate,
-are those of the caller's layout.
+One call solves any number of independent components.  A component is a
+run of equal consecutive atom_comp values; its hinge rows, and so its
+copies, form one contiguous run too, in the same order, and no row
+touches atoms of two components (`grounding.join` builds this layout).
+Every step of an iteration is elementwise, per row or per atom, and each
+component's residuals are summed over its own copies and atoms only, so
+its iterates and its stopping iteration are those it would have if
+solved alone.  A component stops on its own residual test, at max_iters,
+or on a NaN, and keeps the iterate it stopped at.  Stopped components
+stay in the working arrays, their results ignored, until the copies
+still running are at most half of those arrays; then the running ones
+are gathered into new arrays.
 
 Stopping test (Boyd et al. 2011, §3.3.1), per component with m copies:
 r <= sqrt(m)·eps_abs + eps_rel·max(‖y‖, ‖z̃‖) and
@@ -135,9 +133,9 @@ def _starts(ids: np.ndarray) -> np.ndarray:
 
 
 class _Working:
-    """The arrays one iteration reads, for a set of whole components, in
-    the hinge-then-simplex layout: copies [0, n_hinge) belong to the hinge
-    rows, the rest to simplex rows of `width` copies each.
+    """The arrays one iteration reads, for a set of whole components:
+    copies [0, n_hinge) belong to the hinge rows, the rest are one simplex
+    copy per atom, in atom order, in blocks of `width`.
 
     Per hinge row: const, and the step t = clip(scale·s / den, 0, cap) of
     its value s = const + coef·v.  atoms and comps map the local atom and
@@ -163,36 +161,24 @@ class _Working:
         self.pair_comp = np.concatenate([self.run_comp, len(comps) + self.run_comp])
 
     @classmethod
-    def partition(cls, copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
-                  pot_weight, pot_power, atom_comp, rho, eps_abs) -> "_Working":
-        """The caller's layout, rows stably partitioned hinge before simplex."""
-        hinge = pot_power > 0
-        copy_hinge = hinge[copy_pot]
-        hinge_copies = np.flatnonzero(copy_hinge)
-        order = np.concatenate([hinge_copies, np.flatnonzero(~copy_hinge)])
-        hinge_pot = (np.cumsum(hinge) - 1)[copy_pot[hinge_copies]]
-        hinge_coef = copy_coef[hinge_copies]
-
-        weight, power = pot_weight[hinge], pot_power[hinge]
-        norm2 = np.bincount(hinge_pot, weights=hinge_coef * hinge_coef,
-                            minlength=len(weight))
+    def build(cls, copy_atom, copy_pot, copy_coef, width, pot_const, pot_weight,
+              power, atom_comp, rho, eps_abs) -> "_Working":
+        """The caller's hinge copies, then one simplex copy per atom."""
+        norm2 = np.bincount(copy_pot, weights=copy_coef * copy_coef,
+                            minlength=len(pot_weight))
         linear = power == 1
-        two_w = 2.0 * weight
+        two_w = 2.0 * pot_weight
         scale = np.where(linear, 1.0, two_w)
         den = np.where(linear, np.where(norm2 > 0, norm2, np.inf), rho + two_w * norm2)
-        cap = np.where(linear, np.divide(weight, rho), np.inf)
+        cap = np.where(linear, np.divide(pot_weight, rho), np.inf)
 
-        widths = np.diff(pot_ptr)[~hinge]
-        width = int(widths[0]) if len(widths) else 0
-        if np.any(widths != width):
-            raise ValueError("simplex rows must share a width")
-
+        n_atoms = len(atom_comp)
+        all_atoms = np.concatenate([copy_atom, np.arange(n_atoms)])
         n_comp = int(atom_comp[-1]) + 1
-        n_copies = np.bincount(atom_comp[copy_atom], minlength=n_comp)
-        return cls(copy_atom[order], hinge_pot, hinge_coef, pot_const[hinge], scale,
-                   den, cap, width, atom_comp,
-                   np.arange(len(atom_comp)), np.arange(n_comp),
-                   np.bincount(copy_atom, minlength=len(atom_comp)).astype(float),
+        n_copies = np.bincount(atom_comp[all_atoms], minlength=n_comp)
+        return cls(all_atoms, copy_pot, copy_coef, pot_const, scale, den, cap, width,
+                   atom_comp, np.arange(n_atoms), np.arange(n_comp),
+                   np.bincount(all_atoms, minlength=n_atoms).astype(float),
                    n_copies, np.sqrt(n_copies) * eps_abs)
 
     def per_copy(self, x):
@@ -228,13 +214,14 @@ class _Working:
             self.n_copies[keep], self.abs_tol[keep])
 
 
-def solve_admm(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
-               pot_weight, pot_power, n_atoms, z0, rho, eps_abs,
+def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
+               pot_weight, power, n_atoms, z0, rho, eps_abs,
                eps_rel, max_iters, atom_comp=None) -> AdmmResult:
     """Run ADMM from z0 until every component has stopped.
 
-    The per-component results are indexed by run of atom_comp, in atom
-    order.  Needs at least one atom.
+    n_atoms is a multiple of k, and a component holds whole blocks.  The
+    per-component results are indexed by run of atom_comp, in atom order.
+    Needs at least one atom.
     """
     if atom_comp is None:
         atom_comp = np.zeros(n_atoms, dtype=np.int64)
@@ -249,13 +236,13 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
     converged = np.zeros(n_comp, dtype=bool)
     nan_out = np.zeros(n_comp, dtype=bool)
 
-    w = _Working.partition(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
-                           pot_weight, pot_power, atom_comp, rho, eps_abs)
+    w = _Working.build(copy_atom, copy_pot, copy_coef, k, pot_const, pot_weight,
+                       power, atom_comp, rho, eps_abs)
     eps_rel_rho = eps_rel * rho
     running = np.ones(n_comp, dtype=bool)
     z = z_out.copy()
     z_copy = z[w.copy_atom]  # z̃, gathered once per iteration
-    u = np.zeros(len(copy_atom))
+    u = np.zeros(len(w.copy_atom))
     y = np.empty_like(u)
     yu2 = np.empty((2, len(u)))
     for it in range(1, max_iters + 1):
@@ -266,8 +253,7 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_ptr, pot_const,
                                       minlength=len(w.const))
         t = np.minimum(np.maximum(w.scale * s_val / w.den, 0.0), w.cap)
         np.subtract(v_hinge, t[w.hinge_pot] * w.hinge_coef, out=y[:h])
-        if w.width:
-            project_rows(v[h:].reshape(-1, w.width), out=y[h:].reshape(-1, w.width))
+        project_rows(v[h:].reshape(-1, w.width), out=y[h:].reshape(-1, w.width))
 
         z_old = z
         acc = np.bincount(w.copy_atom, weights=y + u, minlength=len(z))

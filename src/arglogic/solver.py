@@ -9,9 +9,9 @@ closed form (`solve_uncoupled`).  With chains off every pair is
 uncoupled; with chains on, every pair that no chain triple reaches.
 
 The other blocks go to ADMM as one sub-program: each ground hinge
-potential and each simplex constraint is a local term with private
-copies of its atoms, and the consensus step averages copies and clips to
-[0, 1].  Components stay the node-connected ones the caller passes, and
+potential and each block's simplex constraint is a local term with
+private copies of its atoms, and the consensus step averages copies and
+clips to [0, 1].  Components stay the node-connected ones the caller passes, and
 each stops on the residuals of its ADMM blocks alone.  The returned
 assignment is projected block-wise onto the simplex so it is exactly
 feasible.
@@ -107,8 +107,8 @@ def solve_map_admm(program: GroundProgram,
     if not exact.all():
         sub = program.select(~exact) if exact.any() else program
         result = kernels.solve_admm(
-            sub.copy_atom, sub.copy_pot, sub.copy_coef, sub.pot_ptr, sub.pot_const,
-            sub.pot_weight, sub.pot_power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k),
+            sub.copy_atom, sub.copy_pot, sub.copy_coef, k, sub.pot_const,
+            sub.pot_weight, sub.power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k),
             params.rho, params.eps_abs, params.eps_rel, params.max_iters,
             np.repeat(sub.block_comp, k))
         if result.nan_seen.any():
@@ -144,20 +144,12 @@ TIE_RTOL = 1e-12  # slopes this close, relative, count as tied
 
 def uncoupled_blocks(program: GroundProgram) -> np.ndarray:
     """Per block: whether every hinge row on its atoms has one copy, with a
-    negative coefficient.  A block whose rows mix linear and squared
-    hinges counts as coupled (`ground` gives all rows one power)."""
-    k = len(program.labels)
-    first = program.pot_ptr[:-1]
-    hinge = program.pot_power > 0
-    simple = hinge & (np.diff(program.pot_ptr) == 1)
-    simple[simple] = program.copy_coef[first[simple]] < 0
+    negative coefficient."""
+    simple = np.diff(program.pot_ptr) == 1
+    simple[simple] = program.copy_coef[program.pot_ptr[:-1][simple]] < 0
     coupled = np.zeros(program.n_pairs, dtype=bool)
-    coupled[program.copy_atom[(hinge & ~simple)[program.copy_pot]] // k] = True
-    block = program.copy_atom[first[simple]] // k
-    power = program.pot_power[simple]
-    has_linear, has_squared = (
-        np.bincount(block[power == p], minlength=program.n_pairs) > 0 for p in (1, 2))
-    return ~(coupled | (has_linear & has_squared))
+    coupled[program.copy_atom[~simple[program.copy_pot]] // len(program.labels)] = True
+    return ~coupled
 
 
 def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
@@ -192,8 +184,7 @@ def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
     n = len(blocks)
     local = np.full(program.n_pairs, -1)
     local[blocks] = np.arange(n)
-    rows = np.flatnonzero((program.pot_power > 0) & (program.pot_const > 0)
-                          & (program.pot_weight > 0))
+    rows = np.flatnonzero((program.pot_const > 0) & (program.pot_weight > 0))
     atom = program.copy_atom[program.pot_ptr[rows]]
     mine = local[atom // k] >= 0
     rows, atom = rows[mine], atom[mine]
@@ -204,7 +195,7 @@ def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
 
     # each cell's rows in ascending t, right-aligned, zero padding in front
     order = np.lexsort((t, cell))
-    cell, t, rows = cell[order], t[order], rows[order]
+    cell, t = cell[order], t[order]
     wa = (weight * alpha)[order]
     counts = np.bincount(cell, minlength=n * k)
     width = max(1, int(counts.max(initial=0)))
@@ -215,16 +206,10 @@ def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
         out[cell, slot] = values
         return out.reshape(n, k, width)
 
-    squared = np.zeros(n, dtype=bool)
-    squared[cell // k] = program.pot_power[rows] == 2
-    T = padded(t)
-    x = np.empty((n, k))
-    if not squared.all():
-        x[~squared] = _fill_greedy(T[~squared], padded(wa)[~squared])
-    if squared.any():
-        x[squared] = _water_fill(T[squared], padded(2 * wa * const[order])[squared],
-                                 padded(2 * wa * alpha[order])[squared])
-    return x
+    if program.power == 1:
+        return _fill_greedy(padded(t), padded(wa))
+    return _water_fill(padded(t), padded(2 * wa * const[order]),
+                       padded(2 * wa * alpha[order]))
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -355,7 +340,7 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
     atoms = program.copy_atom.tolist()
     coefs = program.copy_coef.tolist()
     total = np.zeros([n_points] * nb)
-    for p in np.flatnonzero(program.pot_power > 0).tolist():
+    for p in range(len(program.pot_const)):
         expr = np.full([1] * nb, program.pot_const[p].item())
         for c in range(ptr[p], ptr[p + 1]):
             b, pos = divmod(atoms[c], k)
@@ -363,7 +348,7 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
             shape[b] = n_points
             expr = expr + coefs[c] * grid[:, pos].reshape(shape)
         total = total + (program.pot_weight[p].item()
-                         * np.maximum(expr, 0.0) ** program.pot_power[p].item())
+                         * np.maximum(expr, 0.0) ** program.power)
 
     flat = int(np.argmin(total.reshape(-1)))
     choice = np.unravel_index(flat, total.shape)

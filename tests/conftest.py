@@ -45,6 +45,16 @@ def random_ground_program(seed):
                   power=config.power, task_mode=mode)
 
 
+def blocks(prog):
+    """Atom indices per pair of a ground program, one row per block."""
+    return np.arange(prog.n_atoms).reshape(prog.n_pairs, len(prog.labels))
+
+
+def index_of(prog, pair_id, relation):
+    """The atom of one pair's relation in a ground program."""
+    return prog.block_pair_ids.index(pair_id) * len(prog.labels) + prog.labels.index(relation)
+
+
 @pytest.fixture
 def toy_graph():
     g = ArgumentGraph(task_mode="ternary")

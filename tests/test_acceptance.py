@@ -27,7 +27,7 @@ from arglogic.predicates import (
 from arglogic.rules import RuleSetConfig, build_ruleset, expand_grid, sweep
 from arglogic.solver import solve_map_admm, solve_map_grid
 from arglogic.synth import SynthConfig, generate, plant_chain_scenario
-from conftest import random_ground_program
+from conftest import blocks, index_of, random_ground_program
 from test_predicates import random_bundle
 
 
@@ -68,7 +68,7 @@ def test_02_feasibility():
     for seed in range(30):
         prog = random_ground_program(seed + 500)
         a = solve_map_admm(prog)
-        for block in prog.blocks:
+        for block in blocks(prog):
             vals = a.values[list(block)]
             assert abs(vals.sum() - 1.0) <= 1e-6
             assert (vals >= -1e-6).all()
@@ -129,7 +129,7 @@ def test_04_analytic_vertex():
                   task_mode="ternary")
     a = solve_map_admm(prog)
     assert a.labels["p1"] == "support"
-    assert a.values[prog.index_of("p1", "support")] == pytest.approx(
+    assert a.values[index_of(prog, "p1", "support")] == pytest.approx(
         1.0, abs=1e-4)
     assert a.energy == pytest.approx(0.200, abs=1e-6)
 

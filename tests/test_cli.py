@@ -157,6 +157,27 @@ def test_eval_with_baseline_bootstrap(dataset, runner, tmp_path):
     assert "paired bootstrap" in res.output
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("eval", "--resamples", "0"),
+    ("eval", "--resamples", "-5"),
+    ("eval", "--seed", "-1"),
+    ("baseline", "--seed", "-1"),
+])
+def test_out_of_range_number_exit_code_2(dataset, runner, tmp_path, command, option, value):
+    _, args_path, scores_path = dataset
+    rand = tmp_path / "rand.jsonl"
+    runner.invoke(main, ["baseline", str(args_path), str(scores_path),
+                         "--which", "random", "--out", str(rand)])
+    if command == "eval":
+        argv = ["eval", str(rand), str(args_path), "--baseline", str(rand)]
+    else:
+        argv = ["baseline", str(args_path), str(scores_path), "--which", "random",
+                "--out", str(tmp_path / "out.jsonl")]
+    res = runner.invoke(main, argv + [option, value])
+    assert res.exit_code == 2, res.output
+    assert option in res.output and "internal error" not in res.output
+
+
 def test_validation_error_exit_code_2(dataset, runner, tmp_path):
     _, args_path, _ = dataset
     bad_scores = tmp_path / "bad.jsonl"

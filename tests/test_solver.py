@@ -31,7 +31,7 @@ from arglogic.solver import (
     uncoupled_blocks,
 )
 from arglogic.synth import SynthConfig, generate
-from conftest import random_ground_program
+from conftest import blocks, index_of, random_ground_program
 
 
 def single_pair_program(vector, mode="ternary", w_prior=0.2, chains=False,
@@ -51,7 +51,7 @@ def test_grounding_counts():
         obstruct_cs=.5, backing_conseq=.5, refuting_conseq=.5,
         backing_norm=.5, refuting_norm=.5))
     assert len(prog.potentials) == 14  # 13 logic + prior
-    assert len(prog.blocks) == 1 and len(prog.blocks[0]) == 3
+    assert blocks(prog).shape == (1, 3)
 
     nli_only = single_pair_program(PredicateVector(fact_entail=.5,
                                                    fact_contradict=.3))
@@ -99,7 +99,8 @@ def test_with_weights_equals_ground_under_the_config(power):
     placeholder = ground_under(structure(base))
     for w_chain, w_prior in product((0.0, 0.1, 1.0), (0.0, 0.3)):
         config = replace(base, w_chain=w_chain, w_prior=w_prior)
-        reweighted = placeholder.with_weights(config)
+        reweighted = placeholder.with_weights(
+            {rule.id: rule.weight for rule in build_ruleset(config)})
         assert_programs_equal(reweighted, ground_under(config))
         if w_chain and w_prior:  # no row dropped: the arrays are shared
             assert reweighted.copy_atom is placeholder.copy_atom
@@ -117,14 +118,14 @@ def test_energy_examples():
 
 def test_energy_weighted_sum():
     # two hand-built potentials over support, w=2 d=0.5 and w=1 d=0.25 at
-    # support=0.5, then the pair's simplex row
+    # support=0.5
     prog = GroundProgram(
         task_mode="binary", block_pair_ids=["p"], potentials=("R1", "R1"),
-        pot_block=np.zeros(3, dtype=np.int64),
-        pot_ptr=np.array([0, 1, 2, 4]), pot_const=np.array([1.0, 0.75, 0.0]),
-        pot_weight=np.array([2.0, 1.0, 0.0]), pot_power=np.array([1, 1, 0]),
-        copy_atom=np.array([0, 0, 0, 1]), copy_pot=np.array([0, 1, 2, 2]),
-        copy_coef=np.array([-1.0, -1.0, 0.0, 0.0]))
+        pot_block=np.zeros(2, dtype=np.int64),
+        pot_ptr=np.array([0, 1, 2]), pot_const=np.array([1.0, 0.75]),
+        pot_weight=np.array([2.0, 1.0]), power=1,
+        copy_atom=np.array([0, 0]), copy_pot=np.array([0, 1]),
+        copy_coef=np.array([-1.0, -1.0]))
     assert energy(prog, np.array([0.5, 0.5])) == pytest.approx(1.25)
     assert energy_by_pair(prog, np.array([0.5, 0.5])) == {"p": 1.0}
 
@@ -140,7 +141,7 @@ def test_energy_matches_per_potential_loop():
             s = prog.pot_const[p] + sum(prog.copy_coef[c] * values[prog.copy_atom[c]]
                                         for c in copies)
             per_pair[prog.block_pair_ids[prog.pot_block[p]]] += (
-                prog.pot_weight[p] * max(0.0, s) ** prog.pot_power[p])
+                prog.pot_weight[p] * max(0.0, s) ** prog.power)
         total = sum(per_pair.values())
         assert energy(prog, values) == pytest.approx(total, rel=1e-12, abs=1e-15)
         shares = energy_by_pair(prog, values)
@@ -180,7 +181,7 @@ def test_admm_prior_only():
     prog = single_pair_program(PredicateVector(), w_prior=0.3)
     a = solve_map_admm(prog)
     assert a.labels["p1"] == "neutral"
-    assert a.values[prog.index_of("p1", "neutral")] == pytest.approx(1.0, abs=1e-4)
+    assert a.values[index_of(prog, "p1", "neutral")] == pytest.approx(1.0, abs=1e-4)
     assert a.energy == pytest.approx(0.0, abs=1e-6)
 
 
@@ -207,8 +208,8 @@ def kernel_iterations(prog, params=SolverParams()):
     """ADMM iterations of the kernel on all of the program's blocks."""
     k = len(prog.labels)
     return kernels.solve_admm(
-        prog.copy_atom, prog.copy_pot, prog.copy_coef, prog.pot_ptr,
-        prog.pot_const, prog.pot_weight, prog.pot_power, prog.n_atoms,
+        prog.copy_atom, prog.copy_pot, prog.copy_coef, k,
+        prog.pot_const, prog.pot_weight, prog.power, prog.n_atoms,
         np.full(prog.n_atoms, 1.0 / k), params.rho, params.eps_abs,
         params.eps_rel, params.max_iters).iterations
 
@@ -244,7 +245,7 @@ def test_feasibility_of_returned_assignments():
     for seed in range(20):
         prog = random_ground_program(seed + 1000)
         a = solve_map_admm(prog)
-        for block in prog.blocks:
+        for block in blocks(prog):
             vals = a.values[list(block)]
             assert vals.sum() == pytest.approx(1.0, abs=1e-6)
             assert (vals >= -1e-6).all()
@@ -254,11 +255,11 @@ def test_convexity_witness():
     rng = np.random.default_rng(7)
     for seed in range(10):
         prog = random_ground_program(seed + 50)
-        k = len(prog.blocks[0])
+        k = len(prog.labels)
 
         def feasible_point():
             vals = np.empty(prog.n_atoms)
-            for block in prog.blocks:
+            for block in blocks(prog):
                 vals[list(block)] = rng.dirichlet(np.ones(k))
             return vals
 
@@ -298,7 +299,7 @@ def test_non_convergence_is_reported_not_fatal():
     a = solve_map_admm(prog, SolverParams(max_iters=2))
     assert not a.converged
     assert a.iterations == 2
-    for block in prog.blocks:  # still exactly feasible
+    for block in blocks(prog):  # still exactly feasible
         assert a.values[list(block)].sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -313,34 +314,39 @@ def programs_of_mode(mode, count):
 @pytest.mark.parametrize("mode", ["ternary", "binary"])
 def test_batched_solve_equals_per_component_solve(mode):
     programs = programs_of_mode(mode, 12)
-    assert {int(p.pot_power.max()) for p in programs} == {1, 2}
-    alone = [solve_map_admm(p) for p in programs]
-    for order in (range(12), range(11, -1, -1)):
-        solo = [alone[i] for i in order]
-        a = solve_map_admm(join([programs[i] for i in order]))
-        assert np.array_equal(a.values, np.concatenate([s.values for s in solo]))
-        assert a.component_iterations.tolist() == [s.iterations for s in solo]
-        assert a.component_converged.tolist() == [s.converged for s in solo]
-        assert a.iterations == sum(s.iterations for s in solo)
-        assert a.labels == {k: v for s in solo for k, v in s.labels.items()}
-        assert a.energy_shares == {k: v for s in solo for k, v in s.energy_shares.items()}
+    assert {p.power for p in programs} == {1, 2}
+    with pytest.raises(ValidationError, match="hinge powers"):
+        join(programs)
+    for power in (1, 2):
+        same = [p for p in programs if p.power == power]
+        alone = [solve_map_admm(p) for p in same]
+        for order in (range(len(same)), range(len(same) - 1, -1, -1)):
+            solo = [alone[i] for i in order]
+            a = solve_map_admm(join([same[i] for i in order]))
+            assert np.array_equal(a.values, np.concatenate([s.values for s in solo]))
+            assert a.component_iterations.tolist() == [s.iterations for s in solo]
+            assert a.component_converged.tolist() == [s.converged for s in solo]
+            assert a.iterations == sum(s.iterations for s in solo)
+            assert a.labels == {k: v for s in solo for k, v in s.labels.items()}
+            assert a.energy_shares == {k: v for s in solo
+                                       for k, v in s.energy_shares.items()}
 
 
 def test_capped_component_does_not_stop_the_batch():
-    # binary, each three pairs coupled by a chain triple
-    programs = [random_ground_program(s) for s in (15, 16, 25, 41)]
+    # binary, squared hinges, each three pairs coupled by a chain triple
+    programs = [random_ground_program(s) for s in (15, 16, 41)]
     assert not any(uncoupled_blocks(p).any() for p in programs)
     iters = [solve_map_admm(p).iterations for p in programs]
-    assert iters == [51, 62, 224, 46]
-    params = SolverParams(max_iters=100)
+    assert iters == [51, 62, 46]
+    params = SolverParams(max_iters=55)
     a = solve_map_admm(join(programs), params)
-    assert a.component_converged.tolist() == [True, True, False, True]
-    assert a.component_iterations.tolist() == [51, 62, 100, 46]
+    assert a.component_converged.tolist() == [True, False, True]
+    assert a.component_iterations.tolist() == [51, 55, 46]
     assert not a.converged
-    capped = solve_map_admm(programs[2], params)
+    capped = solve_map_admm(programs[1], params)
     assert not capped.converged
-    start = programs[0].n_atoms + programs[1].n_atoms
-    assert np.array_equal(a.values[start:start + programs[2].n_atoms], capped.values)
+    start = programs[0].n_atoms
+    assert np.array_equal(a.values[start:start + programs[1].n_atoms], capped.values)
 
 
 def project_rows_by_sort(V):
@@ -370,7 +376,8 @@ def synth_chain_batch():
     dataset, each as `solve_map_admm` passes them on, joined in one batch."""
     graph, bundles, _ = generate(SynthConfig(seed=1, n_topics=6, tree_depth=4, branching=2))
     config = RuleSetConfig(chains=True)
-    programs = [p.with_weights(config) for p in ground_graph(graph, bundles, config).programs]
+    weights = {rule.id: rule.weight for rule in build_ruleset(config)}
+    programs = [p.with_weights(weights) for p in ground_graph(graph, bundles, config).programs]
     coupled = [p.select(~uncoupled_blocks(p)) for p in programs
                if not uncoupled_blocks(p).all()]
     return coupled, join(coupled)
@@ -379,8 +386,8 @@ def synth_chain_batch():
 def run_kernel(prog, max_iters):
     k = len(prog.labels)
     return kernels.solve_admm(
-        prog.copy_atom, prog.copy_pot, prog.copy_coef, prog.pot_ptr,
-        prog.pot_const, prog.pot_weight, prog.pot_power, prog.n_atoms,
+        prog.copy_atom, prog.copy_pot, prog.copy_coef, k,
+        prog.pot_const, prog.pot_weight, prog.power, prog.n_atoms,
         np.full(prog.n_atoms, 1.0 / k), 1.0, 1e-5, 1e-4, max_iters,
         np.repeat(prog.block_comp, k))
 
@@ -428,45 +435,36 @@ def test_early_out_never_rules_out_a_passing_primal_test(
 
 def hand_program(seed, n_atoms, width):
     """Linear hinge rows of one to three copies over n_atoms atoms (one row
-    on each atom, then random ones), followed by a simplex row on each run
-    of `width` atoms, or by none when width is 0; with the attributes
-    `lp_energy` reads."""
+    on each atom, then random ones), the atoms in blocks of `width`; with
+    the attributes `lp_energy` reads."""
     rng = np.random.default_rng(seed)
     rows = [[a] for a in range(n_atoms)]
     rows += [sorted(rng.choice(n_atoms, rng.integers(1, 4), replace=False).tolist())
              for _ in range(2 * n_atoms)]
-    n_hinge = len(rows)
-    if width:
-        rows += [list(range(b, b + width)) for b in range(0, n_atoms, width)]
     sizes = [len(r) for r in rows]
-    n_simplex = len(rows) - n_hinge
     return SimpleNamespace(
         copy_atom=np.array([a for r in rows for a in r]),
         copy_pot=np.repeat(np.arange(len(rows)), sizes),
-        copy_coef=np.concatenate([rng.normal(size=sum(sizes[:n_hinge])),
-                                  np.zeros(sum(sizes[n_hinge:]))]),
+        copy_coef=rng.normal(size=sum(sizes)),
         pot_ptr=np.concatenate([[0], np.cumsum(sizes)]),
-        pot_const=np.concatenate([rng.normal(0.0, 0.5, n_hinge), np.zeros(n_simplex)]),
-        pot_weight=np.concatenate([rng.uniform(0.5, 2.0, n_hinge), np.zeros(n_simplex)]),
-        pot_power=np.concatenate([np.ones(n_hinge, int), np.zeros(n_simplex, int)]),
-        n_atoms=n_atoms, n_pairs=n_simplex, labels=range(width))
+        pot_const=rng.normal(0.0, 0.5, len(rows)),
+        pot_weight=rng.uniform(0.5, 2.0, len(rows)),
+        power=1, n_atoms=n_atoms, n_pairs=n_atoms // width, labels=range(width))
 
 
-@pytest.mark.parametrize("width", [0, 4, 5])
+@pytest.mark.parametrize("width", [4, 5])
 def test_kernel_solves_programs_without_simplex_rows_or_of_other_widths(width):
     for seed in range(3):
         prog = hand_program(seed, 20, width)
         result = kernels.solve_admm(
-            prog.copy_atom, prog.copy_pot, prog.copy_coef, prog.pot_ptr, prog.pot_const,
-            prog.pot_weight, prog.pot_power, prog.n_atoms, np.full(prog.n_atoms, 0.5),
+            prog.copy_atom, prog.copy_pot, prog.copy_coef, width, prog.pot_const,
+            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 0.5),
             1.0, 1e-7, 1e-6, 25_000)
         assert result.converged.all() and not result.nan_seen.any()
-        x = result.z
-        if width:
-            assert np.allclose(x.reshape(-1, width).sum(axis=1), 1.0, atol=1e-5)
-            x = project_rows(x.reshape(-1, width)).ravel()
+        assert np.allclose(result.z.reshape(-1, width).sum(axis=1), 1.0, atol=1e-5)
+        x = project_rows(result.z.reshape(-1, width)).ravel()
         value = prog.pot_const + np.bincount(prog.copy_pot, weights=prog.copy_coef * x[prog.copy_atom])
-        energy = np.sum((prog.pot_weight * np.maximum(value, 0.0))[prog.pot_power > 0])
+        energy = np.sum(prog.pot_weight * np.maximum(value, 0.0))
         assert energy == pytest.approx(lp_energy(prog), rel=1e-4, abs=1e-4)
 
 
@@ -475,23 +473,21 @@ def test_kernel_solves_programs_without_simplex_rows_or_of_other_widths(width):
 
 def uncoupled_program(mode, power, rows, n_pairs=1):
     """A hand-built program of one-copy rows (atom, coefficient, constant,
-    weight) followed by one simplex row per pair."""
+    weight)."""
     k = 3 if mode == "ternary" else 2
     atoms = np.array([r[0] for r in rows], dtype=np.int64)
     n_rows = len(rows)
-    sizes = np.concatenate([np.ones(n_rows, dtype=np.int64),
-                            np.full(n_pairs, k, dtype=np.int64)])
     return GroundProgram(
         task_mode=mode, block_pair_ids=[f"p{b}" for b in range(n_pairs)],
         potentials=("R1",) * n_rows,
-        pot_block=np.concatenate([atoms // k, np.arange(n_pairs)]),
-        pot_ptr=np.concatenate([[0], np.cumsum(sizes)]),
-        pot_const=np.concatenate([[r[2] for r in rows], np.zeros(n_pairs)]),
-        pot_weight=np.concatenate([[r[3] for r in rows], np.zeros(n_pairs)]),
-        pot_power=np.concatenate([np.full(n_rows, power), np.zeros(n_pairs)]).astype(np.int64),
-        copy_atom=np.concatenate([atoms, np.arange(n_pairs * k)]),
-        copy_pot=np.repeat(np.arange(len(sizes)), sizes),
-        copy_coef=np.concatenate([[r[1] for r in rows], np.zeros(n_pairs * k)]))
+        pot_block=atoms // k,
+        pot_ptr=np.arange(n_rows + 1),
+        pot_const=np.array([r[2] for r in rows], dtype=float),
+        pot_weight=np.array([r[3] for r in rows], dtype=float),
+        power=power,
+        copy_atom=atoms,
+        copy_pot=np.arange(n_rows),
+        copy_coef=np.array([r[1] for r in rows], dtype=float))
 
 
 def random_uncoupled_program(rng, mode, power, n_pairs=4):
@@ -511,7 +507,7 @@ def uncoupled_programs(power):
     ones, in both task modes."""
     rng = np.random.default_rng(power)
     grounded = [p for p in map(random_ground_program, range(120))
-                if int(p.pot_power.max()) == power and uncoupled_blocks(p).all()]
+                if p.power == power and uncoupled_blocks(p).all()]
     built = [random_uncoupled_program(rng, mode, power)
              for mode in ("ternary", "binary") for _ in range(30)]
     assert {p.task_mode for p in grounded} == {"ternary", "binary"}
@@ -520,25 +516,41 @@ def uncoupled_programs(power):
 
 def lp_energy(prog):
     """Optimum of the linear-hinge MAP as an LP over (x, slacks), x in
-    [0, 1] and each block of len(prog.labels) atoms on the simplex."""
+    [0, 1] and each block's atoms on the simplex; the matrices are sparse,
+    so components of thousands of atoms fit."""
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    hinge = np.flatnonzero(prog.pot_power > 0)
-    n, m = prog.n_atoms, len(hinge)
-    a_ub = np.zeros((m, n + m))
-    for i, r in enumerate(hinge.tolist()):
-        for c in range(prog.pot_ptr[r], prog.pot_ptr[r + 1]):
-            a_ub[i, prog.copy_atom[c]] += prog.copy_coef[c]
-    a_ub[np.arange(m), n + np.arange(m)] = -1.0
-    k = len(prog.labels)
-    a_eq = np.zeros((prog.n_pairs, n + m))
-    a_eq[np.repeat(np.arange(prog.n_pairs), k), np.arange(prog.n_pairs * k)] = 1.0
-    res = linprog(np.concatenate([np.zeros(n), prog.pot_weight[hinge]]),
-                  A_ub=a_ub, b_ub=-prog.pot_const[hinge], A_eq=a_eq,
-                  b_eq=np.ones(prog.n_pairs),
+    n, m = prog.n_atoms, len(prog.pot_const)
+    hinges = sparse.csr_matrix((prog.copy_coef, (prog.copy_pot, prog.copy_atom)),
+                               shape=(m, n))
+    a_ub = sparse.hstack([hinges, -sparse.identity(m)], format="csr")
+    atoms = blocks(prog)
+    a_eq = sparse.csr_matrix(
+        (np.ones(n), (np.repeat(np.arange(prog.n_pairs), atoms.shape[1]), atoms.ravel())),
+        shape=(prog.n_pairs, n + m))
+    res = linprog(np.concatenate([np.zeros(n), prog.pot_weight]),
+                  A_ub=a_ub, b_ub=-prog.pot_const, A_eq=a_eq, b_eq=np.ones(prog.n_pairs),
                   bounds=[(0, 1)] * n + [(0, None)] * m, method="highs")
     assert res.status == 0
     return res.fun
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_admm_energy_certified_by_lp_on_deep_chain_components(seed):
+    """Every coupled component of a deep-chains-sized synth program, with
+    linear hinges: ADMM's energy is at least HiGHS's optimum (less 1e-9,
+    relative) and at most 1e-3 above it, relative."""
+    graph, bundles, _ = generate(SynthConfig(seed=seed, n_topics=8, tree_depth=5,
+                                             branching=3))
+    config = RuleSetConfig(chains=True)
+    weights = {rule.id: rule.weight for rule in build_ruleset(config)}
+    programs = [p.with_weights(weights) for p in ground_graph(graph, bundles, config).programs]
+    coupled = [p for p in programs if not uncoupled_blocks(p).all()]
+    assert coupled
+    for prog in coupled:
+        optimum = lp_energy(prog)
+        assert optimum * (1 - 1e-9) <= solve_map_admm(prog).energy <= optimum * (1 + 1e-3)
 
 
 def test_closed_form_linear_matches_lp_optimum():
@@ -555,11 +567,10 @@ def test_closed_form_squared_meets_kkt():
         assert a.iterations == 0 and a.closed_form.all()
         x = a.values
         # marginal decrease -f'(x) of each atom's energy
-        hinge = np.flatnonzero(prog.pot_power > 0)
-        copy = prog.pot_ptr[hinge]
+        copy = prog.pot_ptr[:-1]
         atom, coef = prog.copy_atom[copy], prog.copy_coef[copy]
-        slack = np.maximum(prog.pot_const[hinge] + coef * x[atom], 0.0)
-        decrease = np.bincount(atom, weights=-2 * prog.pot_weight[hinge] * slack * coef,
+        slack = np.maximum(prog.pot_const + coef * x[atom], 0.0)
+        decrease = np.bincount(atom, weights=-2 * prog.pot_weight * slack * coef,
                                minlength=prog.n_atoms).reshape(prog.n_pairs, -1)
         rows = x.reshape(prog.n_pairs, -1)
         assert np.all(rows >= 0) and np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
