@@ -9,6 +9,7 @@ writes the program straight into the flat arrays the ADMM kernel reads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -16,10 +17,11 @@ import numpy as np
 
 from .chains import ChainTriple
 from .model import ArgumentPair, ValidationError, labels_for_mode
-from .predicates import PredicateVector
+from .predicates import PREDICATE_NAMES, PredicateVector
 from .rules import Rule
 
 FEAS_TOL = 1e-6
+_NO_EVIDENCE = PredicateVector()  # the row of a pair without a score bundle
 
 
 @dataclass
@@ -142,11 +144,10 @@ def ground(
 ) -> GroundProgram:
     """Instantiate the rules over one set of pairs (typically a component).
 
-    For each pair and each single-body rule whose predicate value is
-    present, the observed body is inlined:  d = max(0, value - head).
-    Chain rules ground once per triple over six free atoms.  The default
-    prior grounds as d = 1 - default_atom.  The simplex constraint (C2)
-    is the program's structure and grounds no row.
+    For each pair and each single-body rule whose predicate value is not
+    NaN, the observed body is inlined:  d = max(0, value - head).  Chain
+    rules ground once per triple over six free atoms.  The default prior
+    grounds as d = 1 - default_atom.  The simplex is structure: no row.
     """
     labels = labels_for_mode(task_mode)
     k = len(labels)
@@ -158,14 +159,13 @@ def ground(
              if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0.0]
     prior = next((r for r in rules if r.id == "C1" and r.weight > 0.0), None)
     unary = logic + ([prior] if prior is not None else [])
-    consts = np.full((n, len(unary)), np.nan)  # NaN: no row for this pair
-    for b, pair in enumerate(pair_list):
-        vector = predicate_vectors.get(pair.pair_id)
-        if vector is not None:
-            values = vector.present()
-            consts[b, :len(logic)] = [values.get(r.body[0], np.nan) for r in logic]
-        if prior is not None and (pair.kind != "indirect" or prior_on_indirect):
-            consts[b, -1] = 1.0
+    width = len(PREDICATE_NAMES)
+    rows = (predicate_vectors.get(p.pair_id, _NO_EVIDENCE) for p in pair_list)
+    evidence = np.fromiter(itertools.chain.from_iterable(rows), float, n * width).reshape(n, width)
+    consts = evidence.take([PREDICATE_NAMES.index(r.body[0]) for r in logic], axis=1)  # NaN: no row
+    if prior is not None:
+        grounded = prior_on_indirect | (np.array([p.kind for p in pair_list], dtype=str) != "indirect")
+        consts = np.hstack([consts, np.where(grounded, 1.0, np.nan)[:, None]])
     u_block, u_rule = np.nonzero(~np.isnan(consts))  # pair-major, rule order
     u_head = np.array([labels.index(r.head) for r in unary], dtype=np.int64)
     u_weight = np.array([r.weight for r in unary], dtype=float)

@@ -106,12 +106,8 @@ def ground_graph(
         if not triples:
             log.warning("chain rules requested but no indirect pairs exist")
 
-    vectors = {}
-    for pid in work.pairs:
-        bundle = bundles.get(pid)
-        if bundle is None:
-            continue
-        vectors[pid] = evaluate_all(bundle, ablate=ablate)
+    vectors = {pid: evaluate_all(bundles[pid], ablate=ablate)
+               for pid in work.pairs if pid in bundles}
 
     triples_by_pair: dict[str, list[ChainTriple]] = {}
     for t in triples:

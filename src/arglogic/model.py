@@ -442,14 +442,20 @@ def load_dataset(arguments_path, scores_path, task_mode="ternary"):
 
 def _write_atomic(path, text_lines: Iterable[str]):
     """Write through a temporary file, so readers never see a partial file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    try:
+        fh = open(f"{path}.tmp", "w")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
         fh.writelines(text_lines)
-    os.replace(tmp, path)
+    os.replace(fh.name, path)
+
+
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
 
 
 def dump_jsonl(records: Iterable[dict], path):
-    _write_atomic(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    _write_atomic(path, (_JSONL_ENCODER.encode(rec) + "\n" for rec in records))
 
 
 def dump_json(payload: dict, path):

@@ -1,16 +1,16 @@
 """Closed-form evaluation of the 13 rule-body predicate values.
 
 Each evaluator turns one block of upstream probability scores into the
-observed truth value(s) of the corresponding soft-logic rule bodies.
-Absent blocks yield absent predicate values, which later suppresses
-grounding of the corresponding rules; an *empty* list is evidence of
-"nothing found" and evaluates to 0.
+observed truth value(s) of the corresponding soft-logic rule bodies.  A
+pair's evidence is one row of 13 floats (`PredicateVector`): an absent or
+ablated block leaves its values NaN (`ABSENT`), which grounds no row of
+its rules, while an *empty* list is evidence of "nothing found": 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+import math
+from typing import NamedTuple
 
 from .model import (
     CausalScores,
@@ -31,28 +31,30 @@ MECHANISMS = {
 }
 
 
-@dataclass(frozen=True)
-class PredicateVector:
-    fact_entail: Optional[float] = None
-    fact_contradict: Optional[float] = None
-    fact_conflict: Optional[float] = None
-    senti_conflict: Optional[float] = None
-    senti_coherent: Optional[float] = None
-    cause_sc: Optional[float] = None
-    obstruct_sc: Optional[float] = None
-    cause_cs: Optional[float] = None
-    obstruct_cs: Optional[float] = None
-    backing_conseq: Optional[float] = None
-    refuting_conseq: Optional[float] = None
-    backing_norm: Optional[float] = None
-    refuting_norm: Optional[float] = None
+ABSENT = math.nan  # a predicate value whose source block is absent or ablated
+_ABSENT2, _ABSENT4 = (ABSENT,) * 2, (ABSENT,) * 4
+
+
+class PredicateVector(NamedTuple):
+    fact_entail: float = ABSENT
+    fact_contradict: float = ABSENT
+    fact_conflict: float = ABSENT
+    senti_conflict: float = ABSENT
+    senti_coherent: float = ABSENT
+    cause_sc: float = ABSENT
+    obstruct_sc: float = ABSENT
+    cause_cs: float = ABSENT
+    obstruct_cs: float = ABSENT
+    backing_conseq: float = ABSENT
+    refuting_conseq: float = ABSENT
+    backing_norm: float = ABSENT
+    refuting_norm: float = ABSENT
 
     def present(self) -> dict[str, float]:
-        return {name: v for name in PREDICATE_NAMES
-                if (v := getattr(self, name)) is not None}
+        return {name: v for name, v in zip(PREDICATE_NAMES, self) if not math.isnan(v)}
 
 
-PREDICATE_NAMES = tuple(f.name for f in fields(PredicateVector))
+PREDICATE_NAMES = PredicateVector._fields
 
 
 def eval_fact(nli: NliScores) -> tuple[float, float]:
@@ -112,17 +114,14 @@ def evaluate_all(bundle: ScoreBundle, ablate: frozenset[str] = frozenset()) -> P
     `ablate` names mechanisms ("fact", "sentiment", "causal", "normative")
     whose blocks are treated as absent, mirroring rule-family ablations.
     """
-    out: dict[str, float] = {}
-    if bundle.nli is not None and "fact" not in ablate:
-        out["fact_entail"], out["fact_contradict"] = eval_fact(bundle.nli)
-    if bundle.fact_pairs is not None and "fact" not in ablate:
-        out["fact_conflict"] = eval_fact_conflict(bundle.fact_pairs)
-    if bundle.senti_pairs is not None and "sentiment" not in ablate:
-        out["senti_conflict"], out["senti_coherent"] = eval_sentiment(bundle.senti_pairs)
-    if bundle.causal is not None and "causal" not in ablate:
-        (out["cause_sc"], out["obstruct_sc"],
-         out["cause_cs"], out["obstruct_cs"]) = eval_causal(bundle.causal)
-    if bundle.normative is not None and "normative" not in ablate:
-        (out["backing_conseq"], out["refuting_conseq"],
-         out["backing_norm"], out["refuting_norm"]) = eval_normative(bundle.normative)
-    return PredicateVector(**out)
+    nli, fact_pairs = bundle.nli, bundle.fact_pairs
+    if "fact" in ablate:
+        nli = fact_pairs = None
+    senti, causal, normative = bundle.senti_pairs, bundle.causal, bundle.normative
+    return PredicateVector(
+        *(_ABSENT2 if nli is None else eval_fact(nli)),
+        ABSENT if fact_pairs is None else eval_fact_conflict(fact_pairs),
+        *(_ABSENT2 if senti is None or "sentiment" in ablate else eval_sentiment(senti)),
+        *(_ABSENT4 if causal is None or "causal" in ablate else eval_causal(causal)),
+        *(_ABSENT4 if normative is None or "normative" in ablate
+          else eval_normative(normative)))

@@ -2,14 +2,14 @@
 
 R1-R13 are single-body logic rules whose body is an observed predicate
 value; R14-R17 chain two free relation atoms into a third; C1 is a soft
-prior on the default relation and C2 a hard per-pair simplex constraint.
+prior on the default relation.  The per-pair simplex is program
+structure, not a rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Optional
 
 from .model import (ATTACK, BOOL, NEUTRAL, NUMBER, SUPPORT, UNCHECKED, Kind, Table,
                     ValidationError, array, default_label, load_json_object, nested)
@@ -43,10 +43,9 @@ CHAIN_RULES: dict[str, tuple[str, str, str]] = {
 @dataclass(frozen=True)
 class Rule:
     id: str
-    body: tuple  # predicate field name for R1-R13; (rel, rel) for chains; () for C1/C2
-    head: Optional[str]  # relation label; None for the hard constraint
+    body: tuple  # predicate field name for R1-R13; (rel, rel) for chains; () for C1
+    head: str  # relation label
     weight: float
-    hard: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ def build_ruleset(config: RuleSetConfig) -> list[Rule]:
     if config.w_prior < 0:
         raise ValidationError(f"negative prior weight: {config.w_prior}")
     rules.append(Rule("C1", (), default_label(config.task_mode), config.w_prior))
-    rules.append(Rule("C2", (), None, 0.0, hard=True))
     return rules
 
 

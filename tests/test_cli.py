@@ -191,6 +191,15 @@ def test_validation_error_exit_code_2(dataset, runner, tmp_path):
     assert "error:" in res.output
 
 
+@pytest.mark.parametrize("command", ["infer", "sweep"])
+def test_out_in_missing_directory_exit_code_2(dataset, runner, tmp_path, command):
+    _, args_path, scores_path = dataset
+    out = tmp_path / "missing" / "out.jsonl"
+    res = runner.invoke(main, [command, str(args_path), str(scores_path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert str(out) in res.output and "internal error" not in res.output
+
+
 def test_missing_file_exit_code_2(runner, tmp_path):
     res = runner.invoke(main, ["plan", str(tmp_path / "missing.jsonl"),
                                "--out", str(tmp_path / "m.jsonl")])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arglogic.infer import ground_graph
 from arglogic.model import (
     CausalScores,
     NliScores,
@@ -16,6 +17,10 @@ from arglogic.model import (
     TuplePairScores,
 )
 from arglogic.predicates import (
+    ABSENT,
+    MECHANISMS,
+    PREDICATE_NAMES,
+    PredicateVector,
     eval_causal,
     eval_fact,
     eval_fact_conflict,
@@ -23,6 +28,8 @@ from arglogic.predicates import (
     eval_sentiment,
     evaluate_all,
 )
+from arglogic.rules import LOGIC_RULES, RuleSetConfig
+from arglogic.synth import SynthConfig, generate
 
 probs = st.floats(0.0, 1.0)
 
@@ -86,6 +93,15 @@ def test_evaluate_all_partial_and_full():
     )
     assert len(evaluate_all(full).present()) == 13
     assert evaluate_all(ScoreBundle("p")).present() == {}
+
+
+def test_absent_values_are_nan_in_a_row_of_13_floats():
+    vec = evaluate_all(ScoreBundle("p", nli=NliScores(0.6, 0.3, 0.1)))
+    assert isinstance(vec, tuple) and len(vec) == len(PREDICATE_NAMES) == 13
+    assert vec[:2] == (0.6, 0.3)
+    assert all(v is ABSENT for v in vec[2:])
+    assert vec == PredicateVector(fact_entail=0.6, fact_contradict=0.3)
+    assert PredicateVector().present() == {}
 
 
 def test_ablation_forces_absence():
@@ -168,3 +184,16 @@ def test_bounds_and_sum_identities_on_random_bundles():
             n.p_conseq * (n.q_pos + n.q_neg) * (n.r_consist + n.r_contra), abs=1e-9)
         assert vec.backing_norm + vec.refuting_norm == pytest.approx(
             n.p_norm * (n.p_adv + n.p_opp) * (n.r_consist + n.r_contra), abs=1e-9)
+
+
+@pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+def test_ablated_mechanism_grounds_none_of_its_rules(mechanism):
+    graph, bundles, _ = generate(SynthConfig(seed=1))
+    rules = {rid for rid, (pred, _) in LOGIC_RULES.items() if pred in MECHANISMS[mechanism]}
+
+    def grounded(ablate):
+        grounding = ground_graph(graph, bundles, RuleSetConfig(chains=True), ablate=ablate)
+        return {rid for program in grounding.programs for rid in program.potentials}
+
+    assert rules <= grounded(frozenset())
+    assert not rules & grounded(frozenset({mechanism}))

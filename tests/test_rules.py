@@ -15,19 +15,16 @@ from arglogic.rules import (
 from arglogic.synth import SynthConfig, generate
 
 
-def soft(rules):
-    return [r for r in rules if not r.hard]
-
-
 def test_ternary_with_chains_counts():
     rules = build_ruleset(RuleSetConfig(chains=True))
-    assert len(soft(rules)) == 18  # R1-R13 + R14-R17 + C1
-    assert sum(r.hard for r in rules) == 1
+    assert len(rules) == 18  # R1-R13 + R14-R17 + C1
+    assert not any(r.id == "C2" for r in rules)
 
 
 def test_binary_without_chains_counts():
     rules = build_ruleset(RuleSetConfig(task_mode="binary", chains=False))
-    assert len(soft(rules)) == 14  # R1-R13 + C1
+    assert len(rules) == 14  # R1-R13 + C1
+    assert not any(r.id == "C2" for r in rules)
     prior = next(r for r in rules if r.id == "C1")
     assert prior.head == "attack"
 

@@ -18,9 +18,9 @@ from arglogic import kernels
 from arglogic.kernels import project_rows
 from arglogic.chains import build_indirect
 from arglogic.infer import ground_graph
-from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError
-from arglogic.predicates import PredicateVector, evaluate_all
-from arglogic.rules import RuleSetConfig, build_ruleset, structure
+from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
+from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
+from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, structure
 from arglogic.solver import (
     SolverParams,
     _predict_labels,
@@ -104,6 +104,77 @@ def test_with_weights_equals_ground_under_the_config(power):
         assert_programs_equal(reweighted, ground_under(config))
         if w_chain and w_prior:  # no row dropped: the arrays are shared
             assert reweighted.copy_atom is placeholder.copy_atom
+
+
+def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, task_mode):
+    """`ground` as a per-pair loop: each pair's present() values read back
+    with one dict.get per logic rule, then its prior; then per triple, one
+    row per chain rule."""
+    labels = labels_for_mode(task_mode)
+    k = len(labels)
+    pair_list = sorted(pairs, key=lambda p: p.pair_id)
+    block_of = {p.pair_id: b for b, p in enumerate(pair_list)}
+    logic = [r for r in rules if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0]
+    prior = next((r for r in rules if r.id == "C1" and r.weight > 0), None)
+    chain = [r for r in rules if r.id.startswith("R") and len(r.body) == 2 and r.weight != 0]
+    rows = []  # (rule, block, constant, [(atom, coefficient), ...])
+    for b, pair in enumerate(pair_list):
+        vector = vectors.get(pair.pair_id)
+        values = vector.present() if vector is not None else {}
+        for r in logic:
+            value = values.get(r.body[0])
+            if value is not None:
+                rows.append((r, b, value, [(b * k + labels.index(r.head), -1.0)]))
+        if prior is not None and (pair.kind != "indirect" or prior_on_indirect):
+            rows.append((prior, b, 1.0, [(b * k + labels.index(prior.head), -1.0)]))
+    for t in triples:
+        hops = (block_of[t.first_hop], block_of[t.second_hop], block_of[t.outer_pair])
+        for r in chain:
+            rels = (r.body[0], r.body[1], r.head)
+            rows.append((r, hops[2], -1.0, [(h * k + labels.index(rel), coef) for h, rel, coef
+                                             in zip(hops, rels, (1.0, 1.0, -1.0))]))
+    sizes = np.array([len(copies) for *_, copies in rows], dtype=np.int64)
+    copies = [c for *_, row_copies in rows for c in row_copies]
+    return GroundProgram(
+        task_mode=task_mode,
+        block_pair_ids=[p.pair_id for p in pair_list],
+        potentials=tuple(r.id for r, *_ in rows),
+        pot_block=np.array([b for _, b, _, _ in rows], dtype=np.int64),
+        pot_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        pot_const=np.array([c for _, _, c, _ in rows], dtype=float),
+        pot_weight=np.array([r.weight for r, *_ in rows], dtype=float),
+        power=power,
+        copy_atom=np.array([a for a, _ in copies], dtype=np.int64),
+        copy_pot=np.repeat(np.arange(len(rows), dtype=np.int64), sizes),
+        copy_coef=np.array([c for _, c in copies], dtype=float),
+    )
+
+
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+@pytest.mark.parametrize("prior_on_indirect", [True, False])
+def test_ground_from_rows_equals_per_pair_reference(mode, prior_on_indirect):
+    rng = np.random.default_rng(7)
+    graph = ArgumentGraph(task_mode=mode)
+    for pid, s, c in (("a", "A", "B"), ("b", "B", "C"), ("c", "C", "D"), ("e", "E", "B")):
+        graph.add_pair(ArgumentPair(pid, s, c))
+    graph, triples = build_indirect(graph)
+    assert triples and any(p.kind == "indirect" for p in graph)
+    for _ in range(40):
+        vectors = {}
+        for pair in graph:
+            if rng.random() < 0.2:
+                continue  # a pair with no evidence at all
+            values = [float(rng.random()) if rng.random() < 0.6 else ABSENT
+                      for _ in PREDICATE_NAMES]
+            vectors[pair.pair_id] = PredicateVector(*values)
+        config = RuleSetConfig(
+            task_mode=mode, chains=True, prior_on_indirect=prior_on_indirect,
+            w_logic={rid: float(rng.choice([0.0, 0.5, 1.0])) for rid in LOGIC_RULES},
+            w_chain=float(rng.choice([0.0, 1.0])), w_prior=float(rng.choice([0.0, 0.2])),
+            hinge_power=("linear", "squared")[rng.integers(2)])
+        args = (build_ruleset(config), list(graph), vectors, triples, config.power,
+                prior_on_indirect, mode)
+        assert_programs_equal(ground(*args), ground_per_pair(*args))
 
 
 def test_energy_examples():
