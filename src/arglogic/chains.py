@@ -51,9 +51,7 @@ def build_indirect(graph: ArgumentGraph) -> tuple[ArgumentGraph, list[ChainTripl
             outer_id = existing.get(key)
             if outer_id is None:
                 outer_id = indirect_pair_id(s, c)
-                graph.add_pair(ArgumentPair(
-                    pair_id=outer_id, statement_id=s, claim_id=c,
-                    kind="indirect", gold=None, split="test"))
+                graph.add_pair(ArgumentPair(outer_id, s, c, kind="indirect"))
                 existing[key] = outer_id
             triples.append(ChainTriple(outer_id, first.pair_id, second.pair_id))
 

@@ -16,8 +16,8 @@ from . import baselines as baselines_mod
 from . import metrics as metrics_mod
 from .chains import build_indirect, emit_pair_manifest
 from .infer import PREDICTION_TABLES, predictions_to_records, run_inference
-from .model import (ValidationError, dump_json, dump_jsonl, load_arguments, load_dataset,
-                    load_json_object, read_jsonl)
+from .model import (ValidationError, check_writable, dump_json, dump_jsonl, load_arguments,
+                    load_dataset, load_json_object, read_jsonl)
 from .rules import RuleSetConfig, expand_grid, load_config, sweep
 from .synth import SynthConfig, generate, plant_chain_scenario
 
@@ -112,6 +112,7 @@ def cmd_infer(arguments_path, scores_path, config_path, mode, chains,
               hinge_power, ablate, out_path):
     """MAP inference; writes one prediction line per direct pair."""
     config, _ = _load_ruleset_config(config_path, mode, chains, hinge_power)
+    check_writable(out_path)
     graph, bundles = load_dataset(arguments_path, scores_path, config.task_mode)
     result = run_inference(graph, bundles, config, ablate=frozenset(ablate))
     dump_jsonl(predictions_to_records(result.predictions, config.task_mode), out_path)
@@ -131,6 +132,7 @@ def cmd_infer(arguments_path, scores_path, config_path, mode, chains,
 def cmd_sweep(arguments_path, scores_path, config_path, mode, chains, out_path):
     """Grid-search chain/prior weights on the validation split."""
     base, grids = _load_ruleset_config(config_path, mode, chains, None)
+    check_writable(out_path)
     graph, bundles = load_dataset(arguments_path, scores_path, base.task_mode)
     configs = expand_grid(base, grids)
     best, rows = sweep(configs, graph, bundles)

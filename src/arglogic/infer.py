@@ -87,20 +87,15 @@ def ground_graph(
     shape = structure(config)
     rules = build_ruleset(shape)
 
-    work = ArgumentGraph(task_mode=graph.task_mode)
-    for pair in graph:
-        if pair.kind == "indirect":
-            # indirect pairs only transmit evidence through chain rules
-            if config.chains:
-                work.add_pair(pair)
-            continue
-        if restrict_split is not None and pair.split != restrict_split:
-            continue
-        work.add_pair(pair)
+    # indirect pairs only transmit evidence through chain rules
+    work = ArgumentGraph(graph.task_mode, {
+        pid: pair for pid, pair in graph.pairs.items()
+        if (config.chains if pair.kind == "indirect"
+            else restrict_split is None or pair.split == restrict_split)})
 
     triples: list[ChainTriple] = []
     if config.chains:
-        if not any(True for _ in work.direct_pairs()):
+        if not work.direct_pairs():
             log.warning("chain rules requested on an empty graph")
         work, triples = build_indirect(work)
         if not triples:
@@ -109,27 +104,22 @@ def ground_graph(
     vectors = {pid: evaluate_all(bundles[pid], ablate=ablate)
                for pid in work.pairs if pid in bundles}
 
-    triples_by_pair: dict[str, list[ChainTriple]] = {}
-    for t in triples:
-        for pid in (t.outer_pair, t.first_hop, t.second_hop):
-            triples_by_pair.setdefault(pid, []).append(t)
-
     components = connected_components(work)
+    # A component's triples in the order a pair-id-ordered scan of its
+    # pairs first meets them: by the earliest of each triple's pair ids.
+    component_of = {p.pair_id: c for c, pairs in enumerate(components) for p in pairs}
+    component_triples: list[list[ChainTriple]] = [[] for _ in components]
+    for t in sorted(triples, key=lambda t: min(t.outer_pair, t.first_hop, t.second_hop)):
+        component_triples[component_of[t.outer_pair]].append(t)
 
-    def ground_component(pairs):
-        seen: set[int] = set()
-        comp_triples = []
-        for p in pairs:
-            for t in triples_by_pair.get(p.pair_id, ()):
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    comp_triples.append(t)
+    def ground_component(pairs, comp_triples):
         return ground(rules, pairs, vectors, comp_triples,
                       power=shape.power,
                       prior_on_indirect=shape.prior_on_indirect,
                       task_mode=work.task_mode)
 
-    return Grounding(shape, work, len(components), map(ground_component, components))
+    return Grounding(shape, work, len(components),
+                     map(ground_component, components, component_triples))
 
 
 def run_inference(

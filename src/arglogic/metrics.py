@@ -20,10 +20,14 @@ class MetricsReport:
     n_pairs: int
 
 
-def _f1(tp, fp, fn) -> float:
-    # 0/0 convention -> 0
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+def _accuracy_f1(gold: np.ndarray, pred: np.ndarray, n_labels: int) -> tuple[float, list[float]]:
+    """Accuracy and each label's F1 (0/0 read as 0) of two label-index arrays."""
+    f1s = []
+    for li in range(n_labels):
+        is_gold, is_pred = gold == li, pred == li
+        denom = int(np.count_nonzero(is_gold) + np.count_nonzero(is_pred))  # 2 tp + fp + fn
+        f1s.append(2 * int(np.count_nonzero(is_gold & is_pred)) / denom if denom else 0.0)
+    return float(np.mean(gold == pred)), f1s
 
 
 def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -66,17 +70,10 @@ def compute_metrics(predictions: dict, golds: dict[str, str],
 
     gold_arr = np.array([labels.index(golds[pid]) for pid in pair_ids])
     pred_arr = np.array([labels.index(predictions[pid].predicted) for pid in pair_ids])
-    accuracy = float(np.mean(gold_arr == pred_arr))
-
-    f1 = {}
-    counts = {}
-    for li, label in enumerate(labels):
-        tp = int(np.sum((gold_arr == li) & (pred_arr == li)))
-        fp = int(np.sum((gold_arr != li) & (pred_arr == li)))
-        fn = int(np.sum((gold_arr == li) & (pred_arr != li)))
-        f1[label] = _f1(tp, fp, fn)
-        counts[label] = int(np.sum(gold_arr == li))
-    macro_f1 = float(np.mean([f1[label] for label in labels]))
+    accuracy, f1s = _accuracy_f1(gold_arr, pred_arr, len(labels))
+    f1 = dict(zip(labels, f1s))
+    counts = {label: int(np.count_nonzero(gold_arr == li)) for li, label in enumerate(labels)}
+    macro_f1 = float(np.mean(f1s))
 
     aucs = []
     for li, label in enumerate(labels):
@@ -110,14 +107,8 @@ SIGNIFICANCE_LEVELS = {0.05: "*", 0.01: "+", 0.001: "++"}
 
 
 def _confusion_metrics(gold, pred, n_labels):
-    acc = float(np.mean(gold == pred))
-    f1s = []
-    for li in range(n_labels):
-        tp = np.sum((gold == li) & (pred == li))
-        fp = np.sum((gold != li) & (pred == li))
-        fn = np.sum((gold == li) & (pred != li))
-        f1s.append(_f1(tp, fp, fn))
-    return {"accuracy": acc, "macro_f1": float(np.mean(f1s))}
+    accuracy, f1s = _accuracy_f1(gold, pred, n_labels)
+    return {"accuracy": accuracy, "macro_f1": float(np.mean(f1s))}
 
 
 def paired_bootstrap(pred_a: dict, pred_b: dict, golds: dict[str, str],

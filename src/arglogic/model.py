@@ -7,9 +7,9 @@ upstream probabilities per line).  See FORMATS.md for field names.
 Every record read or written is declared once, as a `Table` of (field
 name, kind, default, group) rows: `Table.read` checks a JSON object and
 builds its value, `Table.write` turns the value back into the object.
-The score block types are made from their tables.  The tables of configs
-and predictions live next to the types they build (`rules.py`,
-`synth.py`, `infer.py`).
+The pair and score block types are made from their tables.  The tables
+of configs and predictions live next to the types they build
+(`rules.py`, `synth.py`, `infer.py`).
 """
 
 from __future__ import annotations
@@ -63,31 +63,17 @@ def default_label(task_mode: str) -> str:
     return NEUTRAL if task_mode == "ternary" else ATTACK
 
 
-@dataclass(frozen=True)
-class ArgumentPair:
-    pair_id: str
-    statement_id: str
-    claim_id: str
-    kind: str = "direct"  # direct | indirect
-    gold: Optional[str] = None
-    split: str = "test"  # fit | val | test
-
-    def __post_init__(self):
-        if self.statement_id == self.claim_id:
-            raise ValidationError(
-                f"pair {self.pair_id!r}: statement_id equals claim_id"
-            )
-
-
 @dataclass
 class ArgumentGraph:
-    """Immutable-after-load collection of pairs with a node adjacency index."""
+    """The pairs of one task mode, by pair id.  `add_pair` checks each pair
+    it is given; `build_indirect` adds the chains' indirect pairs."""
 
     task_mode: str = "ternary"
     pairs: dict[str, ArgumentPair] = field(default_factory=dict)
-    adjacency: dict[str, list[str]] = field(default_factory=dict)
 
     def add_pair(self, pair: ArgumentPair, line=None):
+        if pair.statement_id == pair.claim_id:
+            raise ValidationError(f"pair {pair.pair_id!r}: statement_id equals claim_id", line)
         if pair.pair_id in self.pairs:
             raise ValidationError(f"duplicate pair_id {pair.pair_id!r}", line)
         if self.task_mode == "binary" and pair.gold == NEUTRAL:
@@ -95,8 +81,6 @@ class ArgumentGraph:
                 f"pair {pair.pair_id!r}: neutral gold is illegal in binary mode", line
             )
         self.pairs[pair.pair_id] = pair
-        for node in (pair.statement_id, pair.claim_id):
-            self.adjacency.setdefault(node, []).append(pair.pair_id)
 
     def __iter__(self):
         return iter(self.pairs.values())
@@ -114,35 +98,28 @@ class ArgumentGraph:
 def connected_components(graph: ArgumentGraph) -> list[list[ArgumentPair]]:
     """Partition pairs into components; pairs sharing a node are connected.
 
-    Chain triples never bridge otherwise-disconnected pairs because every
-    triple's three pairs already share nodes pairwise through S, I, C.
+    Components come in the order of their first pair id, and each holds
+    its pairs in pair-id order; grounding relies on both.  Chain triples
+    never bridge otherwise-disconnected pairs because every triple's three
+    pairs already share nodes pairwise through S, I, C.
     """
-    parent: dict[str, str] = {}
+    parent: dict[str, str] = {}  # node -> a node of its component, or itself at the root
 
     def find(x):
-        root = x
+        root = parent.setdefault(x, x)
         while parent[root] != root:
             root = parent[root]
         while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for pid, pair in graph.pairs.items():
-        parent.setdefault(pid, pid)
-    for node, pids in graph.adjacency.items():
-        for other in pids[1:]:
-            union(pids[0], other)
-
+    for pair in graph.pairs.values():
+        parent[find(pair.claim_id)] = find(pair.statement_id)
     groups: dict[str, list[ArgumentPair]] = {}
     for pid in sorted(graph.pairs):
-        groups.setdefault(find(pid), []).append(graph.pairs[pid])
-    # deterministic order: by smallest pair_id in the component
-    return [groups[k] for k in sorted(groups, key=lambda r: min(p.pair_id for p in groups[r]))]
+        pair = graph.pairs[pid]
+        groups.setdefault(find(pair.statement_id), []).append(pair)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +313,13 @@ def _writer(table: Table) -> Callable:
 # ---------------------------------------------------------------------------
 # argument and score records (FORMATS.md)
 
-PAIR_TABLE = Table(ArgumentPair, [
+PAIR_TABLE = Table("ArgumentPair", [
     *((name, STRING, REQUIRED, None) for name in ("pair_id", "statement_id", "claim_id")),
-    ("kind", choice("direct", "indirect"), None, None),
+    ("kind", choice("direct", "indirect"), "direct", None),
     ("gold", choice(*TERNARY_LABELS), None, None),
-    ("split", choice(*SPLITS), None, None),
+    ("split", choice(*SPLITS), "test", None),
 ])
+ArgumentPair = PAIR_TABLE.make
 
 
 def _probs(names: str, group: Optional[Group] = None) -> list:
@@ -440,13 +418,23 @@ def load_dataset(arguments_path, scores_path, task_mode="ternary"):
 # ---------------------------------------------------------------------------
 # writing
 
-def _write_atomic(path, text_lines: Iterable[str]):
-    """Write through a temporary file, so readers never see a partial file."""
+def _open_tmp(path):
     try:
-        fh = open(f"{path}.tmp", "w")
+        return open(f"{path}.tmp", "w")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
+
+
+def check_writable(path):
+    """Raise now the error that writing `path` would raise after the work."""
+    with _open_tmp(path) as fh:
+        pass
+    os.remove(fh.name)
+
+
+def _write_atomic(path, text_lines: Iterable[str]):
+    """Write through a temporary file, so readers never see a partial file."""
+    with _open_tmp(path) as fh:
         fh.writelines(text_lines)
     os.replace(fh.name, path)
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps this program's
 functions at their module attributes and reads the kernel's arguments by
-position.  A tiny `infer` and `sweep` run under it must leave no wrapped
-layer absent and no count unreadable, and must reach the ADMM kernel."""
+position.  A tiny `infer` and `sweep` with chains on, and `infer` with
+chains off, run under it must leave no wrapped layer absent and no count
+unreadable; the chains-on commands must reach the ADMM kernel."""
 
 import sys
 from pathlib import Path
@@ -23,16 +24,20 @@ def test_tracer_finds_every_layer_and_counts_kernel_iterations(tmp_path):
     dump_jsonl((bundle_to_record(bundles[pid]) for pid in sorted(bundles)), scores)
 
     tracer = tracing.Tracer()
-    for pass_id, command in enumerate(("infer", "sweep")):
+    # the chains-on commands reach the kernel; flat's `infer --chains off`
+    # is solved in closed form
+    commands = (("infer", "on"), ("sweep", "on"), ("infer", "off"))
+    for pass_id, (command, chains) in enumerate(commands):
         tracer.pass_id = pass_id
         tracer.install(timed=True)
         try:
-            main([command, str(args), str(scores), "--chains", "on",
-                  "--out", str(tmp_path / f"{command}.out")], standalone_mode=False)
+            main([command, str(args), str(scores), "--chains", chains,
+                  "--out", str(tmp_path / f"{command}-{chains}.out")], standalone_mode=False)
         finally:
             tracer.uninstall()
         counts = tracing.pass_counts(tracer.outcomes, pass_id)
-        assert counts.get("kernels.iterations", 0) > 0, command
+        if chains == "on":
+            assert counts.get("kernels.iterations", 0) > 0, command
     assert tracer.absent == set()
     assert tracer.absent_layers() == []
     assert tracer.count_errors == set()

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 
-from arglogic.chains import build_indirect, emit_pair_manifest
+import arglogic.infer
+from arglogic.chains import INDIRECT_PREFIX, build_indirect, emit_pair_manifest
+from arglogic.infer import ground_graph
 from arglogic.model import ArgumentGraph, ArgumentPair, connected_components
+from arglogic.rules import RuleSetConfig
 
 
 def graph_of(edges, mode="ternary"):
@@ -74,6 +77,59 @@ def test_triples_land_in_one_component():
     by_pair = {p.pair_id: i for i, comp in enumerate(comps) for p in comp}
     for t in triples:
         assert by_pair[t.outer_pair] == by_pair[t.first_hop] == by_pair[t.second_hop]
+
+
+def scanned_component_triples(components, triples):
+    """Reference: each component's triples as a scan of its pairs, in
+    pair-id order, first meets them through a pair -> triples index."""
+    by_pair = {}
+    for t in triples:
+        for pid in (t.outer_pair, t.first_hop, t.second_hop):
+            by_pair.setdefault(pid, []).append(t)
+    result = []
+    for pairs in components:
+        seen, comp_triples = set(), []
+        for p in pairs:
+            for t in by_pair.get(p.pair_id, ()):
+                if t not in seen:
+                    seen.add(t)
+                    comp_triples.append(t)
+        result.append(comp_triples)
+    return result
+
+
+def test_ground_graph_passes_triples_in_scan_order(monkeypatch):
+    grounded = []
+
+    def recording_ground(rules, pairs, vectors, triples, **kwargs):
+        grounded.append(list(triples))
+        return real_ground(rules, pairs, vectors, triples, **kwargs)
+
+    real_ground = arglogic.infer.ground
+    monkeypatch.setattr(arglogic.infer, "ground", recording_ground)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        edges = set()
+        for topic in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(3, 12))
+            edges |= {(f"t{topic}n{c}", f"t{topic}n{rng.integers(0, c)}") for c in range(1, n)}
+            edges |= {(f"t{topic}n{u}", f"t{topic}n{v}")
+                      for u, v in rng.integers(0, n, size=(3, 2)) if u != v}
+        # pair ids on both sides of the indirect pairs' prefix
+        prefixes = rng.choice(["a", "i", "j", "z"], size=len(edges))
+        graph = ArgumentGraph()
+        for i, ((s, c), prefix) in enumerate(zip(sorted(edges), prefixes)):
+            graph.add_pair(ArgumentPair(f"{prefix}{i}", s, c))
+        _, triples = build_indirect(ArgumentGraph(graph.task_mode, dict(graph.pairs)))
+        assert triples
+        grounded.clear()
+        grounding = ground_graph(graph, {}, RuleSetConfig(chains=True))
+        programs = list(grounding.programs)
+        components = connected_components(grounding.work)
+        assert len(programs) == len(grounded) == len(components)
+        assert grounded == scanned_component_triples(components, triples)
+        ids = sorted(grounding.work.pairs)
+        assert ids[0] < INDIRECT_PREFIX < ids[-1]
 
 
 def test_manifest_lists_unscored_pairs():

@@ -192,12 +192,29 @@ def test_validation_error_exit_code_2(dataset, runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["infer", "sweep"])
-def test_out_in_missing_directory_exit_code_2(dataset, runner, tmp_path, command):
+def test_out_in_missing_directory_exit_code_2(dataset, runner, tmp_path, command,
+                                              monkeypatch):
     _, args_path, scores_path = dataset
     out = tmp_path / "missing" / "out.jsonl"
+    called = []
+    for name in ("load_dataset", "run_inference", "sweep"):
+        monkeypatch.setattr(f"arglogic.cli.{name}", lambda *a, name=name, **k: called.append(name))
     res = runner.invoke(main, [command, str(args_path), str(scores_path), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert str(out) in res.output and "internal error" not in res.output
+    assert called == []  # the check comes before the work
+
+
+def test_self_loop_line_exit_code_2(dataset, runner, tmp_path):
+    _, args_path, scores_path = dataset
+    lines = args_path.read_text().splitlines(keepends=True)
+    loop = json.dumps({"pair_id": "loop", "statement_id": "x", "claim_id": "x"}) + "\n"
+    bad_args = tmp_path / "args.jsonl"
+    bad_args.write_text("".join(lines[:2]) + loop + "".join(lines[2:]))
+    res = runner.invoke(main, ["infer", str(bad_args), str(scores_path),
+                               "--out", str(tmp_path / "out.jsonl")])
+    assert res.exit_code == 2, res.output
+    assert "line 3: pair 'loop': statement_id equals claim_id" in res.output
 
 
 def test_missing_file_exit_code_2(runner, tmp_path):

@@ -140,8 +140,8 @@ def test_malformed_line_reports_number(tmp_path):
 
 
 def test_self_loop_rejected():
-    with pytest.raises(ValidationError, match="statement_id equals claim_id"):
-        ArgumentPair("p", "x", "x")
+    with pytest.raises(ValidationError, match="line 3: pair 'p': statement_id equals claim_id"):
+        ArgumentGraph().add_pair(ArgumentPair("p", "x", "x"), line=3)
 
 
 def test_components_shared_node():
@@ -194,7 +194,7 @@ def brute_force_components(pairs):
     lambda t: t[0] != t[1]), min_size=1, max_size=12, unique=True))
 def test_components_match_brute_force(edges):
     g = ArgumentGraph()
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in reversed(list(enumerate(edges))):  # not in pair-id order
         g.add_pair(ArgumentPair(f"p{i}", f"n{u}", f"n{v}"))
     comps = connected_components(g)
     got = {frozenset(p.pair_id for p in comp) for comp in comps}
@@ -202,6 +202,10 @@ def test_components_match_brute_force(edges):
     # partition: disjoint and covering
     all_ids = [p.pair_id for comp in comps for p in comp]
     assert sorted(all_ids) == sorted(g.pairs)
+    # order, which grounding relies on: components by their first pair id,
+    # and pairs in pair-id order within each component
+    assert [comp[0].pair_id for comp in comps] == sorted(comp[0].pair_id for comp in comps)
+    assert all(ids == sorted(ids) for ids in ([p.pair_id for p in comp] for comp in comps))
 
 
 # One valid record of each kind, and the reader that checks it.

@@ -96,9 +96,8 @@ def test_sweep_ignores_gold_labels(val_dataset):
 
     corrupted = dataclasses.replace(graph)
     corrupted.pairs = {
-        pid: dataclasses.replace(
-            p, gold={"support": "attack", "attack": "neutral",
-                     "neutral": "support"}[p.gold] if p.gold else None)
+        pid: p._replace(gold={"support": "attack", "attack": "neutral",
+                              "neutral": "support"}[p.gold] if p.gold else None)
         for pid, p in graph.pairs.items()}
     best_c, rows_c = sweep(configs, corrupted, bundles)
     assert best_c == best
