@@ -12,13 +12,7 @@ from .predicates import PredicateVector, evaluate_all
 from .rules import Rule, RuleSetConfig, build_ruleset, sweep
 from .chains import ChainTriple, build_indirect, emit_pair_manifest
 from .grounding import GroundProgram, energy, ground
-from .solver import (
-    Assignment,
-    SolverParams,
-    project_simplex,
-    solve_map_admm,
-    solve_map_grid,
-)
+from .solver import Assignment, SolverParams, solve_map_admm
 from .infer import run_inference
 from .metrics import MetricsReport, compute_metrics, paired_bootstrap
 from .synth import SynthConfig, generate, plant_chain_scenario
@@ -31,7 +25,7 @@ __all__ = [
     "Rule", "RuleSetConfig", "build_ruleset", "sweep", "ChainTriple",
     "build_indirect", "emit_pair_manifest", "GroundProgram",
     "energy", "ground", "Assignment",
-    "SolverParams", "project_simplex", "solve_map_admm", "solve_map_grid",
+    "SolverParams", "solve_map_admm",
     "run_inference", "MetricsReport", "compute_metrics", "paired_bootstrap",
     "SynthConfig", "generate", "plant_chain_scenario",
 ]

@@ -10,9 +10,8 @@ import numpy as np
 
 from .chains import ChainTriple, build_indirect
 from .grounding import GroundProgram, ground, join
-from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, Group,
-                    ScoreBundle, Table, choice, connected_components, labels_for_mode,
-                    sums_to_one)
+from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, ScoreBundle,
+                    Table, choice, connected_components, labels_for_mode, sums_to_one)
 from .predicates import evaluate_all
 from .rules import RuleSetConfig, build_ruleset, structure
 from .solver import SolverParams, solve_map_admm
@@ -37,7 +36,7 @@ class PairPrediction:
 
 # The prediction record of each task mode; its label scores are a
 # distribution, held in `PairPrediction.scores`.
-_LABEL_SCORES = Group(sums_to_one, held_in="scores")
+_LABEL_SCORES = sums_to_one(held_in="scores")
 PREDICTION_TABLES = {mode: Table(PairPrediction, [
     ("pair_id", STRING, REQUIRED, None),
     *((label, PROB, REQUIRED, _LABEL_SCORES) for label in labels_for_mode(mode)),

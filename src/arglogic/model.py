@@ -7,6 +7,9 @@ upstream probabilities per line).  See FORMATS.md for field names.
 Every record read or written is declared once, as a `Table` of (field
 name, kind, default, group) rows: `Table.read` checks a JSON object and
 builds its value, `Table.write` turns the value back into the object.
+Each table compiles its reader once, with every field's check inlined;
+the generic walker `_read` only reads a record the compiled reader turns
+down, so it alone words errors and renormalises distributions.
 The pair and score block types are made from their tables.  The tables
 of configs and predictions live next to the types they build
 (`rules.py`, `synth.py`, `infer.py`).
@@ -145,9 +148,18 @@ class _Invalid(Exception):
 
 
 class Kind(NamedTuple):
-    """`read(value, line)` returns a field's value or raises _Invalid.  The
-    writer recurses into `table`: a nested object's, or each item's if `many`."""
+    """How one field is read.  `read(value, line)` is the walker's: it
+    returns the field's value or raises _Invalid.  The compiled reader
+    inlines `test`, a Python expression true of the JSON values `read`
+    accepts, and `value`, the expression of what `read` returns for them; in
+    both, `{0}` stands for the JSON value and `{1}` for `arg`.  A nested
+    table's `test` is "True": its `value` calls the table's `check`, which
+    raises _Reject instead.  The writer recurses into `table`: a nested
+    object's, or each item's if `many`."""
     read: Callable
+    test: str = "True"
+    value: str = "{0}"
+    arg: object = None
     table: Optional["Table"] = None
     many: bool = False
 
@@ -157,7 +169,9 @@ def _number(name: str, high=sys.float_info.max, json_types=(float, int), convert
         if type(value) in json_types and 0 <= value <= high:
             return convert(value)
         raise _Invalid(f"must be {name}, got {value!r}")
-    return Kind(read)
+    types = " or ".join(f"type({{0}}) is {t.__name__}" for t in json_types)
+    bound = f" <= {high!r}" if high < math.inf else ""
+    return Kind(read, f"({types}) and 0 <= {{0}}{bound}", f"{convert.__name__}({{0}})")
 
 
 def _of_type(json_type: type, name: str, values=None) -> Kind:
@@ -165,7 +179,8 @@ def _of_type(json_type: type, name: str, values=None) -> Kind:
         if type(value) is json_type and (values is None or value in values):
             return value
         raise _Invalid(f"must be {name}, got {value!r}")
-    return Kind(read)
+    member = "" if values is None else " and {0} in {1}"
+    return Kind(read, f"type({{0}}) is {json_type.__name__}{member}", arg=values)
 
 
 def choice(*values: str) -> Kind:
@@ -179,8 +194,17 @@ BOOL, STRING = _of_type(bool, "true or false"), _of_type(str, "a JSON string")
 UNCHECKED = Kind(lambda value, line: value)  # for a field its receiver checks
 
 
-def nested(table: "Table") -> Kind:
-    return Kind(partial(_read, table), table)
+def nested(table: "Table", spread: bool = False) -> Kind:
+    """A JSON object read by `table`.  Given `spread`, a value that is not an
+    object stands for each of the table's fields (`"w_logic": 1`)."""
+    if not spread:
+        return Kind(partial(_read, table), value="{1}({0})", arg=table.check, table=table)
+    names = tuple(row[0] for row in table.rows)
+
+    def read(value, line):
+        return _read(table, value if isinstance(value, dict) else dict.fromkeys(names, value), line)
+    return Kind(read, value="{1}[0]({0} if isinstance({0}, dict) else dict.fromkeys({1}[1], {0}))",
+                arg=(table.check, names), table=table)
 
 
 def array(item: Kind, non_empty: bool = False) -> Kind:
@@ -196,10 +220,29 @@ def array(item: Kind, non_empty: bool = False) -> Kind:
                 exc.path.append(i)
                 raise
         return tuple(items)
-    return Kind(read, item.table, many=True)
+    test = "type({0}) is list" + " and {0}" * non_empty
+    if item.test != "True":
+        test += f" and all({item.test.format('_e', '{1}')} for _e in {{0}})"
+    if item.value == "{1}({0})":  # a nested table's reader
+        value = "tuple(map({1}, {0}))"
+    else:
+        value = f"tuple([{item.value.format('_e', '{1}')} for _e in {{0}}])"
+    return Kind(read, test, value, item.arg, item.table, many=True)
 
 
-def sums_to_one(values, names, line):
+class Group:
+    """Rows sharing one Group are checked together by the walker's
+    `check(values, names, line)`.  The compiled reader passes them as they
+    are when `accepts`, an expression over `{0}`, the tuple of their
+    values, is true, and leaves the record to the walker otherwise.  A
+    group `held_in` an attribute is one dict there, not one attribute per
+    field."""
+
+    def __init__(self, check: Callable, accepts: str, held_in: Optional[str] = None):
+        self.check, self.accepts, self.held_in = check, accepts, held_in
+
+
+def _renormalise(values, names, line):
     """A distribution; one off by at most DIST_RENORM_TOL is renormalised."""
     vals = list(map(values.__getitem__, names))
     total = sum(vals)
@@ -211,18 +254,18 @@ def sums_to_one(values, names, line):
         values.update((name, v / total) for name, v in zip(names, vals))
 
 
-def at_most_one(values, names, line):
+def sums_to_one(held_in: Optional[str] = None) -> Group:
+    return Group(_renormalise, "abs(sum({0}) - 1.0) <= 1e-12", held_in)
+
+
+def _check_at_most_one(values, names, line):
     total = sum(map(values.__getitem__, names))
     if total > 1.0 + DIST_TOL:
         raise _Invalid(f"sum to {total:.6f}, more than 1", fields=names)
 
 
-class Group:
-    """Rows sharing one Group are checked together by `check(values, names, line)`;
-    a group `held_in` an attribute is one dict there, not one attribute per field."""
-
-    def __init__(self, check: Callable, held_in: Optional[str] = None):
-        self.check, self.held_in = check, held_in
+def at_most_one() -> Group:
+    return Group(_check_at_most_one, f"sum({{0}}) <= {1.0 + DIST_TOL!r}")
 
 
 REQUIRED = object()  # the default of a field that must be given
@@ -234,11 +277,14 @@ class Table:
     the table makes a named tuple of its fields).  A REQUIRED field must be
     given.  A field whose default is None may be left out, the value then
     taking its own default, and is not written while it is None.  Any other
-    default is the value of a field left out.  Unknown fields are errors."""
+    default is the value of a field left out.  Unknown fields are errors.
+    `check`, compiled once per table, reads a record or raises _Reject;
+    `write` turns the value back into the record."""
 
     def __init__(self, make, rows):
         self.rows = rows = tuple(rows)
-        if isinstance(make, str):
+        positional = isinstance(make, str)
+        if positional:
             trailing = takewhile(lambda d: d is not REQUIRED, (row[2] for row in rows[::-1]))
             make = namedtuple(make, [row[0] for row in rows], defaults=list(trailing)[::-1])
         self.make = make
@@ -250,6 +296,7 @@ class Table:
             if group is not None:
                 groups.setdefault(group, []).append(name)
         self.groups = tuple((group, tuple(names)) for group, names in groups.items())
+        self.check = _reader(self, positional)
         self.write = _writer(self)
 
     def read(self, record, line=None, what: str = "field"):
@@ -257,11 +304,83 @@ class Table:
         and the field's dotted path, e.g. `fact_pairs[0].slots[1].p_con`;
         `what` is the word before the path."""
         try:
-            return _read(self, record, line)
-        except _Invalid as exc:
-            raise ValidationError(exc.message(what), line) from None
-        except ValidationError as exc:  # from `make`, which knows no line
-            raise ValidationError(str(exc), line) from None
+            return self.check(record)
+        except (_Reject, ValidationError):
+            return _walk(self, record, line, what)
+
+
+class _Reject(Exception):
+    """The compiled reader does not accept a record as it stands."""
+
+
+_MISSING = object()  # a field the record leaves out
+
+
+def _reader(table: Table, positional: bool) -> Callable:
+    """`check(record)`, compiled once per table as `_writer` is: each row's
+    test and conversion inlined, a nested table's `check` called directly,
+    each group's `accepts`, and the value built positionally if the table
+    made its own named tuple.  Where it does not accept a record (an error,
+    a missing field, a distribution to renormalise, a `make` that raises),
+    it raises _Reject (or `make`'s error), and `Table.read` hands the
+    record to the walker, which words the error or renormalises: the
+    compiled code words no error of its own."""
+    env = {"_Reject": _Reject, "_MISSING": _MISSING, "_make": table.make,
+           "_new": tuple.__new__, "_keys": frozenset(table.readers), "_defaults": table.defaults}
+    local = {}  # field name -> the local variable holding its value
+    loads, tests, converts = [], [], []
+    for i, (name, kind, default, _) in enumerate(table.rows):
+        v = local[name] = f"v{i}"
+        env[f"_a{i}"] = kind.arg
+        test, value = kind.test.format(v, f"_a{i}"), kind.value.format(v, f"_a{i}")
+        loads.append(f"{v} = record.get({name!r}, _MISSING)")
+        if default is REQUIRED:
+            tests.append(f"({v} is not _MISSING" + (")" if test == "True" else f" and {test})"))
+            if value != v:
+                converts.append(f"{v} = {value}" if positional
+                                else f"values[{name!r}] = {value}")
+            continue
+        if test != "True":
+            tests.append(f"({v} is _MISSING or {test})")
+        if positional:
+            env[f"_d{i}"] = default
+            converts.append(f"{v} = _d{i} if {v} is _MISSING else {value}")
+        elif value != v:
+            converts.append(f"if {v} is not _MISSING: values[{name!r}] = {value}")
+
+    if positional:
+        build = "return _new(_make, (%s,))" % ", ".join(local[name] for name, *_ in table.rows)
+    else:
+        converts.insert(0, "values = _defaults | record")
+        build = "return _make(**values)"
+    group_tests, moves = [], []
+    for group, names in table.groups:
+        members = [local[n] if positional else f"values[{n!r}]" for n in names]
+        group_tests.append("(%s)" % group.accepts.format("(%s,)" % ", ".join(members)))
+        if group.held_in is not None:
+            moves.append(f"values[{group.held_in!r}] = {{%s}}" % ", ".join(
+                f"{n!r}: values.pop({n!r})" for n in names))
+
+    lines, depth = ["    if type(record) is dict and _keys.issuperset(record):"], 2
+    for block, condition in ((loads, tests), (converts, group_tests)):
+        lines += ["    " * depth + line for line in block]
+        if condition:
+            lines.append("    " * depth + f"if {' and '.join(condition)}:")
+            depth += 1
+    lines += ["    " * depth + line for line in (*moves, build)]
+    exec("def check(record):\n%s\n    raise _Reject\n" % "\n".join(lines), env)
+    return env["check"]
+
+
+def _walk(table: Table, record, line, what: str):
+    """The walker's reading of a record `check` did not accept: the value,
+    renormalised, or the ValidationError that names the line and path."""
+    try:
+        return _read(table, record, line)
+    except _Invalid as exc:
+        raise ValidationError(exc.message(what), line) from None
+    except ValidationError as exc:  # from `make`, which knows no line
+        raise ValidationError(str(exc), line) from None
 
 
 def _read(table: Table, value, line):
@@ -327,19 +446,19 @@ def _probs(names: str, group: Optional[Group] = None) -> list:
     return [(name, PROB, 0.0, group) for name in names.split()]
 
 
-_NLI = Table("NliScores", _probs("p_ent p_con p_neu", Group(sums_to_one)))
+_NLI = Table("NliScores", _probs("p_ent p_con p_neu", sums_to_one()))
 _SLOT = Table("SlotScore", _probs("p_ent p_con"))
 _TUPLE_PAIR = Table("TuplePairScores", [
     ("slots", array(nested(_SLOT), non_empty=True), REQUIRED, None)])
-_SENTI_DIST = Table("SentiDist", _probs("p_pos p_neg p_neu", Group(sums_to_one)))
+_SENTI_DIST = Table("SentiDist", _probs("p_pos p_neg p_neu", sums_to_one()))
 _SENTI_PAIR = Table("SentiPairScores", [
     *_probs("p_match"),
     ("s_stmt", nested(_SENTI_DIST), REQUIRED, None),
     ("s_claim", nested(_SENTI_DIST), REQUIRED, None)])
 _CAUSAL = Table("CausalScores", _probs("sc_cause sc_obstruct cs_cause cs_obstruct"))
 _NORMATIVE = Table("NormativeScores", [
-    *_probs("p_conseq p_norm"), *_probs("q_pos q_neg", Group(at_most_one)),
-    *_probs("p_adv p_opp", Group(at_most_one)), *_probs("r_consist r_contra", Group(at_most_one))])
+    *_probs("p_conseq p_norm"), *_probs("q_pos q_neg", at_most_one()),
+    *_probs("p_adv p_opp", at_most_one()), *_probs("r_consist r_contra", at_most_one())])
 BUNDLE_TABLE = Table("ScoreBundle", [
     ("pair_id", STRING, REQUIRED, None),
     ("nli", nested(_NLI), None, None),
@@ -363,6 +482,7 @@ _decode = json.JSONDecoder().raw_decode  # json.loads less its Python-level chec
 
 def read_jsonl(path, table: Table):
     """(line number, value) for each non-blank line of a JSONL file."""
+    check = table.check
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -374,7 +494,11 @@ def read_jsonl(path, table: Table):
                     raise json.JSONDecodeError("Extra data", raw, end)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"malformed JSON: {exc}", lineno)
-            yield lineno, table.read(record, lineno)
+            try:
+                value = check(record)
+            except (_Reject, ValidationError):
+                value = _walk(table, record, lineno, "field")
+            yield lineno, value
 
 
 def load_json_object(path, what: str) -> dict:

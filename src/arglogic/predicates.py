@@ -50,9 +50,6 @@ class PredicateVector(NamedTuple):
     backing_norm: float = ABSENT
     refuting_norm: float = ABSENT
 
-    def present(self) -> dict[str, float]:
-        return {name: v for name, v in zip(PREDICATE_NAMES, self) if not math.isnan(v)}
-
 
 PREDICATE_NAMES = PredicateVector._fields
 

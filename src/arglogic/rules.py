@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .model import (ATTACK, BOOL, NEUTRAL, NUMBER, SUPPORT, UNCHECKED, Kind, Table,
+from .model import (ATTACK, BOOL, NEUTRAL, NUMBER, SUPPORT, UNCHECKED, Table,
                     ValidationError, array, default_label, load_json_object, nested)
 
 # rule id -> (body predicate field, head relation)
@@ -108,21 +108,15 @@ def structure(config: RuleSetConfig) -> RuleSetConfig:
     return replace(config, **dict.fromkeys(GRID_AXES, SWEPT_PLACEHOLDER))
 
 
-_W_LOGIC = nested(Table(dict, [(rid, NUMBER, None, None) for rid in LOGIC_RULES]))
-
-
-def _w_logic(value, line) -> dict:
-    """Weights of some of R1-R13, or one weight for all thirteen."""
-    return _W_LOGIC.read(value if isinstance(value, dict) else dict.fromkeys(LOGIC_RULES, value),
-                         line)
-
+# weights of some of R1-R13, or one weight for all thirteen
+_W_LOGIC = nested(Table(dict, [(rid, NUMBER, None, None) for rid in LOGIC_RULES]), spread=True)
 
 _GRIDS = Table(dict, [(axis, array(NUMBER, non_empty=True), None, None) for axis in GRID_AXES])
 # Reads as (config, grids).  task_mode and hinge_power are checked by build_ruleset,
 # which also sees configs built in code and names the sweep config holding a bad value.
 CONFIG_TABLE = Table(lambda grids=None, **fields: (RuleSetConfig(**fields), grids or {}), [
     ("task_mode", UNCHECKED, None, None),
-    ("w_logic", Kind(_w_logic), None, None),
+    ("w_logic", _W_LOGIC, None, None),
     ("w_chain", NUMBER, None, None),
     ("w_prior", NUMBER, None, None),
     ("chains", BOOL, None, None),

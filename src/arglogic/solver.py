@@ -1,5 +1,5 @@
 """MAP inference: an exact solve for uncoupled pairs, consensus ADMM for
-the rest, and a brute-force grid oracle.
+the rest.
 
 A pair (block) is uncoupled when every hinge row on its atoms has one
 copy, with a negative coefficient: then its energy is a sum of
@@ -62,12 +62,6 @@ class Assignment:
     primal_residual: np.ndarray = _empty(float)
     dual_residual: np.ndarray = _empty(float)
     closed_form: np.ndarray = _empty(bool)  # per block: solved without ADMM
-
-
-def project_simplex(values) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = 1}."""
-    v = np.asarray(values, dtype=float)
-    return kernels.project_rows(v[None, :])[0]
 
 
 def _predict_labels(program: GroundProgram, values: np.ndarray) -> dict[str, str]:
@@ -294,69 +288,3 @@ def _water_fill(T: np.ndarray, a_row: np.ndarray, b_row: np.ndarray) -> np.ndarr
     x = _atom_totals(fills(nu[:, None])[:, 0, :], k)
     leftover = np.where(found, 0.0, 1.0 - total[:, -1])
     return x + np.maximum(leftover, 0.0)[:, None] / k
-
-
-# ---------------------------------------------------------------------------
-# brute-force grid oracle
-
-MAX_GRID_PAIRS = 3
-
-
-def simplex_grid(k: int, resolution: float) -> np.ndarray:
-    """All points of the k-simplex with coordinates on a uniform grid,
-    in ascending lexicographic order."""
-    steps = int(round(1.0 / resolution))
-    points = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i], remaining - i, slots - 1)
-
-    rec([], steps, k)
-    return np.array(points, dtype=float) / steps
-
-
-def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignment:
-    """Exhaustive minimization over discretized simplices.
-
-    Independent of the ADMM path: evaluates every grid assignment's
-    energy by tensor accumulation.  Guarded to small programs; ties
-    resolve to the lexicographically first grid point.
-    """
-    nb = program.n_pairs
-    if nb == 0:
-        return Assignment(np.empty(0), {}, 0.0, {}, converged=True)
-    if nb > MAX_GRID_PAIRS:
-        raise ValidationError(
-            f"grid oracle limited to {MAX_GRID_PAIRS} pairs, got {nb}")
-    k = len(program.labels)
-    grid = simplex_grid(k, resolution)
-    n_points = len(grid)
-
-    ptr = program.pot_ptr.tolist()
-    atoms = program.copy_atom.tolist()
-    coefs = program.copy_coef.tolist()
-    total = np.zeros([n_points] * nb)
-    for p in range(len(program.pot_const)):
-        expr = np.full([1] * nb, program.pot_const[p].item())
-        for c in range(ptr[p], ptr[p + 1]):
-            b, pos = divmod(atoms[c], k)
-            shape = [1] * nb
-            shape[b] = n_points
-            expr = expr + coefs[c] * grid[:, pos].reshape(shape)
-        total = total + (program.pot_weight[p].item()
-                         * np.maximum(expr, 0.0) ** program.power)
-
-    flat = int(np.argmin(total.reshape(-1)))
-    choice = np.unravel_index(flat, total.shape)
-    values = grid[list(choice)].ravel()
-    return Assignment(
-        values=values,
-        labels=_predict_labels(program, values),
-        energy=energy(program, values),
-        energy_shares=energy_by_pair(program, values),
-        converged=True,
-    )

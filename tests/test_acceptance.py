@@ -25,9 +25,10 @@ from arglogic.predicates import (
     evaluate_all,
 )
 from arglogic.rules import RuleSetConfig, build_ruleset, expand_grid, sweep
-from arglogic.solver import solve_map_admm, solve_map_grid
+from arglogic.solver import solve_map_admm
 from arglogic.synth import SynthConfig, generate, plant_chain_scenario
 from conftest import blocks, index_of, random_ground_program
+from reference import solve_map_grid
 from test_predicates import random_bundle
 
 

@@ -1,4 +1,7 @@
+import copy
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +9,20 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arglogic import model
+from arglogic.chains import _MANIFEST_TABLE as MANIFEST_TABLE
+from arglogic.chains import emit_pair_manifest
 from arglogic.cli import main
-from arglogic.infer import PREDICTION_TABLES
+from arglogic.infer import PREDICTION_TABLES, PairPrediction
 from arglogic.model import (
+    BUNDLE_TABLE,
+    DIST_TOL,
+    PAIR_TABLE,
     ArgumentGraph,
     ArgumentPair,
+    CausalScores,
+    NliScores,
+    ScoreBundle,
     ValidationError,
     bundle_to_record,
     connected_components,
@@ -20,8 +32,8 @@ from arglogic.model import (
     parse_bundle,
     parse_pair,
 )
-from arglogic.rules import config_from_record
-from arglogic.synth import SynthConfig
+from arglogic.rules import CONFIG_TABLE, LOGIC_RULES, RuleSetConfig, config_from_record
+from arglogic.synth import SYNTH_TABLE, SynthConfig, generate
 
 
 def write_jsonl(path, records):
@@ -285,4 +297,179 @@ def test_reader_raises_only_validation_error(kind):
             read(value)
         except ValidationError:
             pass
+    check()
+
+
+def conversion_cases():
+    """(reader, record, the value it reads as, compared by repr, or None
+    for a ValidationError)."""
+    config, pred = config_from_record, PREDICTION_TABLES["ternary"].read
+    scored = {"pair_id": "p", "predicted": "support"}
+    return [
+        # a JSON integer is a number: it reads as a float where a
+        # probability or a weight is expected
+        (parse_bundle, {"pair_id": "p", "nli": {"p_ent": 1}},
+         ScoreBundle("p", nli=NliScores(1.0, 0.0, 0.0))),
+        (parse_bundle, {"pair_id": "p", "causal": {"sc_cause": 0, "cs_cause": 1}},
+         ScoreBundle("p", causal=CausalScores(0.0, 0.0, 1.0, 0.0))),
+        (pred, {**scored, "support": 1, "attack": 0, "neutral": 0, "energy_share": 0},
+         PairPrediction("p", {"support": 1.0, "attack": 0.0, "neutral": 0.0}, "support",
+                        0.0, True)),
+        (config, {"w_chain": 2, "w_logic": {"R4": 3}},
+         RuleSetConfig(w_chain=2.0, w_logic={"R4": 3.0})),
+        (config, {"w_logic": 1}, RuleSetConfig(w_logic=dict.fromkeys(LOGIC_RULES, 1.0))),
+        (lambda r: CONFIG_TABLE.read(r)[1], {"grids": {"w_prior": [0, 1]}},
+         {"w_prior": (0.0, 1.0)}),
+        (SynthConfig.from_record, {"noise_sigma": 1, "mechanism_mix": {"fact": 2}},
+         SynthConfig(noise_sigma=1.0, mechanism_mix={"fact": 2.0})),
+        # nothing else is converted: a bool, a string or null is no number,
+        # a number is no flag, and a float is no count
+        (parse_bundle, {"pair_id": "p", "nli": {"p_ent": True}}, None),
+        (parse_bundle, {"pair_id": "p", "nli": {"p_ent": "1"}}, None),
+        (parse_bundle, {"pair_id": "p", "nli": {"p_ent": None}}, None),
+        (parse_bundle, {"pair_id": "p", "nli": None}, None),
+        (parse_bundle, {"pair_id": 1}, None),
+        (pred, {**scored, "support": True, "attack": False, "neutral": False}, None),
+        (pred, {**scored, "support": 1.0, "attack": 0.0, "neutral": 0.0, "converged": 1}, None),
+        (config, {"w_chain": False}, None),
+        (config, {"chains": 1}, None),
+        (config, {"w_logic": "1"}, None),
+        (SynthConfig.from_record, {"n_topics": 3.0}, None),
+        (SynthConfig.from_record, {"seed": True}, None),
+        (SynthConfig.from_record, {"n_topics": "3"}, None),
+    ]
+
+
+def test_integers_read_as_floats_and_nothing_else_is_converted():
+    for read, record, expected in conversion_cases():
+        if expected is None:
+            with pytest.raises(ValidationError):
+                read(record)
+        else:
+            assert repr(read(record)) == repr(expected), record
+
+
+# ---------------------------------------------------------------------------
+# the compiled reader against the walker
+
+
+def synth_records():
+    """Each pair and bundle record that `synth --seed 1..3` writes, and some
+    manifest records of the same pairs."""
+    records = []
+    for seed in (1, 2, 3):
+        graph, bundles, _ = generate(SynthConfig(seed=seed))
+        for pid in sorted(graph.pairs):
+            records.append((PAIR_TABLE, pair_to_record(graph.pairs[pid])))
+            records.append((BUNDLE_TABLE, bundle_to_record(bundles[pid])))
+        records += [(MANIFEST_TABLE, r) for r in emit_pair_manifest(graph, {})[:50]]
+    return records
+
+
+SYNTH_RECORDS = synth_records()
+HAND_WRITTEN = {
+    "pair": (PAIR_TABLE, ARGS[1]),
+    "pair, defaults": (PAIR_TABLE, {"pair_id": "p", "statement_id": "s", "claim_id": "c"}),
+    "bundle": (BUNDLE_TABLE, VALID_RECORDS["scores"][0]),
+    "ternary prediction": (PREDICTION_TABLES["ternary"], VALID_RECORDS["predictions"][0]),
+    "binary prediction": (PREDICTION_TABLES["binary"], {
+        "pair_id": "p", "support": 0.25, "attack": 0.75, "predicted": "attack"}),
+    "config": (CONFIG_TABLE, VALID_RECORDS["config"][0]),
+    "config, one weight": (CONFIG_TABLE, {"w_logic": 0.5, "grids": {"w_prior": [0.1]}}),
+    "synth config": (SYNTH_TABLE, VALID_RECORDS["synth config"][0]),
+    "synth config, integers": (SYNTH_TABLE, {"split_fractions": {"val": 1}, "seed": 3}),
+}
+
+
+def group_names(table, found):
+    """The field names of every group in `table` and the tables under it."""
+    found += [names for _, names in table.groups]
+    for _, kind, _, _ in table.rows:
+        if kind.table is not None:
+            group_names(kind.table, found)
+    return found
+
+
+GROUPS = sorted({names for table, _ in HAND_WRITTEN.values() for names in group_names(table, [])})
+ODD_VALUES = st.sampled_from([
+    True, False, None, 0, 1, 2, -1, 10 ** 400, 0.5, -0.5, 1.5, 1e308, 1e-320, -0.0,
+    math.inf, -math.inf, math.nan, "", "0.5", "support", "direct", [], [0.5], {},
+    {"p_ent": 0.5}, {"slots": []}])
+SUM_TARGETS = st.sampled_from([1 + 1e-13, 1 - 1e-13, 1 + 1e-10, 1 - 1e-10, 1 + 2e-6, 1 + 1e-4,
+                               1 - 1e-4, 1 + 0.02, 1 - 0.02, 1 + DIST_TOL + 1e-9,
+                               1 + DIST_TOL - 1e-9])
+
+
+@st.composite
+def mutant(draw, record):
+    """A copy of `record` with one to three of: a field dropped, added or
+    renamed, a value swapped for one of another JSON type or out of range,
+    or a group's sum moved off 1 (or to just either side of 1 + DIST_TOL)."""
+    record = json.loads(json.dumps(record))
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(containers(record, [])))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = draw(st.sampled_from(["drop", "add", "rename", "swap", "sum", "sum", "sum"]))
+        if not keys or action == "add":
+            value = copy.deepcopy(draw(ODD_VALUES))
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(["p_ent", "slots", "R1", "scores"])
+                            | st.text(max_size=3))] = value
+            else:
+                target.append(value)
+            continue
+        key = draw(st.sampled_from(keys))
+        if action == "drop":
+            del target[key]
+        elif action == "rename" and isinstance(target, dict):
+            target[key + draw(st.sampled_from(["_", "s"]))] = target.pop(key)
+        elif action == "sum" and isinstance(target, dict):
+            groups = [names for names in GROUPS if set(names) <= target.keys() and all(
+                type(target[n]) in (int, float) and abs(target[n]) <= 1e300 for n in names)]
+            if groups:
+                first, *rest = draw(st.sampled_from(groups))
+                target[first] = draw(SUM_TARGETS) - sum(target[n] for n in rest)
+        else:
+            target[key] = copy.deepcopy(draw(ODD_VALUES))
+    return record
+
+
+def outcome(read):
+    """What one reader makes of a record: its value's repr or the exception
+    it raised, and every message it logged."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda rec: messages.append(rec.getMessage())
+    logger = logging.getLogger("arglogic")
+    logger.addHandler(handler)
+    try:
+        result = ("value", repr(read()))
+    except Exception as exc:  # any exception, so that a difference shows
+        result = (type(exc).__name__, str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, messages
+
+
+def test_compiled_reader_reads_valid_records_as_the_walker_does():
+    for table, record in SYNTH_RECORDS + list(HAND_WRITTEN.values()):
+        compiled = outcome(lambda: table.read(record, 5))
+        assert compiled == outcome(lambda: model._walk(table, record, 5, "field"))
+        assert compiled[0][0] == "value" and compiled[1] == []
+
+
+@pytest.mark.parametrize("start", [*HAND_WRITTEN, "synth"])
+def test_compiled_reader_agrees_with_the_walker_on_mutants(start):
+    """A mutated record reads to the same value or raises the same error
+    text, and logs the same renormalisation warnings, through either reader."""
+    cases = SYNTH_RECORDS[::50] if start == "synth" else [HAND_WRITTEN[start]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(cases).flatmap(
+        lambda case: st.tuples(st.just(case[0]), mutant(case[1]))))
+    def check(case):
+        table, record = case
+        what = "config field" if table is CONFIG_TABLE else "field"
+        compiled = outcome(lambda: table.read(record, 3, what))
+        assert compiled == outcome(lambda: model._walk(table, record, 3, what))
     check()

@@ -30,6 +30,7 @@ from arglogic.predicates import (
 )
 from arglogic.rules import LOGIC_RULES, RuleSetConfig
 from arglogic.synth import SynthConfig, generate
+from reference import present
 
 probs = st.floats(0.0, 1.0)
 
@@ -81,7 +82,7 @@ def test_normative_examples():
 def test_evaluate_all_partial_and_full():
     only_nli = ScoreBundle("p", nli=NliScores(0.6, 0.3, 0.1))
     vec = evaluate_all(only_nli)
-    assert set(vec.present()) == {"fact_entail", "fact_contradict"}
+    assert set(present(vec)) == {"fact_entail", "fact_contradict"}
 
     full = ScoreBundle(
         "p",
@@ -91,8 +92,8 @@ def test_evaluate_all_partial_and_full():
         causal=CausalScores(0.1, 0.2, 0.3, 0.4),
         normative=NormativeScores(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
     )
-    assert len(evaluate_all(full).present()) == 13
-    assert evaluate_all(ScoreBundle("p")).present() == {}
+    assert len(present(evaluate_all(full))) == 13
+    assert present(evaluate_all(ScoreBundle("p"))) == {}
 
 
 def test_absent_values_are_nan_in_a_row_of_13_floats():
@@ -101,14 +102,14 @@ def test_absent_values_are_nan_in_a_row_of_13_floats():
     assert vec[:2] == (0.6, 0.3)
     assert all(v is ABSENT for v in vec[2:])
     assert vec == PredicateVector(fact_entail=0.6, fact_contradict=0.3)
-    assert PredicateVector().present() == {}
+    assert present(PredicateVector()) == {}
 
 
 def test_ablation_forces_absence():
     bundle = ScoreBundle("p", nli=NliScores(0.6, 0.3, 0.1),
                          causal=CausalScores(0.1, 0.2, 0.3, 0.4))
     vec = evaluate_all(bundle, ablate=frozenset({"fact"}))
-    assert set(vec.present()) == {"cause_sc", "obstruct_sc", "cause_cs",
+    assert set(present(vec)) == {"cause_sc", "obstruct_sc", "cause_cs",
                                   "obstruct_cs"}
 
 
@@ -175,7 +176,7 @@ def test_bounds_and_sum_identities_on_random_bundles():
     for _ in range(10_000):
         bundle = random_bundle(rng)
         vec = evaluate_all(bundle)
-        values = vec.present()
+        values = present(vec)
         assert len(values) == 13
         for name, v in values.items():
             assert -1e-12 <= v <= 1 + 1e-12, name

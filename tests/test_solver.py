@@ -21,17 +21,10 @@ from arglogic.infer import ground_graph
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
 from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, structure
-from arglogic.solver import (
-    SolverParams,
-    _predict_labels,
-    project_simplex,
-    simplex_grid,
-    solve_map_admm,
-    solve_map_grid,
-    uncoupled_blocks,
-)
+from arglogic.solver import SolverParams, _predict_labels, solve_map_admm, uncoupled_blocks
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, index_of, random_ground_program
+from reference import present, project_simplex, simplex_grid, solve_map_grid
 
 
 def single_pair_program(vector, mode="ternary", w_prior=0.2, chains=False,
@@ -107,7 +100,7 @@ def test_with_weights_equals_ground_under_the_config(power):
 
 
 def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, task_mode):
-    """`ground` as a per-pair loop: each pair's present() values read back
+    """`ground` as a per-pair loop: each pair's present values read back
     with one dict.get per logic rule, then its prior; then per triple, one
     row per chain rule."""
     labels = labels_for_mode(task_mode)
@@ -120,7 +113,7 @@ def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, ta
     rows = []  # (rule, block, constant, [(atom, coefficient), ...])
     for b, pair in enumerate(pair_list):
         vector = vectors.get(pair.pair_id)
-        values = vector.present() if vector is not None else {}
+        values = present(vector) if vector is not None else {}
         for r in logic:
             value = values.get(r.body[0])
             if value is not None:
