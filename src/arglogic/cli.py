@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import math
 import sys
 
 import click
@@ -184,7 +185,7 @@ def cmd_eval(predictions_path, arguments_path, mode, baseline_path, split,
     payload = {
         "accuracy": report.accuracy,
         "macro_f1": report.macro_f1,
-        "macro_auc": report.macro_auc,
+        "macro_auc": None if math.isnan(report.macro_auc) else report.macro_auc,
         "f1": report.f1,
         "support_counts": report.support_counts,
         "n_pairs": report.n_pairs,

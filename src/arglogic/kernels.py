@@ -15,7 +15,7 @@ Flat program layout (`grounding.GroundProgram` holds these arrays):
   pot_const[p]   hinge constant
   pot_weight[p]  row weight
   power          1 = linear hinges, 2 = squared hinges
-  k              block width: atoms b*k .. b*k + k - 1 sum to 1
+  k              block width, 2 or 3: atoms b*k .. b*k + k - 1 sum to 1
   atom_comp[n]   optional component id of each atom (default: all 0)
 
 Working layout: the caller's hinge copies, then one simplex copy per
@@ -35,8 +35,9 @@ its iterates and its stopping iteration are those it would have if
 solved alone.  A component stops on its own residual test, at max_iters,
 or on a NaN, and keeps the iterate it stopped at.  Stopped components
 stay in the working arrays, their results ignored, until the copies
-still running are at most half of those arrays; then the running ones
-are gathered into new arrays.
+still running are at most half of those arrays; then `_Working.select`
+rebuilds them from the running components' hinge rows with the same
+constructor, which derives every value per row, atom or component.
 
 Stopping test (Boyd et al. 2011, §3.3.1), per component with m copies:
 r <= sqrt(m)·eps_abs + eps_rel·max(‖y‖, ‖z̃‖) and
@@ -63,24 +64,15 @@ EARLY_OUT_MARGIN = 1e-9
 
 
 def project_rows(V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex.
+    """Euclidean projection of each row, of width 2 or 3, onto the simplex.
 
-    Rows of width 2 or 3 are ordered by a min/max network instead of a
-    sort; the cumulative sums and the threshold test are the same, so
-    the result is bit-identical to the sort-based path.  The projection
-    is written to out when it is given.
+    The sort-based projection, with the sort done by a min/max network;
+    the result is bit-identical to sorting.  The projection is written to
+    out when it is given.
     """
     k = V.shape[1]
     if k not in (2, 3):
-        U = np.sort(V, axis=1)[:, ::-1]
-        css = np.cumsum(U, axis=1) - 1.0
-        ind = np.arange(1, k + 1, dtype=float)
-        cond = U - css / ind > 0
-        # last index where the condition holds
-        rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-        theta = css[np.arange(len(V)), rho] / (rho + 1)
-        return np.maximum(V - theta[:, None], 0.0, out=out)
-
+        raise ValueError(f"rows of width 2 or 3 only, got width {k}")
     hi, lo = np.maximum(V[:, 0], V[:, 1]), np.minimum(V[:, 0], V[:, 1])
     if k == 2:
         cols = (hi, lo)
@@ -137,20 +129,32 @@ class _Working:
     copies [0, n_hinge) belong to the hinge rows, the rest are one simplex
     copy per atom, in atom order, in blocks of `width`.
 
-    Per hinge row: const, and the step t = clip(scale·s / den, 0, cap) of
-    its value s = const + coef·v.  atoms and comps map the local atom and
-    component indices back to the caller's.
+    Built from the hinge copies and each row's const and weight, it
+    derives each row's step t = clip(scale·s / den, 0, cap) of its value
+    s = const + coef·v.  atoms and comps map the local atom and component
+    indices back to the caller's.
     """
 
-    def __init__(self, copy_atom, hinge_pot, hinge_coef, const, scale, den, cap,
-                 width, atom_comp, atoms, comps, counts, n_copies, abs_tol):
-        self.copy_atom, self.hinge_pot, self.hinge_coef = copy_atom, hinge_pot, hinge_coef
-        self.const, self.scale, self.den, self.cap = const, scale, den, cap
-        self.width = width
+    def __init__(self, hinge_atom, hinge_pot, hinge_coef, const, weight, width, power,
+                 atom_comp, atoms, comps, rho, eps_abs):
+        self.hinge_pot, self.hinge_coef, self.const = hinge_pot, hinge_coef, const
+        self.weight, self.width, self.power = weight, width, power
+        self.rho, self.eps_abs = rho, eps_abs
         self.atom_comp, self.atoms, self.comps = atom_comp, atoms, comps
-        self.counts, self.n_copies, self.abs_tol = counts, n_copies, abs_tol
+        norm2 = np.bincount(hinge_pot, weights=hinge_coef * hinge_coef, minlength=len(weight))
+        linear = power == 1
+        two_w = 2.0 * weight
+        self.scale = np.where(linear, 1.0, two_w)
+        self.den = np.where(linear, np.where(norm2 > 0, norm2, np.inf), rho + two_w * norm2)
+        self.cap = np.where(linear, np.divide(weight, rho), np.inf)
+
+        n_atoms = len(atom_comp)
+        self.copy_atom = copy_atom = np.concatenate([hinge_atom, np.arange(n_atoms)])
+        self.counts = np.bincount(copy_atom, minlength=n_atoms).astype(float)
         self.n_hinge = n_hinge = len(hinge_pot)
         self.copy_comp = copy_comp = atom_comp[copy_atom]
+        self.n_copies = np.bincount(copy_comp, minlength=len(comps))
+        self.abs_tol = np.sqrt(self.n_copies) * eps_abs
         self.atom_start = _starts(atom_comp)
         # one run of copies per component and part, hinge runs first; the
         # runs of the second of two stacked copy arrays follow on from those
@@ -159,27 +163,6 @@ class _Working:
         self.run_start, self.run_comp = runs, copy_comp[runs]
         self.pair_start = np.concatenate([runs, len(copy_atom) + runs])
         self.pair_comp = np.concatenate([self.run_comp, len(comps) + self.run_comp])
-
-    @classmethod
-    def build(cls, copy_atom, copy_pot, copy_coef, width, pot_const, pot_weight,
-              power, atom_comp, rho, eps_abs) -> "_Working":
-        """The caller's hinge copies, then one simplex copy per atom."""
-        norm2 = np.bincount(copy_pot, weights=copy_coef * copy_coef,
-                            minlength=len(pot_weight))
-        linear = power == 1
-        two_w = 2.0 * pot_weight
-        scale = np.where(linear, 1.0, two_w)
-        den = np.where(linear, np.where(norm2 > 0, norm2, np.inf), rho + two_w * norm2)
-        cap = np.where(linear, np.divide(pot_weight, rho), np.inf)
-
-        n_atoms = len(atom_comp)
-        all_atoms = np.concatenate([copy_atom, np.arange(n_atoms)])
-        n_comp = int(atom_comp[-1]) + 1
-        n_copies = np.bincount(atom_comp[all_atoms], minlength=n_comp)
-        return cls(all_atoms, copy_pot, copy_coef, pot_const, scale, den, cap, width,
-                   atom_comp, np.arange(n_atoms), np.arange(n_comp),
-                   np.bincount(all_atoms, minlength=n_atoms).astype(float),
-                   n_copies, np.sqrt(n_copies) * eps_abs)
 
     def per_copy(self, x):
         """Per-component sums over the copies: the hinge run plus the
@@ -197,21 +180,17 @@ class _Working:
         return np.add.reduceat(x, self.atom_start)
 
     def select(self, keep) -> "_Working":
-        """The same arrays for the components where keep (local) holds."""
+        """The working set of the components where keep (local) holds."""
         keep_atom = keep[self.atom_comp]
-        keep_copy = keep[self.copy_comp]
-        keep_hinge = keep_copy[:self.n_hinge]
+        keep_hinge = keep[self.copy_comp[:self.n_hinge]]
         keep_row = np.zeros(len(self.const), dtype=bool)
         keep_row[self.hinge_pot[keep_hinge]] = True
         return _Working(
-            (np.cumsum(keep_atom) - 1)[self.copy_atom[keep_copy]],
+            (np.cumsum(keep_atom) - 1)[self.copy_atom[:self.n_hinge][keep_hinge]],
             (np.cumsum(keep_row) - 1)[self.hinge_pot[keep_hinge]],
-            self.hinge_coef[keep_hinge],
-            self.const[keep_row], self.scale[keep_row], self.den[keep_row],
-            self.cap[keep_row], self.width,
-            (np.cumsum(keep) - 1)[self.atom_comp[keep_atom]],
-            self.atoms[keep_atom], self.comps[keep], self.counts[keep_atom],
-            self.n_copies[keep], self.abs_tol[keep])
+            self.hinge_coef[keep_hinge], self.const[keep_row], self.weight[keep_row],
+            self.width, self.power, (np.cumsum(keep) - 1)[self.atom_comp[keep_atom]],
+            self.atoms[keep_atom], self.comps[keep], self.rho, self.eps_abs)
 
 
 def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
@@ -236,8 +215,8 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
     converged = np.zeros(n_comp, dtype=bool)
     nan_out = np.zeros(n_comp, dtype=bool)
 
-    w = _Working.build(copy_atom, copy_pot, copy_coef, k, pot_const, pot_weight,
-                       power, atom_comp, rho, eps_abs)
+    w = _Working(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, k, power,
+                 atom_comp, np.arange(n_atoms), np.arange(n_comp), rho, eps_abs)
     eps_rel_rho = eps_rel * rho
     running = np.ones(n_comp, dtype=bool)
     z = z_out.copy()

@@ -20,33 +20,28 @@ class MetricsReport:
     n_pairs: int
 
 
-def _accuracy_f1(gold: np.ndarray, pred: np.ndarray, n_labels: int) -> tuple[float, list[float]]:
-    """Accuracy and each label's F1 (0/0 read as 0) of two label-index arrays."""
+def _accuracy_f1(gold: np.ndarray, pred: np.ndarray,
+                 n_labels: int) -> tuple[float, float, list[float]]:
+    """Accuracy, macro F1 and each label's F1 (0/0 read as 0) of two
+    label-index arrays."""
     f1s = []
     for li in range(n_labels):
         is_gold, is_pred = gold == li, pred == li
         denom = int(np.count_nonzero(is_gold) + np.count_nonzero(is_pred))  # 2 tp + fp + fn
         f1s.append(2 * int(np.count_nonzero(is_gold & is_pred)) / denom if denom else 0.0)
-    return float(np.mean(gold == pred)), f1s
+    return float(np.mean(gold == pred)), float(np.mean(f1s)), f1s
 
 
 def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    """One-vs-rest AUC via the rank statistic, ties credited 0.5."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    # average ranks over tied groups
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    """One-vs-rest AUC via the rank statistic, ties credited 0.5; NaN
+    without both a positive and a negative."""
     n_pos = int(positives.sum())
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
+    _, value, ties = np.unique(scores, return_inverse=True, return_counts=True)
+    # tied scores share the mean of their 1-based ranks, end - (ties - 1) / 2
+    ranks = (np.cumsum(ties) - 0.5 * (ties - 1))[value]
     r_pos = ranks[positives].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
@@ -70,10 +65,9 @@ def compute_metrics(predictions: dict, golds: dict[str, str],
 
     gold_arr = np.array([labels.index(golds[pid]) for pid in pair_ids])
     pred_arr = np.array([labels.index(predictions[pid].predicted) for pid in pair_ids])
-    accuracy, f1s = _accuracy_f1(gold_arr, pred_arr, len(labels))
+    accuracy, macro_f1, f1s = _accuracy_f1(gold_arr, pred_arr, len(labels))
     f1 = dict(zip(labels, f1s))
     counts = {label: int(np.count_nonzero(gold_arr == li)) for li, label in enumerate(labels)}
-    macro_f1 = float(np.mean(f1s))
 
     aucs = []
     for li, label in enumerate(labels):
@@ -102,13 +96,8 @@ def format_table(report: MetricsReport, name: str = "model") -> str:
 # ---------------------------------------------------------------------------
 # paired bootstrap
 
-BOOTSTRAP_METRICS = ("accuracy", "macro_f1")
+BOOTSTRAP_METRICS = ("accuracy", "macro_f1")  # the first two results of _accuracy_f1
 SIGNIFICANCE_LEVELS = {0.05: "*", 0.01: "+", 0.001: "++"}
-
-
-def _confusion_metrics(gold, pred, n_labels):
-    accuracy, f1s = _accuracy_f1(gold, pred, n_labels)
-    return {"accuracy": accuracy, "macro_f1": float(np.mean(f1s))}
 
 
 def paired_bootstrap(pred_a: dict, pred_b: dict, golds: dict[str, str],
@@ -126,15 +115,13 @@ def paired_bootstrap(pred_a: dict, pred_b: dict, golds: dict[str, str],
     a = np.array([labels.index(pred_a[pid].predicted) for pid in pair_ids])
     b = np.array([labels.index(pred_b[pid].predicted) for pid in pair_ids])
 
-    losses = {m: 0 for m in BOOTSTRAP_METRICS}
+    losses = np.zeros(len(BOOTSTRAP_METRICS), dtype=int)
     for i in range(n_resamples):
         idx = np.random.default_rng(seed + i).integers(0, n, size=n)
-        ma = _confusion_metrics(gold[idx], a[idx], len(labels))
-        mb = _confusion_metrics(gold[idx], b[idx], len(labels))
-        for m in BOOTSTRAP_METRICS:
-            if ma[m] <= mb[m]:
-                losses[m] += 1
-    return {m: losses[m] / n_resamples for m in BOOTSTRAP_METRICS}
+        ma = _accuracy_f1(gold[idx], a[idx], len(labels))[:2]
+        mb = _accuracy_f1(gold[idx], b[idx], len(labels))[:2]
+        losses += np.less_equal(ma, mb)
+    return {m: int(lost) / n_resamples for m, lost in zip(BOOTSTRAP_METRICS, losses)}
 
 
 def significance_marker(p: float) -> str:

@@ -7,9 +7,10 @@ upstream probabilities per line).  See FORMATS.md for field names.
 Every record read or written is declared once, as a `Table` of (field
 name, kind, default, group) rows: `Table.read` checks a JSON object and
 builds its value, `Table.write` turns the value back into the object.
-Each table compiles its reader once, with every field's check inlined;
-the generic walker `_read` only reads a record the compiled reader turns
-down, so it alone words errors and renormalises distributions.
+Each table compiles its reader, with every field's check inlined, and
+its writer once, on first use; the generic walker `_read` only reads a
+record the compiled reader turns down, so it alone words errors and
+renormalises distributions.
 The pair and score block types are made from their tables.  The tables
 of configs and predictions live next to the types they build
 (`rules.py`, `synth.py`, `infer.py`).
@@ -24,7 +25,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import takewhile
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -152,10 +153,11 @@ class Kind(NamedTuple):
     returns the field's value or raises _Invalid.  The compiled reader
     inlines `test`, a Python expression true of the JSON values `read`
     accepts, and `value`, the expression of what `read` returns for them; in
-    both, `{0}` stands for the JSON value and `{1}` for `arg`.  A nested
-    table's `test` is "True": its `value` calls the table's `check`, which
-    raises _Reject instead.  The writer recurses into `table`: a nested
-    object's, or each item's if `many`."""
+    both, `{0}` stands for the JSON value and `{1}` for `arg`, or for the
+    `check` of `table`, a nested object's (each item's if `many`), bound
+    when the outer table compiles.  A nested table's `test` is "True": its
+    `value` calls that `check`, which raises _Reject instead.  The writer
+    recurses into `table` too."""
     read: Callable
     test: str = "True"
     value: str = "{0}"
@@ -198,13 +200,13 @@ def nested(table: "Table", spread: bool = False) -> Kind:
     """A JSON object read by `table`.  Given `spread`, a value that is not an
     object stands for each of the table's fields (`"w_logic": 1`)."""
     if not spread:
-        return Kind(partial(_read, table), value="{1}({0})", arg=table.check, table=table)
+        return Kind(partial(_read, table), value="{1}({0})", table=table)
     names = tuple(row[0] for row in table.rows)
 
     def read(value, line):
         return _read(table, value if isinstance(value, dict) else dict.fromkeys(names, value), line)
-    return Kind(read, value="{1}[0]({0} if isinstance({0}, dict) else dict.fromkeys({1}[1], {0}))",
-                arg=(table.check, names), table=table)
+    value = "{1}({0} if isinstance({0}, dict) else dict.fromkeys(%r, {0}))" % (names,)
+    return Kind(read, value=value, table=table)
 
 
 def array(item: Kind, non_empty: bool = False) -> Kind:
@@ -278,12 +280,13 @@ class Table:
     given.  A field whose default is None may be left out, the value then
     taking its own default, and is not written while it is None.  Any other
     default is the value of a field left out.  Unknown fields are errors.
-    `check`, compiled once per table, reads a record or raises _Reject;
-    `write` turns the value back into the record."""
+    `check`, compiled on first use, reads a record or raises _Reject;
+    `write`, compiled on first use too, turns the value back into the
+    record."""
 
     def __init__(self, make, rows):
         self.rows = rows = tuple(rows)
-        positional = isinstance(make, str)
+        self.positional = positional = isinstance(make, str)
         if positional:
             trailing = takewhile(lambda d: d is not REQUIRED, (row[2] for row in rows[::-1]))
             make = namedtuple(make, [row[0] for row in rows], defaults=list(trailing)[::-1])
@@ -296,8 +299,9 @@ class Table:
             if group is not None:
                 groups.setdefault(group, []).append(name)
         self.groups = tuple((group, tuple(names)) for group, names in groups.items())
-        self.check = _reader(self, positional)
-        self.write = _writer(self)
+
+    check = cached_property(lambda self: _reader(self))
+    write = cached_property(lambda self: _writer(self))
 
     def read(self, record, line=None, what: str = "field"):
         """The value of one JSON object.  A ValidationError names the line
@@ -316,7 +320,7 @@ class _Reject(Exception):
 _MISSING = object()  # a field the record leaves out
 
 
-def _reader(table: Table, positional: bool) -> Callable:
+def _reader(table: Table) -> Callable:
     """`check(record)`, compiled once per table as `_writer` is: each row's
     test and conversion inlined, a nested table's `check` called directly,
     each group's `accepts`, and the value built positionally if the table
@@ -325,13 +329,14 @@ def _reader(table: Table, positional: bool) -> Callable:
     it raises _Reject (or `make`'s error), and `Table.read` hands the
     record to the walker, which words the error or renormalises: the
     compiled code words no error of its own."""
+    positional = table.positional
     env = {"_Reject": _Reject, "_MISSING": _MISSING, "_make": table.make,
            "_new": tuple.__new__, "_keys": frozenset(table.readers), "_defaults": table.defaults}
     local = {}  # field name -> the local variable holding its value
     loads, tests, converts = [], [], []
     for i, (name, kind, default, _) in enumerate(table.rows):
         v = local[name] = f"v{i}"
-        env[f"_a{i}"] = kind.arg
+        env[f"_a{i}"] = kind.arg if kind.table is None else kind.table.check
         test, value = kind.test.format(v, f"_a{i}"), kind.value.format(v, f"_a{i}")
         loads.append(f"{v} = record.get({name!r}, _MISSING)")
         if default is REQUIRED:
@@ -473,8 +478,14 @@ CausalScores, NormativeScores, ScoreBundle = _CAUSAL.make, _NORMATIVE.make, BUND
 
 parse_pair = PAIR_TABLE.read
 parse_bundle = BUNDLE_TABLE.read
-pair_to_record = PAIR_TABLE.write
-bundle_to_record = BUNDLE_TABLE.write
+
+
+def pair_to_record(pair: ArgumentPair) -> dict:
+    return PAIR_TABLE.write(pair)
+
+
+def bundle_to_record(bundle: ScoreBundle) -> dict:
+    return BUNDLE_TABLE.write(bundle)
 
 
 _decode = json.JSONDecoder().raw_decode  # json.loads less its Python-level checks
@@ -571,5 +582,6 @@ def dump_jsonl(records: Iterable[dict], path):
 
 
 def dump_json(payload: dict, path):
-    """One indented JSON object (sweep and eval reports)."""
-    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    """One indented JSON object (sweep and eval reports); a NaN or an
+    infinity in it is an error, as JSON has none."""
+    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"])

@@ -126,10 +126,6 @@ CONFIG_TABLE = Table(lambda grids=None, **fields: (RuleSetConfig(**fields), grid
 ])
 
 
-def config_from_record(record: dict) -> RuleSetConfig:
-    return CONFIG_TABLE.read(record, what="config field")[0]
-
-
 def load_config(path) -> tuple[RuleSetConfig, dict]:
     """Read a config file; returns (config, grids) where grids may be empty."""
     return CONFIG_TABLE.read(load_json_object(path, "config"), what="config field")

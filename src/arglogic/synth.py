@@ -193,6 +193,14 @@ def _pick_split(rng, split_fractions):
     return names[rng.choice(len(names), p=probs)]
 
 
+def _mechanism_draw(config: SynthConfig):
+    """A function of an rng that draws one mechanism by config.mechanism_mix."""
+    mechanisms = sorted(config.mechanism_mix)
+    probs = np.array([config.mechanism_mix[m] for m in mechanisms], dtype=float)
+    probs = probs / probs.sum()
+    return lambda rng: mechanisms[rng.choice(len(mechanisms), p=probs)]
+
+
 def generate(config: SynthConfig):
     """Build (graph, bundles, golds) for one seeded synthetic dataset."""
     rng = np.random.default_rng(config.seed)
@@ -206,10 +214,7 @@ def generate(config: SynthConfig):
     if f_sup + f_att <= 0:
         raise ValidationError("fractions must include support or attack mass")
     p_support = f_sup / (f_sup + f_att)
-
-    mechanisms = sorted(config.mechanism_mix)
-    mech_probs = np.array([config.mechanism_mix[m] for m in mechanisms], dtype=float)
-    mech_probs = mech_probs / mech_probs.sum()
+    draw_mechanism = _mechanism_draw(config)
 
     pair_no = 0
     for topic in range(config.n_topics):
@@ -251,8 +256,7 @@ def generate(config: SynthConfig):
                 golds[pair.pair_id] = NEUTRAL
 
     for pid in sorted(graph.pairs):
-        mech = mechanisms[rng.choice(len(mechanisms), p=mech_probs)]
-        bundles[pid] = _plant_bundle(pid, golds[pid], mech,
+        bundles[pid] = _plant_bundle(pid, golds[pid], draw_mechanism(rng),
                                      config.informative_strength,
                                      config.noise_sigma, rng)
     return graph, bundles, golds
@@ -293,10 +297,7 @@ def plant_chain_scenario(config: SynthConfig,
     graph, bundles, golds = generate(config)
     rng = np.random.default_rng(config.seed + 1)
     graph, triples = build_indirect(graph)
-
-    mechanisms = sorted(config.mechanism_mix)
-    mech_probs = np.array([config.mechanism_mix[m] for m in mechanisms], dtype=float)
-    mech_probs = mech_probs / mech_probs.sum()
+    draw_mechanism = _mechanism_draw(config)
 
     # informative bundles for indirect pairs, from the composed relation
     for triple in triples:
@@ -306,9 +307,8 @@ def plant_chain_scenario(config: SynthConfig,
         composed = COMPOSE.get((g1, g2))
         if composed is None:
             continue  # a neutral hop: leave the outer pair unscored
-        mech = mechanisms[rng.choice(len(mechanisms), p=mech_probs)]
         bundles[triple.outer_pair] = _plant_bundle(
-            triple.outer_pair, composed, mech,
+            triple.outer_pair, composed, draw_mechanism(rng),
             config.informative_strength, config.noise_sigma, rng)
 
     hop_triples: dict[str, list[ChainTriple]] = {}

@@ -1,12 +1,12 @@
 """Reference code that only tests use: the brute-force grid oracle, the
-simplex projection of one vector, and a predicate row as a dict."""
+sort-based simplex projection of rows of any width, and a predicate row
+as a dict."""
 
 import math
 
 import numpy as np
 
 from arglogic.grounding import GroundProgram, energy, energy_by_pair
-from arglogic.kernels import project_rows
 from arglogic.model import ValidationError
 from arglogic.predicates import PREDICATE_NAMES
 from arglogic.solver import Assignment, _predict_labels
@@ -14,10 +14,21 @@ from arglogic.solver import Assignment, _predict_labels
 MAX_GRID_PAIRS = 3
 
 
+def project_rows_by_sort(V):
+    """The sort-based simplex projection, row by row, of any width."""
+    k = V.shape[1]
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    cond = U - css / np.arange(1, k + 1, dtype=float) > 0
+    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(len(V)), rho] / (rho + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
 def project_simplex(values) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) = 1}."""
     v = np.asarray(values, dtype=float)
-    return project_rows(v[None, :])[0]
+    return project_rows_by_sort(v[None, :])[0]
 
 
 def present(vector) -> dict[str, float]:

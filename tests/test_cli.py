@@ -157,6 +157,32 @@ def test_eval_with_baseline_bootstrap(dataset, runner, tmp_path):
     assert "paired bootstrap" in res.output
 
 
+def test_eval_report_holds_null_for_an_undefined_auc(runner, tmp_path):
+    """Three gold-support pairs: no label has both a positive and a negative
+    pair, so the macro AUC is undefined, and the report is strict JSON."""
+    args_path, scores_path = tmp_path / "args.jsonl", tmp_path / "scores.jsonl"
+    res = runner.invoke(main, ["synth", "--seed", "1", "--out-arguments", str(args_path),
+                               "--out-scores", str(scores_path)])
+    assert res.exit_code == 0, res.output
+    chosen = [r for r in read_jsonl(args_path)
+              if r["gold"] == "support" and r["split"] == "test"][:3]
+    ids = {r["pair_id"] for r in chosen}
+    args_path.write_text("".join(json.dumps(r) + "\n" for r in chosen))
+    scores_path.write_text("".join(json.dumps(r) + "\n" for r in read_jsonl(scores_path)
+                                   if r["pair_id"] in ids))
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+    res = runner.invoke(main, ["infer", str(args_path), str(scores_path), "--out", str(preds)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["eval", str(preds), str(args_path), "--out", str(report)])
+    assert res.exit_code == 0, res.output
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+    payload = json.loads(report.read_text(), parse_constant=no_constant)
+    assert payload["macro_auc"] is None
+    assert payload["n_pairs"] == 3 and payload["support_counts"]["support"] == 3
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("eval", "--resamples", "0"),
     ("eval", "--resamples", "-5"),

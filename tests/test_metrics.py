@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arglogic.infer import PairPrediction
 from arglogic.metrics import (
+    _rank_auc,
     compute_metrics,
     format_table,
     paired_bootstrap,
@@ -66,6 +69,26 @@ def test_uniform_scores_auc_half():
         preds[f"p{i}"] = PairPrediction(f"p{i}", scores, top, 0.0, True)
     rep = compute_metrics(preds, golds, "ternary")
     assert rep.macro_auc == pytest.approx(0.5, abs=0.02)
+
+
+def pairwise_auc(scores, positives):
+    """The AUC by definition: over every (positive, negative) pair, 1 when
+    the positive scores higher and 0.5 on a tie."""
+    pos, neg = scores[positives], scores[~positives]
+    wins = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+    return wins.sum() / (len(pos) * len(neg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=40))
+def test_rank_auc_matches_pairwise_count_with_ties(draws):
+    scores = np.array([s for s, _ in draws]) / 4.0  # few distinct values: many ties
+    positives = np.array([p for _, p in draws])
+    auc = _rank_auc(scores, positives)
+    if positives.all() or not positives.any():
+        assert np.isnan(auc)
+    else:
+        assert auc == pytest.approx(pairwise_auc(scores, positives), rel=1e-12)
 
 
 def test_metrics_permutation_invariant():

@@ -2,6 +2,11 @@ import copy
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +37,12 @@ from arglogic.model import (
     parse_bundle,
     parse_pair,
 )
-from arglogic.rules import CONFIG_TABLE, LOGIC_RULES, RuleSetConfig, config_from_record
+from arglogic.rules import CONFIG_TABLE, LOGIC_RULES, RuleSetConfig
 from arglogic.synth import SYNTH_TABLE, SynthConfig, generate
+
+
+def read_config(record):
+    return CONFIG_TABLE.read(record, what="config field")[0]
 
 
 def write_jsonl(path, records):
@@ -235,7 +244,7 @@ VALID_RECORDS = {
                 "w_logic": {"R4": 0.5}, "w_chain": 1.0, "w_prior": 0.2,
                 "prior_on_indirect": False,
                 "grids": {"w_chain": [1.0, 0.5, 0.1], "w_prior": [0.2, 0.3]}},
-               config_from_record),
+               read_config),
     "synth config": ({"n_topics": 3, "tree_depth": 3, "branching": 2, "noise_sigma": 0.3,
                       "fractions": {"support": 0.35, "attack": 0.35, "neutral": 0.3},
                       "mechanism_mix": {"fact": 1.0, "causal": 2.0}, "seed": 11,
@@ -303,7 +312,7 @@ def test_reader_raises_only_validation_error(kind):
 def conversion_cases():
     """(reader, record, the value it reads as, compared by repr, or None
     for a ValidationError)."""
-    config, pred = config_from_record, PREDICTION_TABLES["ternary"].read
+    config, pred = read_config, PREDICTION_TABLES["ternary"].read
     scored = {"pair_id": "p", "predicted": "support"}
     return [
         # a JSON integer is a number: it reads as a float where a
@@ -473,3 +482,58 @@ def test_compiled_reader_agrees_with_the_walker_on_mutants(start):
         compiled = outcome(lambda: table.read(record, 3, what))
         assert compiled == outcome(lambda: model._walk(table, record, 3, what))
     check()
+
+
+def in_fresh_interpreter(code: str):
+    """What `code` prints, read as JSON, run in a new interpreter (where no
+    table has compiled anything yet)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(model.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+COMPILED = """
+    def compiled(*tables):
+        return [sorted(vars(t).keys() & {"check", "write"}) for t in tables]
+"""
+
+
+def test_import_compiles_no_reader_or_writer():
+    n_tables, compiled = in_fresh_interpreter(COMPILED + """
+    import gc, json
+    import arglogic.cli
+    from arglogic.model import Table
+    tables = [t for t in gc.get_objects() if isinstance(t, Table)]
+    print(json.dumps([len(tables), compiled(*tables)]))
+    """)
+    assert n_tables >= 19  # every record kind, nested ones included
+    assert compiled == [[]] * n_tables
+
+
+def test_config_tables_read_without_building_writers():
+    """Reading a rule-set config and a synth config compiles their readers,
+    each nested table's `check` bound in the outer one's code, and no
+    writer: theirs would read attributes of a dict."""
+    config, synth = in_fresh_interpreter(COMPILED + """
+    import json
+    from arglogic.rules import CONFIG_TABLE
+    from arglogic.synth import SYNTH_TABLE, SynthConfig
+    CONFIG_TABLE.read({"w_logic": 2.0, "grids": {"w_prior": [0.2]}})
+    SynthConfig.from_record({"fractions": {"support": 0.5, "attack": 0.5}})
+    out = []
+    for outer in (CONFIG_TABLE, SYNTH_TABLE):
+        inner = [kind.table for _, kind, _, _ in outer.rows if kind.table is not None]
+        bound = outer.check.__globals__.values()
+        out.append([len(inner), all(any(v is t.check for v in bound) for t in inner),
+                    compiled(outer, *inner)])
+    print(json.dumps(out))
+    """)
+    assert config == [2, True, [["check"]] * 3]
+    assert synth == [3, True, [["check"]] * 4]
+
+
+def test_dump_json_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        model.dump_json({"macro_auc": math.nan}, tmp_path / "report.json")
+    assert list(tmp_path.iterdir()) == []

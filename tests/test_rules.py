@@ -5,10 +5,10 @@ import pytest
 from arglogic import infer
 from arglogic.model import ValidationError
 from arglogic.rules import (
+    CONFIG_TABLE,
     RuleSetConfig,
     SweepRow,
     build_ruleset,
-    config_from_record,
     expand_grid,
     sweep,
 )
@@ -52,7 +52,8 @@ def test_build_ruleset_deterministic():
 
 
 def test_config_from_record_scalar_logic_weight():
-    cfg = config_from_record({"w_logic": 0.5, "task_mode": "binary"})
+    cfg, grids = CONFIG_TABLE.read({"w_logic": 0.5, "task_mode": "binary"})
+    assert grids == {}
     assert cfg.logic_weight("R7") == 0.5
     assert cfg.task_mode == "binary"
 

@@ -1,6 +1,5 @@
 from dataclasses import fields, replace
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,8 @@ from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, structure
 from arglogic.solver import SolverParams, _predict_labels, solve_map_admm, uncoupled_blocks
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, index_of, random_ground_program
-from reference import present, project_simplex, simplex_grid, solve_map_grid
+from reference import (present, project_rows_by_sort, project_simplex, simplex_grid,
+                       solve_map_grid)
 
 
 def single_pair_program(vector, mode="ternary", w_prior=0.2, chains=False,
@@ -413,17 +413,6 @@ def test_capped_component_does_not_stop_the_batch():
     assert np.array_equal(a.values[start:start + programs[1].n_atoms], capped.values)
 
 
-def project_rows_by_sort(V):
-    """Reference: the sort-based simplex projection, row by row."""
-    k = V.shape[1]
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    cond = U - css / np.arange(1, k + 1, dtype=float) > 0
-    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(len(V)), rho] / (rho + 1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_project_rows_matches_sort_reference(k):
     rng = np.random.default_rng(k)
@@ -497,39 +486,15 @@ def test_early_out_never_rules_out_a_passing_primal_test(
         assert not kernels.primal_passes(r, y_norm, z_norm, abs_tol, eps_rel)
 
 
-def hand_program(seed, n_atoms, width):
-    """Linear hinge rows of one to three copies over n_atoms atoms (one row
-    on each atom, then random ones), the atoms in blocks of `width`; with
-    the attributes `lp_energy` reads."""
-    rng = np.random.default_rng(seed)
-    rows = [[a] for a in range(n_atoms)]
-    rows += [sorted(rng.choice(n_atoms, rng.integers(1, 4), replace=False).tolist())
-             for _ in range(2 * n_atoms)]
-    sizes = [len(r) for r in rows]
-    return SimpleNamespace(
-        copy_atom=np.array([a for r in rows for a in r]),
-        copy_pot=np.repeat(np.arange(len(rows)), sizes),
-        copy_coef=rng.normal(size=sum(sizes)),
-        pot_ptr=np.concatenate([[0], np.cumsum(sizes)]),
-        pot_const=rng.normal(0.0, 0.5, len(rows)),
-        pot_weight=rng.uniform(0.5, 2.0, len(rows)),
-        power=1, n_atoms=n_atoms, n_pairs=n_atoms // width, labels=range(width))
-
-
 @pytest.mark.parametrize("width", [4, 5])
-def test_kernel_solves_programs_without_simplex_rows_or_of_other_widths(width):
-    for seed in range(3):
-        prog = hand_program(seed, 20, width)
-        result = kernels.solve_admm(
-            prog.copy_atom, prog.copy_pot, prog.copy_coef, width, prog.pot_const,
-            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 0.5),
-            1.0, 1e-7, 1e-6, 25_000)
-        assert result.converged.all() and not result.nan_seen.any()
-        assert np.allclose(result.z.reshape(-1, width).sum(axis=1), 1.0, atol=1e-5)
-        x = project_rows(result.z.reshape(-1, width)).ravel()
-        value = prog.pot_const + np.bincount(prog.copy_pot, weights=prog.copy_coef * x[prog.copy_atom])
-        energy = np.sum(prog.pot_weight * np.maximum(value, 0.0))
-        assert energy == pytest.approx(lp_energy(prog), rel=1e-4, abs=1e-4)
+def test_kernel_rejects_widths_other_than_2_and_3(width):
+    with pytest.raises(ValueError, match="width 2 or 3 only"):
+        project_rows(np.full((4, width), 0.5))
+    # one pair of `width` atoms under one linear hinge row
+    with pytest.raises(ValueError, match="width 2 or 3 only"):
+        kernels.solve_admm(np.array([0]), np.array([0]), np.array([-1.0]), width,
+                           np.array([0.5]), np.array([1.0]), 1, width,
+                           np.full(width, 1.0 / width), 1.0, 1e-5, 1e-4, 100)
 
 
 # ---------------------------------------------------------------------------
