@@ -255,27 +255,21 @@ def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS
             f"simplex constraint violated: block sums to {sums[bad[0]]:.8f}")
 
 
-def _row_energies(program: GroundProgram, values: np.ndarray) -> np.ndarray:
-    """Weighted hinge loss of each row."""
+def energy(program: GroundProgram, values: np.ndarray) -> np.ndarray:
+    """Each row's weighted hinge loss; the program's energy is their sum.
+    Raises if the assignment is infeasible."""
+    check_feasible(program, values)
+    values = np.asarray(values, dtype=float)
     s = program.pot_const + np.bincount(
         program.copy_pot, weights=program.copy_coef * values[program.copy_atom],
         minlength=len(program.pot_const))
     return program.pot_weight * np.maximum(s, 0.0) ** program.power
 
 
-def energy(program: GroundProgram, values: np.ndarray) -> float:
-    """Total weighted hinge loss; raises if the assignment is infeasible."""
-    check_feasible(program, values)
-    return float(_row_energies(program, np.asarray(values, dtype=float)).sum())
-
-
-def energy_by_pair(program: GroundProgram, values: np.ndarray) -> dict[str, float]:
-    """Each pair's share of its component's energy (0.0 where that is 0)."""
-    per_pair = np.bincount(
-        program.pot_block,
-        weights=_row_energies(program, np.asarray(values, dtype=float)),
-        minlength=program.n_pairs)
+def energy_by_pair(program: GroundProgram, row_energy: np.ndarray) -> np.ndarray:
+    """Each pair's share of its component's energy (0.0 where that is 0),
+    from each row's energy (`energy`)."""
+    per_pair = np.bincount(program.pot_block, weights=row_energy, minlength=program.n_pairs)
     starts = np.flatnonzero(np.diff(program.block_comp, prepend=-1))
     total = np.add.reduceat(per_pair, starts)[program.block_comp]
-    shares = np.divide(per_pair, total, out=np.zeros(program.n_pairs), where=total > 0)
-    return dict(zip(program.block_pair_ids, shares.tolist()))
+    return np.divide(per_pair, total, out=np.zeros(program.n_pairs), where=total > 0)

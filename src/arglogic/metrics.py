@@ -83,13 +83,15 @@ def compute_metrics(predictions: dict, golds: dict[str, str],
 
 
 def format_table(report: MetricsReport, name: str = "model") -> str:
-    """Aligned plain-text row in ACC / AUC / F1 / per-class-F1 order."""
+    """Aligned plain-text row in ACC / AUC / F1 / per-class-F1 order; an
+    undefined macro AUC (NaN) reads `n/a`."""
     labels = labels_for_mode(report.task_mode)
     headers = ["ACC", "AUC", "F1"] + [f"F1_{lbl[:3]}" for lbl in labels]
     values = [report.accuracy, report.macro_auc, report.macro_f1]
     values += [report.f1[lbl] for lbl in labels]
     head = f"{'':16s}" + "".join(f"{h:>8s}" for h in headers)
-    row = f"{name:16s}" + "".join(f"{100 * v:8.1f}" for v in values)
+    row = f"{name:16s}" + "".join("     n/a" if np.isnan(v) else f"{100 * v:8.1f}"
+                                  for v in values)
     return head + "\n" + row
 
 

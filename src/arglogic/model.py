@@ -413,12 +413,26 @@ def _read(table: Table, value, line):
 def _writer(table: Table) -> Callable:
     """One dict display over the rows, compiled once per table as `dataclasses`
     compiles `__init__`, so a record costs what a hand-written display costs;
-    then a None optional field is dropped and a nested value written."""
+    then a None optional field is dropped and a nested value written by its
+    table's writer, compiled here too.  A table that reads records into a
+    dict, or nests one that does, has no attributes to write from:
+    compiling its writer raises TypeError."""
+    def refuse(why):
+        names = ", ".join(row[0] for row in table.rows)
+        return TypeError(f"the table of fields ({names}) cannot be written: {why}")
+    if table.make is dict:
+        raise refuse("it reads records into a dict")
     display = eval("lambda o: {%s}" % ", ".join(
         f"{name!r}: o.{group.held_in}[{name!r}]" if group and group.held_in
         else f"{name!r}: o.{name}" for name, _, _, group in table.rows))
-    post = [(name, kind.table, kind.many) for name, kind, default, _ in table.rows
-            if default is None or kind.table is not None]
+    post = []  # (field, nested writer or None, many)
+    for name, kind, default, _ in table.rows:
+        if default is None or kind.table is not None:
+            try:
+                sub = kind.table.write if kind.table is not None else None
+            except TypeError as exc:
+                raise refuse(f"field {name!r} cannot be written") from exc
+            post.append((name, sub, kind.many))
     if not post:
         return display
 
@@ -429,7 +443,7 @@ def _writer(table: Table) -> Callable:
             if value is None:
                 del record[name]
             elif sub is not None:
-                record[name] = [sub.write(v) for v in value] if many else sub.write(value)
+                record[name] = [sub(v) for v in value] if many else sub(value)
         return record
     return write
 

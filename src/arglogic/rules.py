@@ -4,6 +4,10 @@ R1-R13 are single-body logic rules whose body is an observed predicate
 value; R14-R17 chain two free relation atoms into a third; C1 is a soft
 prior on the default relation.  The per-pair simplex is program
 structure, not a rule.
+
+The sweep groups its configs by structure (`structure`: the config with
+the swept weights masked), grounds each group's validation split once and
+solves it under the group's configs together (`infer.solve_configs`).
 """
 
 from __future__ import annotations
@@ -155,8 +159,10 @@ def sweep(configs, graph, bundles, params=None):
     """Pick the config whose validation-split MAP energy, normalized by
     ground weight mass, is smallest.  Gold labels are never consulted.
 
-    The split is grounded once per distinct structure and each config
-    solves those programs with its own weights.
+    Configs are grouped by structure.  The split is grounded once per
+    group and each batch of its programs is solved under several configs
+    of the group per call (`infer.solve_configs`); then
+    `infer.run_inference` collects each config's result, in config order.
 
     Returns (best_config, [SweepRow...]); ties resolve to the earliest
     config in declaration order.
@@ -169,27 +175,49 @@ def sweep(configs, graph, bundles, params=None):
     if not val_ids:
         raise ValidationError("validation split is empty")
 
-    groundings = []  # one per distinct structure; RuleSetConfig holds a dict, so no hashing
-    rows: list[SweepRow] = []
+    groups: list[list[int]] = []  # config indices per structure; a config holds a dict
     for i, config in enumerate(configs):
         try:
-            shape = structure(config)
-            grounding = next((g for g in groundings if g.structure == shape), None)
-            if grounding is None:
-                grounding = infer.ground_graph(graph, bundles, config, restrict_split="val")
-                grounding.programs = list(grounding.programs)
-                groundings.append(grounding)
-            result = infer.run_inference(graph, bundles, config, params=params,
-                                         restrict_split="val", grounding=grounding)
+            build_ruleset(config)
         except ValidationError as exc:
-            raise ValidationError(f"sweep config #{i} ({config}): {exc}") from exc
+            raise ValidationError(f"{_named([i], configs)}: {exc}") from exc
+        group = next((g for g in groups if structure(configs[g[0]]) == structure(config)), None)
+        if group is None:
+            groups.append([i])
+        else:
+            group.append(i)
+
+    solved = [None] * len(configs)  # per config: (its grounding, its batch results)
+    for group in groups:
+        try:
+            grounding = infer.ground_graph(graph, bundles, configs[group[0]],
+                                           restrict_split="val")
+            batches = list(infer.solve_configs(grounding, [configs[i] for i in group], params))
+        except ValidationError as exc:
+            raise ValidationError(f"{_named(group, configs)}: {exc}") from exc
         except Exception as exc:
-            raise RuntimeError(f"sweep config #{i} ({config}) failed: {exc}") from exc
+            raise RuntimeError(f"{_named(group, configs)} failed: {exc}") from exc
+        for j, i in enumerate(group):
+            solved[i] = grounding, [results[j] for results in batches]
+
+    rows: list[SweepRow] = []
+    n_pairs = max(1, len(val_ids))
+    for i, (config, (grounding, results)) in enumerate(zip(configs, solved)):
+        try:
+            result = infer.run_inference(graph, bundles, config, params=params,
+                                         restrict_split="val", grounding=grounding,
+                                         solved=results)
+        except Exception as exc:
+            raise RuntimeError(f"{_named([i], configs)} failed: {exc}") from exc
         raw = result.total_energy
         mass = result.total_weight
-        n_pairs = max(1, len(val_ids))
         norm = raw / mass if mass > 0 else raw / n_pairs
         rows.append(SweepRow(config, raw, norm))
 
     best = min(rows, key=lambda r: r.normalized_objective)
     return best.config, rows
+
+
+def _named(indices, configs) -> str:
+    """The sweep configs at these indices, for an error message."""
+    return "; ".join(f"sweep config #{i} ({configs[i]})" for i in indices)

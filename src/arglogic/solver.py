@@ -50,29 +50,78 @@ def _empty(dtype):
 
 @dataclass
 class Assignment:
+    """The MAP of a program.  Per-block and per-row arrays follow the
+    program's blocks and rows; per-component ones are indexed by
+    `block_comp`, and describe the ADMM blocks only."""
+
     values: np.ndarray  # per free atom
-    labels: dict[str, str]  # pair_id -> predicted relation
-    energy: float
-    energy_shares: dict[str, float]  # pair_id -> share of its component's energy
-    iterations: int = 0  # summed over the program's components
-    converged: bool = True  # every component converged
-    # per component, indexed by GroundProgram.block_comp; ADMM blocks only
+    pair_ids: list[str]  # per block: GroundProgram.block_pair_ids
+    predicted: list[str]  # per block: its relation
+    shares: np.ndarray  # per block: share of its component's energy
+    row_energy: np.ndarray  # per row: weighted hinge loss
+    block_comp: np.ndarray = _empty(np.int64)
+    closed_form: np.ndarray = _empty(bool)  # per block: solved without ADMM
     component_iterations: np.ndarray = _empty(np.int64)
     component_converged: np.ndarray = _empty(bool)
     primal_residual: np.ndarray = _empty(float)
     dual_residual: np.ndarray = _empty(float)
-    closed_form: np.ndarray = _empty(bool)  # per block: solved without ADMM
+
+    @property
+    def energy(self) -> float:
+        return float(self.row_energy.sum())
+
+    @property
+    def iterations(self) -> int:
+        """Summed over the components."""
+        return int(self.component_iterations.sum())
+
+    @property
+    def converged(self) -> bool:
+        """Every component converged."""
+        return bool(self.component_converged.all())
+
+    @property
+    def labels(self) -> dict[str, str]:
+        """pair_id -> predicted relation, for a program holding each pair once."""
+        return dict(zip(self.pair_ids, self.predicted))
+
+    @property
+    def energy_shares(self) -> dict[str, float]:
+        """pair_id -> share of its component's energy, as `labels`."""
+        return dict(zip(self.pair_ids, self.shares.tolist()))
+
+    @property
+    def block_converged(self) -> np.ndarray:
+        """Per block: solved in closed form or its component converged."""
+        return self.component_converged[self.block_comp] | self.closed_form
+
+    def part(self, blocks: slice, rows: slice, comps: slice) -> "Assignment":
+        """The assignment of a run of whole components of the program: the
+        given blocks, rows and components of this one's."""
+        k = len(self.values) // max(1, len(self.pair_ids))
+        return Assignment(
+            values=self.values[blocks.start * k:blocks.stop * k],
+            pair_ids=self.pair_ids[blocks],
+            predicted=self.predicted[blocks],
+            shares=self.shares[blocks],
+            row_energy=self.row_energy[rows],
+            block_comp=self.block_comp[blocks] - comps.start,
+            closed_form=self.closed_form[blocks],
+            component_iterations=self.component_iterations[comps],
+            component_converged=self.component_converged[comps],
+            primal_residual=self.primal_residual[comps],
+            dual_residual=self.dual_residual[comps],
+        )
 
 
-def _predict_labels(program: GroundProgram, values: np.ndarray) -> dict[str, str]:
+def _predict_labels(program: GroundProgram, values: np.ndarray) -> list[str]:
     """Each pair's highest-valued relation; near-ties go to LABEL_PRIORITY."""
     labels = program.labels
     rows = values.reshape(program.n_pairs, len(labels))
     near_best = rows >= rows.max(axis=1, keepdims=True) - TIE_TOL
     order = [labels.index(rel) for rel in LABEL_PRIORITY if rel in labels]
     chosen = np.argmax(near_best[:, order], axis=1)
-    return {pid: labels[order[c]]
-            for pid, c in zip(program.block_pair_ids, chosen.tolist())}
+    return [labels[order[c]] for c in chosen.tolist()]
 
 
 def _finish(program: GroundProgram, raw_values: np.ndarray) -> np.ndarray:
@@ -88,7 +137,7 @@ def solve_map_admm(program: GroundProgram,
     component without any reports 0 iterations, zero residuals and
     converged."""
     if program.n_atoms == 0:
-        return Assignment(np.empty(0), {}, 0.0, {}, converged=True)
+        return Assignment(np.empty(0), [], [], np.empty(0), np.empty(0))
     k = len(program.labels)
     exact = uncoupled_blocks(program)
     n_comp = int(program.block_comp.max()) + 1
@@ -115,18 +164,19 @@ def solve_map_admm(program: GroundProgram,
         primal[comps] = result.primal_residual
         dual[comps] = result.dual_residual
     values = _finish(program, z)
+    row_energy = energy(program, values)
     return Assignment(
         values=values,
-        labels=_predict_labels(program, values),
-        energy=energy(program, values),
-        energy_shares=energy_by_pair(program, values),
-        iterations=int(iterations.sum()),
-        converged=bool(converged.all()),
+        pair_ids=program.block_pair_ids,
+        predicted=_predict_labels(program, values),
+        shares=energy_by_pair(program, row_energy),
+        row_energy=row_energy,
+        block_comp=program.block_comp,
+        closed_form=exact,
         component_iterations=iterations,
         component_converged=converged,
         primal_residual=primal,
         dual_residual=dual,
-        closed_form=exact,
     )
 
 

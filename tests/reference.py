@@ -62,7 +62,7 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
     """
     nb = program.n_pairs
     if nb == 0:
-        return Assignment(np.empty(0), {}, 0.0, {}, converged=True)
+        return Assignment(np.empty(0), [], [], np.empty(0), np.empty(0))
     if nb > MAX_GRID_PAIRS:
         raise ValidationError(
             f"grid oracle limited to {MAX_GRID_PAIRS} pairs, got {nb}")
@@ -87,10 +87,11 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
     flat = int(np.argmin(total.reshape(-1)))
     choice = np.unravel_index(flat, total.shape)
     values = grid[list(choice)].ravel()
+    row_energy = energy(program, values)
     return Assignment(
         values=values,
-        labels=_predict_labels(program, values),
-        energy=energy(program, values),
-        energy_shares=energy_by_pair(program, values),
-        converged=True,
+        pair_ids=program.block_pair_ids,
+        predicted=_predict_labels(program, values),
+        shares=energy_by_pair(program, row_energy),
+        row_energy=row_energy,
     )

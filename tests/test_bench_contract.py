@@ -4,8 +4,11 @@ position.  A tiny `infer` and `sweep` with chains on, and `infer` with
 chains off, run under it must leave no wrapped layer absent and no count
 unreadable; the chains-on commands must reach the ADMM kernel.  The
 benchmark's inputs, and a valid record of every table, must be read by the
-compiled readers alone, never by the walker that words errors."""
+compiled readers alone, never by the walker that words errors.  A sweep
+must give the benchmark one `infer.run_inference` result per grid point,
+in config order."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from arglogic.synth import SYNTH_TABLE, SynthConfig, generate
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
-from workloads import TINY_SYNTH, WORKLOADS  # noqa: E402
+from workloads import SWEEP_GRID_POINTS, TINY_SYNTH, WORKLOADS  # noqa: E402
 
 
 def write_inputs(tmp_path, synth):
@@ -53,6 +56,29 @@ def test_tracer_finds_every_layer_and_counts_kernel_iterations(tmp_path):
     assert tracer.absent == set()
     assert tracer.absent_layers() == []
     assert tracer.count_errors == set()
+
+
+def test_sweep_gives_one_inference_result_per_grid_point_in_config_order(tmp_path):
+    args, scores = write_inputs(tmp_path, TINY_SYNTH)
+    out = tmp_path / "sweep.json"
+    tracer = tracing.Tracer()
+    tracer.install(timed=False)
+    try:
+        main(["sweep", str(args), str(scores), "--chains", "on", "--out", str(out)],
+             standalone_mode=False)
+    finally:
+        tracer.uninstall()
+    results = [c["result"] for _, name, c in tracer.outcomes if name == "infer.run_inference"]
+    rows = json.loads(out.read_text())["configs"]
+    assert len(results) == len(rows) == SWEEP_GRID_POINTS
+    val_ids = {r["pair_id"] for r in map(json.loads, args.read_text().splitlines())
+               if r.get("split") == "val" and r.get("kind", "direct") == "direct"}
+    assert val_ids
+    objectives = [row["normalized_objective"] for row in rows]
+    assert len(set(objectives)) == len(objectives)
+    for result, objective in zip(results, objectives):
+        assert set(result.predictions) == val_ids
+        assert result.total_energy / result.total_weight == objective
 
 
 # One valid record of every table; the nested tables are read inside them.

@@ -181,6 +181,11 @@ def test_eval_report_holds_null_for_an_undefined_auc(runner, tmp_path):
     payload = json.loads(report.read_text(), parse_constant=no_constant)
     assert payload["macro_auc"] is None
     assert payload["n_pairs"] == 3 and payload["support_counts"]["support"] == 3
+    # the printed table says so too, in the AUC column
+    head, row = res.output.splitlines()[:2]
+    assert head.split()[:2] == ["ACC", "AUC"]
+    assert row.split()[1:3] == ["100.0", "n/a"] and "nan" not in row
+    assert len(row) == len(head) and row[16 + 8:16 + 16] == "     n/a"
 
 
 @pytest.mark.parametrize("command, option, value", [

@@ -22,12 +22,14 @@ from arglogic.infer import PREDICTION_TABLES, PairPrediction
 from arglogic.model import (
     BUNDLE_TABLE,
     DIST_TOL,
+    NUMBER,
     PAIR_TABLE,
     ArgumentGraph,
     ArgumentPair,
     CausalScores,
     NliScores,
     ScoreBundle,
+    Table,
     ValidationError,
     bundle_to_record,
     connected_components,
@@ -514,7 +516,7 @@ def test_import_compiles_no_reader_or_writer():
 def test_config_tables_read_without_building_writers():
     """Reading a rule-set config and a synth config compiles their readers,
     each nested table's `check` bound in the outer one's code, and no
-    writer: theirs would read attributes of a dict."""
+    writer: theirs cannot be built, since they read into dicts."""
     config, synth = in_fresh_interpreter(COMPILED + """
     import json
     from arglogic.rules import CONFIG_TABLE
@@ -531,6 +533,20 @@ def test_config_tables_read_without_building_writers():
     """)
     assert config == [2, True, [["check"]] * 3]
     assert synth == [3, True, [["check"]] * 4]
+
+
+def test_tables_read_into_a_dict_refuse_to_write():
+    """A dict has no attributes for a writer to read: writing a table that
+    reads into one, or nests one that does, raises TypeError naming it."""
+    weights = Table(dict, [("a", NUMBER, None, None), ("b", NUMBER, None, None)])
+    with pytest.raises(TypeError, match=r"fields \(a, b\) cannot be written"):
+        weights.write({"a": 1.0})
+    for table, value, field in ((CONFIG_TABLE, (RuleSetConfig(), {}), "w_logic"),
+                                (SYNTH_TABLE, SynthConfig(), "fractions")):
+        with pytest.raises(TypeError, match=f"field '{field}' cannot be written") as exc:
+            table.write(value)
+        assert str(exc.value).startswith(f"the table of fields ({table.rows[0][0]}, ")
+        assert "into a dict" in str(exc.value.__cause__)
 
 
 def test_dump_json_refuses_nan(tmp_path):

@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from arglogic import infer
+from arglogic import infer, kernels
 from arglogic.model import ValidationError
 from arglogic.rules import (
     CONFIG_TABLE,
@@ -145,9 +146,8 @@ def assert_same_as_alone(config, row, result, graph, bundles):
     alone = infer.run_inference(graph, bundles, config, restrict_split="val")
     assert {p: (v.scores, v.predicted) for p, v in result.predictions.items()} == {
         p: (v.scores, v.predicted) for p, v in alone.predictions.items()}
-    assert row.raw_objective == pytest.approx(alone.total_energy, rel=1e-12, abs=0)
-    assert row.normalized_objective == pytest.approx(
-        alone.total_energy / alone.total_weight, rel=1e-12, abs=0)
+    assert row.raw_objective == alone.total_energy
+    assert row.normalized_objective == alone.total_energy / alone.total_weight
 
 
 def test_sweep_grounds_once_and_matches_run_inference_alone(val_dataset, recorded_sweep):
@@ -176,3 +176,29 @@ def test_sweep_over_structures_grounds_once_per_structure(val_dataset, recorded_
     with pytest.raises(ValueError, match="structure"):
         infer.run_inference(graph, bundles, squared[0], restrict_split="val",
                             grounding=grounding)
+
+
+def test_sweep_errors_name_the_configs(val_dataset, monkeypatch):
+    graph, bundles, _ = val_dataset
+    grids = {"w_chain": [1.0], "w_prior": [0.2, 0.3]}
+    linear = expand_grid(RuleSetConfig(chains=True), grids)
+    squared = expand_grid(RuleSetConfig(chains=True, hinge_power="squared"), grids)
+    configs = [linear[0], squared[0], linear[1], squared[1]]
+
+    bad = configs[:2] + [dataclasses.replace(linear[1], w_prior=-1.0)]
+    with pytest.raises(ValidationError, match="negative prior weight") as exc:
+        sweep(bad, graph, bundles)
+    assert str(exc.value).startswith(f"sweep config #2 ({bad[2]}): ")
+
+    # a NaN in a joined solve names every config of its structure
+    solve_admm = kernels.solve_admm
+
+    def nan_kernel(*args):
+        result = solve_admm(*args)
+        return result._replace(nan_seen=np.ones_like(result.nan_seen))
+    monkeypatch.setattr(kernels, "solve_admm", nan_kernel)
+    with pytest.raises(RuntimeError, match="NaN") as exc:
+        sweep(configs, graph, bundles)
+    assert str(exc.value).startswith(
+        f"sweep config #0 ({configs[0]}); sweep config #2 ({configs[2]}) failed: ")
+    assert "#1" not in str(exc.value) and "#3" not in str(exc.value)

@@ -13,10 +13,10 @@ from arglogic.grounding import (
     ground,
     join,
 )
-from arglogic import kernels
+from arglogic import infer, kernels
 from arglogic.kernels import project_rows
 from arglogic.chains import build_indirect
-from arglogic.infer import ground_graph
+from arglogic.infer import ground_graph, solve_configs
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
 from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, structure
@@ -174,7 +174,7 @@ def test_energy_examples():
     prog = single_pair_program(PredicateVector(fact_entail=1.0))
     sat = np.array([1.0, 0.0, 0.0])
     # R1 satisfied, prior d = 1 at neutral 0 -> energy 0.2
-    assert energy(prog, sat) == pytest.approx(0.2)
+    assert energy(prog, sat).tolist() == pytest.approx([0.0, 0.2])
     infeasible = np.array([1.0, 0.5, 0.0])
     with pytest.raises(ValidationError):
         energy(prog, infeasible)
@@ -190,8 +190,9 @@ def test_energy_weighted_sum():
         pot_weight=np.array([2.0, 1.0]), power=1,
         copy_atom=np.array([0, 0]), copy_pot=np.array([0, 1]),
         copy_coef=np.array([-1.0, -1.0]))
-    assert energy(prog, np.array([0.5, 0.5])) == pytest.approx(1.25)
-    assert energy_by_pair(prog, np.array([0.5, 0.5])) == {"p": 1.0}
+    rows = energy(prog, np.array([0.5, 0.5]))
+    assert rows.tolist() == pytest.approx([1.0, 0.25])
+    assert energy_by_pair(prog, rows).tolist() == [1.0]
 
 
 def test_energy_matches_per_potential_loop():
@@ -207,8 +208,9 @@ def test_energy_matches_per_potential_loop():
             per_pair[prog.block_pair_ids[prog.pot_block[p]]] += (
                 prog.pot_weight[p] * max(0.0, s) ** prog.power)
         total = sum(per_pair.values())
-        assert energy(prog, values) == pytest.approx(total, rel=1e-12, abs=1e-15)
-        shares = energy_by_pair(prog, values)
+        rows = energy(prog, values)
+        assert rows.sum() == pytest.approx(total, rel=1e-12, abs=1e-15)
+        shares = dict(zip(prog.block_pair_ids, energy_by_pair(prog, rows)))
         for pid, e in per_pair.items():
             assert shares[pid] == pytest.approx(e / total, rel=1e-12, abs=1e-15)
 
@@ -220,8 +222,8 @@ def test_label_ties_go_to_the_most_conservative_relation():
     prog = ground(build_ruleset(RuleSetConfig()), list(g), {})
     # support/attack/neutral per pair: all tied, attack~support, clear support
     values = np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5 - 1e-10, 0.0, 0.6, 0.4, 0.0])
-    assert _predict_labels(prog, values) == {
-        "a": "neutral", "b": "attack", "c": "support"}
+    assert prog.block_pair_ids == ["a", "b", "c"]
+    assert _predict_labels(prog, values) == ["neutral", "attack", "support"]
 
 
 def test_project_simplex_examples():
@@ -330,7 +332,8 @@ def test_convexity_witness():
         for _ in range(10):
             x, y = feasible_point(), feasible_point()
             mid = (x + y) / 2
-            assert energy(prog, mid) <= (energy(prog, x) + energy(prog, y)) / 2 + 1e-9
+            e = [energy(prog, v).sum() for v in (mid, x, y)]
+            assert e[0] <= (e[1] + e[2]) / 2 + 1e-9
 
 
 def test_argmin_invariant_under_weight_scaling():
@@ -411,6 +414,53 @@ def test_capped_component_does_not_stop_the_batch():
     assert not capped.converged
     start = programs[0].n_atoms
     assert np.array_equal(a.values[start:start + programs[1].n_atoms], capped.values)
+
+
+def assert_same_assignment(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+    assert a.energy == b.energy
+
+
+@pytest.mark.parametrize("power, per_call", [("linear", 4), ("squared", 4), ("linear", 2)])
+def test_config_joined_solve_equals_one_solve_per_config(power, per_call, monkeypatch):
+    """A batch is joined under as many configs per kernel call as the cap
+    allows (all four, or two at a time), and each config's part of a call
+    is what solving its own program alone gives.  A zero chain weight drops the chain rows, so that config's
+    blocks are solved in closed form while the others' go to ADMM; a zero
+    prior weight drops the prior rows."""
+    monkeypatch.setattr(infer, "MAX_BATCH_COPIES", 600)  # several batches
+    monkeypatch.setattr(infer, "MAX_JOINED_COPIES", 600 * per_call)
+    graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
+    base = RuleSetConfig(chains=True, hinge_power=power)
+    configs = [replace(base, w_chain=wc, w_prior=wp)
+               for wc, wp in ((1.0, 0.2), (0.0, 0.3), (0.5, 0.0), (0.1, 0.2))]
+    grounding = ground_graph(graph, bundles, base)
+    grounding.programs = list(grounding.programs)
+    kernel_calls = []
+    solve_admm = kernels.solve_admm
+    monkeypatch.setattr(kernels, "solve_admm",
+                        lambda *a: kernel_calls.append(1) or solve_admm(*a))
+
+    joint = list(solve_configs(grounding, configs))
+    batches = list(infer._batches(grounding.programs, 600))
+    assert len(joint) == len(batches) > 1
+    # a batch of c copies is joined under MAX_JOINED_COPIES // c configs at a
+    # time; one call per group that holds a config with chain rows
+    steps = [max(1, 600 * per_call // copies) for _, copies in batches]
+    assert max(steps) > 1
+    assert len(kernel_calls) == sum(any(c.w_chain for c in configs[i:i + step])
+                                    for step in steps for i in range(0, len(configs), step))
+    for results, (batch, copies) in zip(joint, batches):
+        assert copies <= 600 or len(batch) == 1
+        assert len(results) == len(configs)
+        for config, (weight, part) in zip(configs, results):
+            weights = {rule.id: rule.weight for rule in build_ruleset(config)}
+            alone = [p.with_weights(weights) for p in batch]
+            assert weight == sum(p.total_weight for p in alone)
+            assert_same_assignment(part, solve_map_admm(join(alone)))
+            assert part.closed_form.all() == (config.w_chain == 0.0)
 
 
 @pytest.mark.parametrize("k", [2, 3])
