@@ -16,9 +16,9 @@ import click
 from . import baselines as baselines_mod
 from . import metrics as metrics_mod
 from .chains import build_indirect, emit_pair_manifest
-from .infer import PREDICTION_TABLES, predictions_to_records, run_inference
+from .infer import PREDICTION_TABLES, prediction_lines, predictions_to_records, run_inference
 from .model import (ValidationError, check_writable, dump_json, dump_jsonl, load_arguments,
-                    load_dataset, load_json_object, read_jsonl)
+                    load_dataset, load_json_object, read_jsonl, write_atomic)
 from .rules import RuleSetConfig, expand_grid, load_config, sweep
 from .synth import SynthConfig, generate, plant_chain_scenario
 
@@ -116,7 +116,7 @@ def cmd_infer(arguments_path, scores_path, config_path, mode, chains,
     check_writable(out_path)
     graph, bundles = load_dataset(arguments_path, scores_path, config.task_mode)
     result = run_inference(graph, bundles, config, ablate=frozenset(ablate))
-    dump_jsonl(predictions_to_records(result.predictions, config.task_mode), out_path)
+    write_atomic(out_path, prediction_lines(result))
     log.info("solved %d components, %d potentials, energy %.4f%s",
              result.n_components, result.n_potentials, result.total_energy,
              "" if result.converged else " (non-converged components)")

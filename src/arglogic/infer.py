@@ -2,15 +2,17 @@
 
 `solve_configs` solves a grounding's programs under one or more configs
 of its structure, each batch under several of them per solver call;
-`run_inference` collects one config's predictions from its results.  An
-`infer` run is the one-config case; a sweep solves each structure's
-configs together and then collects each config in turn.
+`run_inference` gathers one config's results.  An `infer` run is the
+one-config case, and writes its output lines straight from the solver's
+arrays (`prediction_lines`); a sweep solves each structure's configs
+together and then gathers each config in turn.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,12 +66,44 @@ PREDICTION_TABLES = {mode: Table(PairPrediction, [
 
 @dataclass
 class InferenceResult:
-    predictions: dict[str, PairPrediction]  # direct pairs only
+    """One config's solve: its batch results and the graph they cover.
+    `predictions` is built from them on first read."""
+    solved: list[tuple[float, Assignment]]  # per batch: ground weight, assignment
+    work: ArgumentGraph  # the pairs that were grounded, indirect ones included
     total_energy: float
     total_weight: float  # sum of ground soft-potential weights
     n_components: int
     n_potentials: int
     converged: bool
+
+    @cached_property
+    def predictions(self) -> dict[str, PairPrediction]:
+        """Direct pairs only, in the solver's block order."""
+        labels = labels_for_mode(self.work.task_mode)
+        return {pid: PairPrediction(pid, dict(zip(labels, row)), predicted, share, conv)
+                for pid, row, predicted, share, conv in _direct_blocks(self)}
+
+
+def _direct_blocks(result: InferenceResult):
+    """(pair id, label scores, predicted, energy share, converged) of each
+    direct pair's block, in the solver's block order."""
+    pairs = result.work.pairs
+    k = len(labels_for_mode(result.work.task_mode))
+    for _, assignment in result.solved:
+        rows = assignment.values.reshape(len(assignment.pair_ids), k).tolist()
+        for block in zip(assignment.pair_ids, rows, assignment.predicted,
+                         assignment.shares.tolist(), assignment.block_converged.tolist()):
+            if pairs[block[0]].kind == "direct":
+                yield block
+
+
+def prediction_lines(result: InferenceResult) -> list[str]:
+    """The output line of each direct pair, in pair-id order (FORMATS.md),
+    written by the mode's prediction table from the solver's arrays."""
+    line = PREDICTION_TABLES[result.work.task_mode].line
+    lines = {pid: line(pid, *row, predicted, share, conv)
+             for pid, row, predicted, share, conv in _direct_blocks(result)}
+    return [lines[pid] for pid in sorted(lines)]
 
 
 @dataclass
@@ -191,7 +225,8 @@ def run_inference(
     solved: Iterable[tuple[float, Assignment]] | None = None,
 ) -> InferenceResult:
     """Solve MAP per connected component, in batches of components, and
-    collect per-pair predictions.
+    gather the batch results.  The result's `predictions` are built on
+    first read; `prediction_lines` writes the output without them.
 
     `grounding` is `ground_graph`'s output for this graph, bundles, ablate
     and restrict_split under a config of the same structure; without it
@@ -203,14 +238,11 @@ def run_inference(
         grounding = ground_graph(graph, bundles, config, ablate, restrict_split)
     if solved is None:
         solved = (results[0] for results in solve_configs(grounding, [config], params))
-    work = grounding.work
-
-    predictions: dict[str, PairPrediction] = {}
+    solved = list(solved)
     total_energy = 0.0
     total_weight = 0.0
     n_potentials = 0
     all_converged = True
-    labels = labels_for_mode(work.task_mode)
     for weight, assignment in solved:
         total_energy += assignment.energy
         total_weight += weight
@@ -223,22 +255,10 @@ def run_inference(
                         assignment.pair_ids[first:min(first + 3, end)],
                         assignment.component_iterations[c],
                         assignment.primal_residual[c], assignment.dual_residual[c])
-        rows = assignment.values.reshape(len(assignment.pair_ids), len(labels)).tolist()
-        for pair_id, row, predicted, share, conv in zip(
-                assignment.pair_ids, rows, assignment.predicted,
-                assignment.shares.tolist(), assignment.block_converged.tolist()):
-            if work.pairs[pair_id].kind != "direct":
-                continue
-            predictions[pair_id] = PairPrediction(
-                pair_id=pair_id,
-                scores=dict(zip(labels, row)),
-                predicted=predicted,
-                energy_share=share,
-                converged=conv,
-            )
 
     return InferenceResult(
-        predictions=predictions,
+        solved=solved,
+        work=grounding.work,
         total_energy=total_energy,
         total_weight=total_weight,
         n_components=grounding.n_components,

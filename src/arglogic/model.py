@@ -8,9 +8,10 @@ Every record read or written is declared once, as a `Table` of (field
 name, kind, default, group) rows: `Table.read` checks a JSON object and
 builds its value, `Table.write` turns the value back into the object.
 Each table compiles its reader, with every field's check inlined, and
-its writer once, on first use; the generic walker `_read` only reads a
+its writers once, on first use; the generic walker `_read` only reads a
 record the compiled reader turns down, so it alone words errors and
-renormalises distributions.
+renormalises distributions.  `Table.line` writes a flat record's values
+straight to its JSONL line, without building the record.
 The pair and score block types are made from their tables.  The tables
 of configs and predictions live next to the types they build
 (`rules.py`, `synth.py`, `infer.py`).
@@ -18,6 +19,7 @@ of configs and predictions live next to the types they build
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -27,6 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import takewhile
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional
 
 log = logging.getLogger(__name__)
@@ -157,13 +160,31 @@ class Kind(NamedTuple):
     `check` of `table`, a nested object's (each item's if `many`), bound
     when the outer table compiles.  A nested table's `test` is "True": its
     `value` calls that `check`, which raises _Reject instead.  The writer
-    recurses into `table` too."""
+    recurses into `table` too.  `text`, the expression of a value's JSON
+    text (`{0}` the value, names from `_LINE_ENV`), is what `Table.line`
+    inlines; a kind without one cannot be written on one line."""
     read: Callable
     test: str = "True"
     value: str = "{0}"
     arg: object = None
     table: Optional["Table"] = None
     many: bool = False
+    text: Optional[str] = None
+
+
+# The JSON text of a value of each type, as `json.dumps` writes it: a
+# number by its repr (a float that is not finite raises ValueError, as
+# JSON has no NaN or infinity), a string escaped to ASCII.
+_TEXT = {float: "(_float({0}) if _finite({0}) else _not_finite({0}))", int: "_int({0})",
+         str: "_str({0})", bool: '("true" if {0} else "false")'}
+
+
+def _not_finite(value):
+    raise ValueError(f"{value!r} is not a JSON number")
+
+
+_LINE_ENV = {"_float": float.__repr__, "_int": int.__repr__, "_finite": math.isfinite,
+             "_not_finite": _not_finite, "_str": encode_basestring_ascii}
 
 
 def _number(name: str, high=sys.float_info.max, json_types=(float, int), convert=float) -> Kind:
@@ -173,7 +194,8 @@ def _number(name: str, high=sys.float_info.max, json_types=(float, int), convert
         raise _Invalid(f"must be {name}, got {value!r}")
     types = " or ".join(f"type({{0}}) is {t.__name__}" for t in json_types)
     bound = f" <= {high!r}" if high < math.inf else ""
-    return Kind(read, f"({types}) and 0 <= {{0}}{bound}", f"{convert.__name__}({{0}})")
+    return Kind(read, f"({types}) and 0 <= {{0}}{bound}", f"{convert.__name__}({{0}})",
+                text=_TEXT[convert])
 
 
 def _of_type(json_type: type, name: str, values=None) -> Kind:
@@ -182,7 +204,8 @@ def _of_type(json_type: type, name: str, values=None) -> Kind:
             return value
         raise _Invalid(f"must be {name}, got {value!r}")
     member = "" if values is None else " and {0} in {1}"
-    return Kind(read, f"type({{0}}) is {json_type.__name__}{member}", arg=values)
+    return Kind(read, f"type({{0}}) is {json_type.__name__}{member}", arg=values,
+                text=_TEXT[json_type])
 
 
 def choice(*values: str) -> Kind:
@@ -282,7 +305,8 @@ class Table:
     default is the value of a field left out.  Unknown fields are errors.
     `check`, compiled on first use, reads a record or raises _Reject;
     `write`, compiled on first use too, turns the value back into the
-    record."""
+    record, and `line(*values)` writes the record of field values given in
+    row order as its JSONL line."""
 
     def __init__(self, make, rows):
         self.rows = rows = tuple(rows)
@@ -302,6 +326,7 @@ class Table:
 
     check = cached_property(lambda self: _reader(self))
     write = cached_property(lambda self: _writer(self))
+    line = cached_property(lambda self: _line(self))
 
     def read(self, record, line=None, what: str = "field"):
         """The value of one JSON object.  A ValidationError names the line
@@ -417,11 +442,8 @@ def _writer(table: Table) -> Callable:
     table's writer, compiled here too.  A table that reads records into a
     dict, or nests one that does, has no attributes to write from:
     compiling its writer raises TypeError."""
-    def refuse(why):
-        names = ", ".join(row[0] for row in table.rows)
-        return TypeError(f"the table of fields ({names}) cannot be written: {why}")
     if table.make is dict:
-        raise refuse("it reads records into a dict")
+        raise _unwritable(table, "written", "it reads records into a dict")
     display = eval("lambda o: {%s}" % ", ".join(
         f"{name!r}: o.{group.held_in}[{name!r}]" if group and group.held_in
         else f"{name!r}: o.{name}" for name, _, _, group in table.rows))
@@ -431,7 +453,7 @@ def _writer(table: Table) -> Callable:
             try:
                 sub = kind.table.write if kind.table is not None else None
             except TypeError as exc:
-                raise refuse(f"field {name!r} cannot be written") from exc
+                raise _unwritable(table, "written", f"field {name!r} cannot be written") from exc
             post.append((name, sub, kind.many))
     if not post:
         return display
@@ -446,6 +468,31 @@ def _writer(table: Table) -> Callable:
                 record[name] = [sub(v) for v in value] if many else sub(value)
         return record
     return write
+
+
+def _line(table: Table) -> Callable:
+    """`line(*values)`, compiled once per table as `_writer` is: one
+    %-format string with the fields in sorted key order, the order
+    `json.dumps(sort_keys=True)` writes them in, filled with each value's
+    `Kind.text`, so the line is the one `dump_jsonl` writes for the record.
+    Only a table of fields that are always written, each on one line, has
+    one: a nested, array or optional (None default) field raises TypeError."""
+    rows = table.rows
+    lacking = [name for name, kind, default, _ in rows if kind.text is None or default is None]
+    if lacking:
+        raise _unwritable(table, "written as one line", "its fields %s are nested, arrays "
+                          "or optional" % ", ".join(map(repr, lacking)))
+    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    template = "{%s}\n" % ", ".join(json.dumps(rows[i][0]).replace("%", "%%") + ": %s"
+                                    for i in order)
+    args = ", ".join(f"v{i}" for i in range(len(rows)))
+    texts = ", ".join(rows[i][1].text.format(f"v{i}") for i in order)
+    return eval(f"lambda {args}: {template!r} % ({texts},)", dict(_LINE_ENV))
+
+
+def _unwritable(table: Table, how: str, why: str) -> TypeError:
+    names = ", ".join(row[0] for row in table.rows)
+    return TypeError(f"the table of fields ({names}) cannot be {how}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +628,31 @@ def check_writable(path):
     os.remove(fh.name)
 
 
-def _write_atomic(path, text_lines: Iterable[str]):
-    """Write through a temporary file, so readers never see a partial file."""
-    with _open_tmp(path) as fh:
-        fh.writelines(text_lines)
-    os.replace(fh.name, path)
+def write_atomic(path, text_lines: Iterable[str]):
+    """Write through a temporary file, so readers never see a partial file;
+    if writing fails, the temporary file is removed."""
+    fh = _open_tmp(path)
+    try:
+        with fh:
+            fh.writelines(text_lines)
+        os.replace(fh.name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(fh.name)
+        raise
 
 
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
+# json.dumps(sort_keys=True, allow_nan=False) builds one per call
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def dump_jsonl(records: Iterable[dict], path):
-    _write_atomic(path, (_JSONL_ENCODER.encode(rec) + "\n" for rec in records))
+    """One record per line; a NaN or an infinity in one is an error, as
+    JSON has none."""
+    write_atomic(path, (_JSONL_ENCODER.encode(rec) + "\n" for rec in records))
 
 
 def dump_json(payload: dict, path):
     """One indented JSON object (sweep and eval reports); a NaN or an
     infinity in it is an error, as JSON has none."""
-    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"])
+    write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"])

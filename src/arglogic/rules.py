@@ -162,7 +162,10 @@ def sweep(configs, graph, bundles, params=None):
     Configs are grouped by structure.  The split is grounded once per
     group and each batch of its programs is solved under several configs
     of the group per call (`infer.solve_configs`); then
-    `infer.run_inference` collects each config's result, in config order.
+    `infer.run_inference` gathers each config's result, in config order.
+    Only the energies and weights are read here, so no config's
+    `predictions` are built (`InferenceResult.predictions` is built on
+    first read).
 
     Returns (best_config, [SweepRow...]); ties resolve to the earliest
     config in declaration order.

@@ -8,7 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 import arglogic
+from arglogic import cli
+from arglogic.baselines import BASELINES
 from arglogic.cli import main
+from arglogic.infer import PREDICTION_TABLES, run_inference
+from arglogic.model import bundle_to_record, dump_jsonl, load_dataset, pair_to_record
+from arglogic.synth import SynthConfig, generate
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +142,45 @@ def test_baseline_commands(dataset, runner, tmp_path):
         assert res.exit_code == 0, res.output
         recs = read_jsonl(out)
         assert len(recs) == len(read_jsonl(args_path))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_infer_writes_json_dumps_of_each_prediction(runner, tmp_path, monkeypatch, seed):
+    """`infer` writes its lines straight from the solver's arrays; each is the
+    line of `json.dumps(sort_keys=True)` over the prediction's record, in
+    pair-id order.  `baseline` writes its records through `dump_jsonl`."""
+    results = []
+
+    def run_and_keep(*args, **kwargs):
+        results.append(run_inference(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_inference", run_and_keep)
+    for mode in ("ternary", "binary"):
+        overrides = {"fractions": {"support": 0.5, "attack": 0.5}} if mode == "binary" else {}
+        graph, bundles, _ = generate(SynthConfig(seed=seed, task_mode=mode, **overrides))
+        args_path, scores_path = tmp_path / "args.jsonl", tmp_path / "scores.jsonl"
+        dump_jsonl((pair_to_record(graph.pairs[p]) for p in sorted(graph.pairs)), args_path)
+        dump_jsonl((bundle_to_record(bundles[p]) for p in sorted(bundles)), scores_path)
+        write = PREDICTION_TABLES[mode].write
+
+        def lines(predictions):
+            return "".join(json.dumps(write(predictions[pid]), sort_keys=True) + "\n"
+                           for pid in sorted(predictions))
+        for chains in ("on", "off"):
+            out = tmp_path / f"{mode}-{chains}.jsonl"
+            res = runner.invoke(main, ["infer", str(args_path), str(scores_path), "--mode", mode,
+                                       "--chains", chains, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            predictions = results.pop().predictions
+            assert len(predictions) == len(graph.direct_pairs())
+            assert out.read_text() == lines(predictions)
+        out = tmp_path / f"{mode}-random.jsonl"
+        res = runner.invoke(main, ["baseline", str(args_path), str(scores_path), "--mode", mode,
+                                   "--which", "random", "--seed", str(seed), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        graph, bundles = load_dataset(args_path, scores_path, mode)
+        assert out.read_text() == lines(BASELINES["random"](graph, bundles, seed))
 
 
 def test_eval_with_baseline_bootstrap(dataset, runner, tmp_path):

@@ -24,6 +24,7 @@ from arglogic.model import (
     DIST_TOL,
     NUMBER,
     PAIR_TABLE,
+    REQUIRED,
     ArgumentGraph,
     ArgumentPair,
     CausalScores,
@@ -497,7 +498,7 @@ def in_fresh_interpreter(code: str):
 
 COMPILED = """
     def compiled(*tables):
-        return [sorted(vars(t).keys() & {"check", "write"}) for t in tables]
+        return [sorted(vars(t).keys() & {"check", "write", "line"}) for t in tables]
 """
 
 
@@ -553,3 +554,72 @@ def test_dump_json_refuses_nan(tmp_path):
     with pytest.raises(ValueError):
         model.dump_json({"macro_auc": math.nan}, tmp_path / "report.json")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_jsonl_refuses_nan_and_infinities(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            dump_jsonl([{"a": 0.5}, {"a": bad}], tmp_path / "z.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_neither_the_file_nor_its_temporary(tmp_path):
+    def records():
+        yield {"a": 1}
+        raise RuntimeError("no more records")
+
+    with pytest.raises(RuntimeError, match="no more records"):
+        dump_jsonl(records(), tmp_path / "z.jsonl")
+    with pytest.raises(ValueError):
+        dump_jsonl([{"a": 1}, {"a": math.nan}], tmp_path / "z.jsonl")
+    assert list(tmp_path.iterdir()) == []
+    # an existing file stays as it was
+    dump_jsonl([{"a": 1}], tmp_path / "z.jsonl")
+    with pytest.raises(RuntimeError):
+        dump_jsonl(records(), tmp_path / "z.jsonl")
+    assert [p.name for p in tmp_path.iterdir()] == ["z.jsonl"]
+    assert (tmp_path / "z.jsonl").read_text() == '{"a": 1}\n'
+
+
+# Floats in [0, 1], the extremes and exponent forms among them.
+LINE_FLOATS = (st.sampled_from([0.0, 1.0, 5e-324, 1e-07, 2.5e-05, 0.1, 1 - 2 ** -53])
+               | st.floats(0.0, 1.0) | st.floats(0.0, 1e-4))
+# Quotes, backslashes, control characters, non-ASCII and astral-plane characters.
+LINE_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€ \U0001f600ab%s{}'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(sorted(PREDICTION_TABLES)), pair_id=LINE_TEXT,
+       scores=st.lists(LINE_FLOATS, min_size=3, max_size=3), share=LINE_FLOATS,
+       predicted_at=st.integers(0, 2), converged=st.booleans())
+def test_table_line_is_json_dumps_of_the_record(mode, pair_id, scores, share,
+                                                predicted_at, converged):
+    table = PREDICTION_TABLES[mode]
+    labels = [row[0] for row in table.rows[1:-3]]
+    scores = dict(zip(labels, scores))
+    predicted = labels[predicted_at % len(labels)]
+    record = table.write(PairPrediction(pair_id, scores, predicted, share, converged))
+    line = table.line(pair_id, *scores.values(), predicted, share, converged)
+    assert line == json.dumps(record, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [1, 2, 4])
+def test_table_line_refuses_what_json_cannot_hold(bad, at):
+    values = ["p", 0.5, 0.5, "support", 0.0, True]
+    values[at] = bad
+    with pytest.raises(ValueError, match="not a JSON number"):
+        PREDICTION_TABLES["binary"].line(*values)
+
+
+def test_table_line_refuses_tables_not_written_as_one_line():
+    flat = [("a", NUMBER, REQUIRED, None)]
+    nested = Table("Outer", [*flat, ("inner", model.nested(Table("Inner", flat)), REQUIRED, None)])
+    many = Table("Many", [*flat, ("items", model.array(NUMBER), REQUIRED, None)])
+    optional = Table("Optional", [*flat, ("gold", model.STRING, None, None)])
+    for table, field in ((nested, "inner"), (many, "items"), (optional, "gold"),
+                         (PAIR_TABLE, "gold"), (BUNDLE_TABLE, "nli")):
+        with pytest.raises(TypeError, match=rf"fields \({table.rows[0][0]}, .*\) cannot be "
+                                            rf"written as one line: .*'{field}'"):
+            table.line
+    assert Table("Flat", flat).line(0.25) == '{"a": 0.25}\n'
