@@ -82,8 +82,16 @@ class GroundProgram:
         return self.n_pairs * len(self.labels)
 
     @property
+    def n_components(self) -> int:
+        return int(self.block_comp.max(initial=-1)) + 1
+
+    @property
     def total_weight(self) -> float:
-        return float(self.pot_weight.sum())
+        """The row weights summed per component, then over the components,
+        so that a join's total is its programs' totals summed, to the bit."""
+        row_comp = self.block_comp[self.pot_block]
+        ends = np.searchsorted(row_comp, np.arange(self.n_components + 1)).tolist()
+        return sum((float(self.pot_weight[a:b].sum()) for a, b in zip(ends, ends[1:])), 0.0)
 
     def select(self, keep: np.ndarray) -> "GroundProgram":
         """The blocks where keep holds, with every row on their atoms, in
@@ -208,14 +216,15 @@ def ground(
 
 
 def join(programs: Sequence[GroundProgram]) -> GroundProgram:
-    """One program holding each given one-component program as a
-    component, in order; all must share a task mode and a hinge power."""
+    """One program holding the given programs' components, in order: a
+    program's component ids follow on from those of the programs before
+    it.  All must share a task mode and a hinge power."""
     modes, powers = {p.task_mode for p in programs}, {p.power for p in programs}
     if len(modes) != 1 or len(powers) != 1:
         raise ValidationError(f"cannot join programs of task modes {sorted(modes)} "
                               f"and hinge powers {sorted(powers)}")
     if len(programs) == 1:
-        return programs[0]  # already in the one-component layout
+        return programs[0]
 
     def shifted(arrays, sizes):
         """The arrays end to end, each plus the sum of the sizes before it."""
@@ -237,7 +246,8 @@ def join(programs: Sequence[GroundProgram]) -> GroundProgram:
         copy_pot=shifted([p.copy_pot for p in programs],
                          [len(p.pot_const) for p in programs]),
         copy_coef=np.concatenate([p.copy_coef for p in programs]),
-        block_comp=np.repeat(np.arange(len(programs), dtype=np.int64), n_blocks),
+        block_comp=shifted([p.block_comp for p in programs],
+                           [p.n_components for p in programs]),
     )
 
 

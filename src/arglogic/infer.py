@@ -22,7 +22,7 @@ from .grounding import GroundProgram, ground, join
 from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, ScoreBundle,
                     Table, choice, connected_components, labels_for_mode, sums_to_one)
 from .predicates import evaluate_all
-from .rules import RuleSetConfig, build_ruleset, structure
+from .rules import DEFAULT_CHAIN_GRID, DEFAULT_PRIOR_GRID, RuleSetConfig, build_ruleset, structure
 from .solver import Assignment, SolverParams, solve_map_admm
 
 log = logging.getLogger(__name__)
@@ -36,11 +36,12 @@ MAX_BATCH_COPIES = 4096
 
 # `solve_configs` joins a batch under as many configs at once as keep the
 # joined program within this many copies (counted as above), and always at
-# least one, so the kernel sees up to twice the batch cap.  On the sweep
-# benchmark (seed 1, 2 cores, numpy; one run each) joining a 4k-copy batch
-# under all six grid points read +56% pairs/s and +4.7 MB (12%) peak RSS
-# against one call per grid point; two at a time read +40% and +1.7 MB.
-MAX_JOINED_COPIES = 2 * MAX_BATCH_COPIES
+# least one: a full batch under every point of the default sweep grid, so
+# a default sweep makes one kernel call per batch.  The kernel holds about
+# 73 bytes per copy at its peak (`test_kernel_memory_per_copy`); on the
+# sweep benchmark (ten seeds, 2 cores, numpy) the full join read +1.7 MB
+# median peak RSS against two configs per call.
+MAX_JOINED_COPIES = len(DEFAULT_CHAIN_GRID) * len(DEFAULT_PRIOR_GRID) * MAX_BATCH_COPIES
 
 
 @dataclass
@@ -180,34 +181,36 @@ def solve_configs(
     """Solve the grounding's programs under each config of its structure.
 
     The programs are solved in batches of components (`_batches`), each
-    batch under as many configs per `solve_map_admm` call as
-    MAX_JOINED_COPIES allows: the batch's programs, re-weighted per config,
-    are joined config-major, so each (config, component) is a component of
-    its own and stops on its own residuals, as it would alone.  Yields per
-    batch, in batch order, one (ground weight, assignment) per config, in
-    config order.
+    joined once and solved under as many configs per `solve_map_admm` call
+    as MAX_JOINED_COPIES allows: the joined batch, re-weighted per config,
+    is joined again config-major, so each (config, component) is a
+    component of its own and stops on its own residuals, as it would
+    alone.  Yields per batch, in batch order, one (ground weight,
+    assignment) per config, in config order.
     """
     params = params or SolverParams()
     if any(structure(config) != grounding.structure for config in configs):
         raise ValueError("grounding was made under another rule-set structure")
     weights = [{rule.id: rule.weight for rule in build_ruleset(config)} for config in configs]
     for batch, copies in _batches(grounding.programs, MAX_BATCH_COPIES):
+        joined = join(batch)
+        batch.clear()  # from here on only the join holds the programs
         step = max(1, MAX_JOINED_COPIES // copies)
         yield [result for start in range(0, len(weights), step)
-               for result in _solve_batch(batch, weights[start:start + step], params)]
+               for result in _solve_batch(joined, weights[start:start + step], params)]
 
 
-def _solve_batch(batch: list[GroundProgram], weights: list[dict[str, float]],
+def _solve_batch(batch: GroundProgram, weights: list[dict[str, float]],
                  params: SolverParams) -> list[tuple[float, Assignment]]:
-    """The batch under each rule-weight map, in one solve; the re-weighted
-    and joined programs are released when this returns."""
-    parts = [[program.with_weights(w) for program in batch] for w in weights]
-    assignment = solve_map_admm(join([p for part in parts for p in part]), params)
-    n_blocks, n_comps = sum(p.n_pairs for p in batch), len(batch)
+    """The joined batch under each rule-weight map, in one solve; the
+    re-weighted and joined programs are released when this returns."""
+    parts = [batch.with_weights(w) for w in weights]
+    assignment = solve_map_admm(parts, params)
+    n_blocks, n_comps = batch.n_pairs, batch.n_components
     results, row = [], 0
     for c, part in enumerate(parts):
-        n_rows = sum(len(p.pot_const) for p in part)
-        results.append((sum(p.total_weight for p in part), assignment.part(
+        n_rows = len(part.pot_const)
+        results.append((part.total_weight, assignment.part(
             slice(c * n_blocks, (c + 1) * n_blocks), slice(row, row + n_rows),
             slice(c * n_comps, (c + 1) * n_comps))))
         row += n_rows

@@ -18,12 +18,21 @@ Flat program layout (`grounding.GroundProgram` holds these arrays):
   k              block width, 2 or 3: atoms b*k .. b*k + k - 1 sum to 1
   atom_comp[n]   optional component id of each atom (default: all 0)
 
-Working layout: the caller's hinge copies, then one simplex copy per
-atom, in atom order (`arange(n_atoms)`).  The hinge step reads only the
-hinge copies, and the simplex copies are one contiguous (blocks, k) view,
-projected without a gather.  An atom's hinge copies come before its
-simplex copy, so the consensus sums add every atom's copies in one fixed
-order.
+Working layout: each copy-sized iterate is two arrays, one over the
+caller's hinge copies and one simplex copy per atom, in atom order.  A
+simplex copy's consensus value is its atom's z itself, so only the hinge
+copies are gathered (z̃ = z[copy_atom]) and summed by `np.bincount`; each
+atom's simplex term is added after its hinge sum, the order in which one
+`bincount` over all copies would add it.  The simplex part is one
+contiguous (blocks, k) array, projected in place without a gather.  A
+component's residual sums add its hinge run, then its simplex run.
+
+Buffers: u and v (both parts), z̃ and one scratch array (hinge-sized) and
+one atom-sized scratch array are allocated once per working set and
+written in place (`out=`).  v holds z̃ - u, which the hinge step and the
+projection turn into y; the residual y - z̃ and the squares the stopping
+test sums go to the scratch arrays.  Per iteration only row- and
+atom-sized arrays are allocated.
 
 One call solves any number of independent components.  A component is a
 run of equal consecutive atom_comp values; its hinge rows, and so its
@@ -35,13 +44,15 @@ its iterates and its stopping iteration are those it would have if
 solved alone.  A component stops on its own residual test, at max_iters,
 or on a NaN, and keeps the iterate it stopped at.  Stopped components
 stay in the working arrays, their results ignored, until the copies
-still running are at most half of those arrays; then `_Working.select`
-rebuilds them from the running components' hinge rows with the same
-constructor, which derives every value per row, atom or component.
+still running are at most 3/4 of those arrays; then the running
+components' u and z are gathered, the other buffers released, and
+`_Working.select` rebuilds the working set from the running components'
+hinge rows with the same constructor, which derives every value per row,
+atom or component.
 
 Stopping test (Boyd et al. 2011, §3.3.1), per component with m copies:
 r <= sqrt(m)·eps_abs + eps_rel·max(‖y‖, ‖z̃‖) and
-s <= sqrt(m)·eps_abs + eps_rel·ρ·‖u‖, where z̃ = z[copy_atom].  Since
+s <= sqrt(m)·eps_abs + eps_rel·ρ·‖u‖, where z̃ is each copy's z.  Since
 y = z̃ + (y - z̃), ‖y‖ <= ‖z̃‖ + r, and ‖z̃‖ comes from the per-atom sum
 of counts·z² that the NaN check reads anyway.  So while r exceeds
 sqrt(m)·eps_abs + eps_rel·(‖z̃‖ + r) in every running component, no
@@ -68,7 +79,7 @@ def project_rows(V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The sort-based projection, with the sort done by a min/max network;
     the result is bit-identical to sorting.  The projection is written to
-    out when it is given.
+    out when it is given, which may be V itself.
     """
     k = V.shape[1]
     if k not in (2, 3):
@@ -125,56 +136,53 @@ def _starts(ids: np.ndarray) -> np.ndarray:
 
 
 class _Working:
-    """The arrays one iteration reads, for a set of whole components:
-    copies [0, n_hinge) belong to the hinge rows, the rest are one simplex
-    copy per atom, in atom order, in blocks of `width`.
+    """The arrays one iteration reads, for a set of whole components.
 
     Built from the hinge copies and each row's const and weight, it
     derives each row's step t = clip(scale·s / den, 0, cap) of its value
-    s = const + coef·v.  atoms and comps map the local atom and component
+    s = const + coef·v.  A copy-sized iterate is a hinge part over the
+    hinge copies and a simplex part of one copy per atom, in atom order, in
+    blocks of `width`.  atoms and comps map the local atom and component
     indices back to the caller's.
     """
 
     def __init__(self, hinge_atom, hinge_pot, hinge_coef, const, weight, width, power,
                  atom_comp, atoms, comps, rho, eps_abs):
-        self.hinge_pot, self.hinge_coef, self.const = hinge_pot, hinge_coef, const
-        self.weight, self.width, self.power = weight, width, power
+        hinge_comp = atom_comp[hinge_atom]
+        if np.any(np.diff(hinge_comp) < 0):
+            raise ValueError("copies must be grouped by component, in atom order")
+        self.hinge_atom, self.hinge_pot, self.hinge_coef = hinge_atom, hinge_pot, hinge_coef
+        self.const, self.weight, self.width, self.power = const, weight, width, power
         self.rho, self.eps_abs = rho, eps_abs
         self.atom_comp, self.atoms, self.comps = atom_comp, atoms, comps
         norm2 = np.bincount(hinge_pot, weights=hinge_coef * hinge_coef, minlength=len(weight))
-        linear = power == 1
-        two_w = 2.0 * weight
-        self.scale = np.where(linear, 1.0, two_w)
-        self.den = np.where(linear, np.where(norm2 > 0, norm2, np.inf), rho + two_w * norm2)
-        self.cap = np.where(linear, np.divide(weight, rho), np.inf)
+        # a scalar scale of 1 or cap of ∞ leaves t's bits as the per-row form
+        if power == 1:
+            self.scale, self.den = 1.0, np.where(norm2 > 0, norm2, np.inf)
+            self.cap = weight / rho
+        else:
+            two_w = 2.0 * weight
+            self.scale, self.den, self.cap = two_w, rho + two_w * norm2, np.inf
 
-        n_atoms = len(atom_comp)
-        self.copy_atom = copy_atom = np.concatenate([hinge_atom, np.arange(n_atoms)])
-        self.counts = np.bincount(copy_atom, minlength=n_atoms).astype(float)
-        self.n_hinge = n_hinge = len(hinge_pot)
-        self.copy_comp = copy_comp = atom_comp[copy_atom]
-        self.n_copies = np.bincount(copy_comp, minlength=len(comps))
+        n_atoms, n_comp = len(atom_comp), len(comps)
+        self.n_hinge = len(hinge_pot)
+        # every atom's hinge copies plus its simplex copy
+        self.counts = (np.bincount(hinge_atom, minlength=n_atoms) + 1).astype(float)
+        self.n_copies = (np.bincount(hinge_comp, minlength=n_comp)
+                         + np.bincount(atom_comp, minlength=n_comp))
         self.abs_tol = np.sqrt(self.n_copies) * eps_abs
         self.atom_start = _starts(atom_comp)
-        # one run of copies per component and part, hinge runs first; the
-        # runs of the second of two stacked copy arrays follow on from those
-        runs = np.concatenate([_starts(copy_comp[:n_hinge]),
-                               n_hinge + _starts(copy_comp[n_hinge:])])
-        self.run_start, self.run_comp = runs, copy_comp[runs]
-        self.pair_start = np.concatenate([runs, len(copy_atom) + runs])
-        self.pair_comp = np.concatenate([self.run_comp, len(comps) + self.run_comp])
+        # one run of copies per component and part, the hinge runs first
+        self.hinge_start = _starts(hinge_comp)
+        self.run_comp = np.concatenate([hinge_comp[self.hinge_start],
+                                        atom_comp[self.atom_start]])
 
-    def per_copy(self, x):
-        """Per-component sums over the copies: the hinge run plus the
-        simplex run."""
-        return np.bincount(self.run_comp, weights=np.add.reduceat(x, self.run_start),
-                           minlength=len(self.comps))
-
-    def per_copy_pair(self, x):
-        """per_copy of both rows of x, of shape (2, copies), in one call each."""
-        n_comp = len(self.comps)
-        sums = np.add.reduceat(x.ravel(), self.pair_start)
-        return np.bincount(self.pair_comp, weights=sums, minlength=2 * n_comp).reshape(2, n_comp)
+    def per_copy(self, hinge, simplex):
+        """Per-component sums over the copies, given their hinge and simplex
+        parts: each component's hinge run plus its simplex run."""
+        sums = np.concatenate([np.add.reduceat(hinge, self.hinge_start),
+                               np.add.reduceat(simplex, self.atom_start)])
+        return np.bincount(self.run_comp, weights=sums, minlength=len(self.comps))
 
     def per_atom(self, x):
         return np.add.reduceat(x, self.atom_start)
@@ -182,15 +190,23 @@ class _Working:
     def select(self, keep) -> "_Working":
         """The working set of the components where keep (local) holds."""
         keep_atom = keep[self.atom_comp]
-        keep_hinge = keep[self.copy_comp[:self.n_hinge]]
+        keep_hinge = keep_atom[self.hinge_atom]
         keep_row = np.zeros(len(self.const), dtype=bool)
         keep_row[self.hinge_pot[keep_hinge]] = True
         return _Working(
-            (np.cumsum(keep_atom) - 1)[self.copy_atom[:self.n_hinge][keep_hinge]],
+            (np.cumsum(keep_atom) - 1)[self.hinge_atom[keep_hinge]],
             (np.cumsum(keep_row) - 1)[self.hinge_pot[keep_hinge]],
             self.hinge_coef[keep_hinge], self.const[keep_row], self.weight[keep_row],
             self.width, self.power, (np.cumsum(keep) - 1)[self.atom_comp[keep_atom]],
             self.atoms[keep_atom], self.comps[keep], self.rho, self.eps_abs)
+
+
+def _buffers(w, z):
+    """The iteration's scratch arrays for working set w at consensus z:
+    v's hinge and simplex parts, z̃ of the hinge copies, and one hinge- and
+    one atom-sized scratch array."""
+    return (np.empty(w.n_hinge), np.empty(len(z)), z[w.hinge_atom], np.empty(w.n_hinge),
+            np.empty(len(z)))
 
 
 def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
@@ -205,8 +221,6 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
     if atom_comp is None:
         atom_comp = np.zeros(n_atoms, dtype=np.int64)
     atom_comp = np.cumsum(np.diff(atom_comp, prepend=atom_comp[0]) != 0)
-    if np.any(np.diff(atom_comp[copy_atom]) < 0):
-        raise ValueError("copies must be grouped by component, in atom order")
     n_comp = int(atom_comp[-1]) + 1
     z_out = z0.astype(float).copy()
     iterations = np.zeros(n_comp, dtype=np.int64)
@@ -220,28 +234,42 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
     eps_rel_rho = eps_rel * rho
     running = np.ones(n_comp, dtype=bool)
     z = z_out.copy()
-    z_copy = z[w.copy_atom]  # z̃, gathered once per iteration
-    u = np.zeros(len(w.copy_atom))
-    y = np.empty_like(u)
-    yu2 = np.empty((2, len(u)))
+    u_h, u_s = np.zeros(w.n_hinge), np.zeros(n_atoms)
+    v_h, v_s, z_h, scratch, temp = _buffers(w, z)
     for it in range(1, max_iters + 1):
-        v = z_copy - u
-        h = w.n_hinge
-        v_hinge = v[:h]
-        s_val = w.const + np.bincount(w.hinge_pot, weights=w.hinge_coef * v_hinge,
-                                      minlength=len(w.const))
-        t = np.minimum(np.maximum(w.scale * s_val / w.den, 0.0), w.cap)
-        np.subtract(v_hinge, t[w.hinge_pot] * w.hinge_coef, out=y[:h])
-        project_rows(v[h:].reshape(-1, w.width), out=y[h:].reshape(-1, w.width))
+        # v = z̃ - u; the hinge step and the projection then turn it into y
+        np.subtract(z_h, u_h, out=v_h)
+        np.subtract(z, u_s, out=v_s)
+        np.multiply(w.hinge_coef, v_h, out=scratch)
+        # each row's value s, then in place its step t
+        t = np.bincount(w.hinge_pot, weights=scratch, minlength=len(w.const))
+        np.add(w.const, t, out=t)
+        np.multiply(w.scale, t, out=t)
+        np.divide(t, w.den, out=t)
+        np.minimum(np.maximum(t, 0.0, out=t), w.cap, out=t)
+        # the indices are in range; "clip" lets take write straight to out
+        t.take(w.hinge_pot, out=scratch, mode="clip")
+        np.multiply(scratch, w.hinge_coef, out=scratch)
+        np.subtract(v_h, scratch, out=v_h)
+        v_rows = v_s.reshape(-1, w.width)
+        project_rows(v_rows, out=v_rows)
 
+        # consensus: each atom's hinge copies in order, then its simplex copy
         z_old = z
-        acc = np.bincount(w.copy_atom, weights=y + u, minlength=len(z))
-        z = np.minimum(np.maximum(acc / w.counts, 0.0), 1.0)
-        z_copy = z[w.copy_atom]
+        np.add(v_h, u_h, out=scratch)
+        z = np.bincount(w.hinge_atom, weights=scratch, minlength=len(z_old))
+        z += np.add(v_s, u_s, out=temp)
+        np.divide(z, w.counts, out=z)
+        np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
+        z.take(w.hinge_atom, out=z_h, mode="clip")
 
-        diff = y - z_copy
-        u += diff
-        r_norm = np.sqrt(w.per_copy(diff * diff))
+        # the residual y - z̃ advances u, then its squares are summed
+        np.subtract(v_h, z_h, out=scratch)
+        np.subtract(v_s, z, out=temp)
+        u_h += scratch
+        u_s += temp
+        r_norm = np.sqrt(w.per_copy(np.multiply(scratch, scratch, out=scratch),
+                                    np.multiply(temp, temp, out=temp)))
         # z is clipped to [0, 1], so this sum is finite unless z holds a NaN
         zc2 = w.per_atom(w.counts * z * z)
         z_norm = np.sqrt(zc2)
@@ -251,9 +279,10 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
         nan_seen = ~np.isfinite(zc2)
         dz = z - z_old
         s_norm = rho * np.sqrt(w.per_atom(w.counts * dz * dz))
-        np.multiply(y, y, out=yu2[0])
-        np.multiply(u, u, out=yu2[1])
-        y_norm, u_norm = np.sqrt(w.per_copy_pair(yu2))
+        y_norm = np.sqrt(w.per_copy(np.multiply(v_h, v_h, out=scratch),
+                                    np.multiply(v_s, v_s, out=temp)))
+        u_norm = np.sqrt(w.per_copy(np.multiply(u_h, u_h, out=scratch),
+                                    np.multiply(u_s, u_s, out=temp)))
         done = (primal_passes(r_norm, y_norm, z_norm, w.abs_tol, eps_rel)
                 & (s_norm <= w.abs_tol + eps_rel_rho * u_norm) & ~nan_seen)
         stop = running & (done | nan_seen | (it == max_iters))
@@ -272,11 +301,14 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
         live = int(w.n_copies[running].sum())
         if live == 0:
             break
-        if 2 * live <= len(w.copy_atom):
-            keep_copy = running[w.copy_comp]
-            z, z_copy, u = z[running[w.atom_comp]], z_copy[keep_copy], u[keep_copy]
-            y, yu2 = np.empty_like(u), np.empty((2, len(u)))
+        if 4 * live <= 3 * (w.n_hinge + len(z)):
+            # gather the running components; the other buffers are released
+            # before the new working set is built, and made anew at its size
+            keep_atom = running[w.atom_comp]
+            u_h, u_s, z = u_h[keep_atom[w.hinge_atom]], u_s[keep_atom], z[keep_atom]
+            del v_h, v_s, z_h, scratch, temp, keep_atom
             w, running = w.select(running), running[running]
+            v_h, v_s, z_h, scratch, temp = _buffers(w, z)
 
     return AdmmResult(z_out, int(iterations.sum()), iterations, r_out, s_out,
                       converged, nan_out)

@@ -6,24 +6,25 @@ unreadable; the chains-on commands must reach the ADMM kernel.  The
 benchmark's inputs, and a valid record of every table, must be read by the
 compiled readers alone, never by the walker that words errors.  A sweep
 must give the benchmark one `infer.run_inference` result per grid point,
-in config order."""
+in config order, and solve each batch of its programs in one kernel call."""
 
 import json
 import sys
 from pathlib import Path
 
-from arglogic import model
+from arglogic import infer, model
 from arglogic.chains import _MANIFEST_TABLE
 from arglogic.cli import main
 from arglogic.infer import PREDICTION_TABLES
-from arglogic.model import BUNDLE_TABLE, PAIR_TABLE, bundle_to_record, dump_jsonl, pair_to_record
-from arglogic.rules import CONFIG_TABLE
+from arglogic.model import (BUNDLE_TABLE, PAIR_TABLE, bundle_to_record, dump_jsonl, load_dataset,
+                            pair_to_record)
+from arglogic.rules import CONFIG_TABLE, RuleSetConfig
 from arglogic.synth import SYNTH_TABLE, SynthConfig, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
-from workloads import SWEEP_GRID_POINTS, TINY_SYNTH, WORKLOADS  # noqa: E402
+from workloads import SWEEP_GRID_POINTS, TASK_MODE, TINY_SYNTH, WORKLOADS  # noqa: E402
 
 
 def write_inputs(tmp_path, synth):
@@ -79,6 +80,30 @@ def test_sweep_gives_one_inference_result_per_grid_point_in_config_order(tmp_pat
     for result, objective in zip(results, objectives):
         assert set(result.predictions) == val_ids
         assert result.total_energy / result.total_weight == objective
+
+
+def test_sweep_makes_one_kernel_call_per_batch(tmp_path):
+    """A batch is joined under every grid point of the default sweep in
+    one solve: a full batch fits the joined cap, and on the tiny input
+    each batch is one `solver.solve_map_admm` and one `kernels.solve_admm`
+    call."""
+    assert infer.MAX_JOINED_COPIES >= SWEEP_GRID_POINTS * infer.MAX_BATCH_COPIES
+    args, scores = write_inputs(tmp_path, TINY_SYNTH)
+    graph, bundles = load_dataset(str(args), str(scores), TASK_MODE)
+    grounding = infer.ground_graph(graph, bundles, RuleSetConfig(chains=True),
+                                   restrict_split="val")
+    n_batches = len(list(infer._batches(grounding.programs, infer.MAX_BATCH_COPIES)))
+    assert n_batches >= 1
+    tracer = tracing.Tracer()
+    tracer.install(timed=False)
+    try:
+        main(["sweep", str(args), str(scores), "--chains", "on",
+              "--out", str(tmp_path / "sweep.json")], standalone_mode=False)
+    finally:
+        tracer.uninstall()
+    calls = [name for _, name, _ in tracer.outcomes]
+    assert calls.count("solver.solve_map_admm") == n_batches
+    assert calls.count("kernels.solve_admm") == n_batches
 
 
 # One valid record of every table; the nested tables are read inside them.

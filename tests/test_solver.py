@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 from itertools import product
 
@@ -19,7 +20,7 @@ from arglogic.chains import build_indirect
 from arglogic.infer import ground_graph, solve_configs
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
-from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, structure
+from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, expand_grid, structure
 from arglogic.solver import SolverParams, _predict_labels, solve_map_admm, uncoupled_blocks
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, index_of, random_ground_program
@@ -74,6 +75,25 @@ def assert_programs_equal(a: GroundProgram, b: GroundProgram):
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
         else:
             assert x == y, f.name
+
+
+@pytest.mark.parametrize("power", ["linear", "squared"])
+def test_joining_once_equals_reweighting_each_program(power):
+    """A batch joined once and re-weighted per config, then joined
+    config-major, is the program joined from each component re-weighted
+    alone: on the default grid, and with the chain or prior rows dropped."""
+    graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
+    base = RuleSetConfig(chains=True, hinge_power=power)
+    programs = list(ground_graph(graph, bundles, base).programs)
+    configs = expand_grid(base, {}) + [replace(base, w_chain=0.0), replace(base, w_prior=0.0)]
+    weights = [{rule.id: rule.weight for rule in build_ruleset(c)} for c in configs]
+    joined = join(programs)
+    once = join([joined.with_weights(w) for w in weights])
+    assert_programs_equal(once, join([p.with_weights(w) for w in weights for p in programs]))
+    n_comps = len(configs) * len(programs)
+    assert once.n_components == n_comps
+    assert np.array_equal(np.unique(once.block_comp), np.arange(n_comps))
+    assert np.all(np.diff(once.block_comp) >= 0)
 
 
 @pytest.mark.parametrize("power", ["linear", "squared"])
@@ -358,6 +378,14 @@ def test_solver_params_validation():
         SolverParams(rho=0)
     with pytest.raises(ValidationError):
         SolverParams(max_iters=-1)
+    for name in ("rho", "eps_abs", "eps_rel"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match=name):
+                SolverParams(**{name: value})
+    for value in (2.5, 25_000.0, True, False, "100"):
+        with pytest.raises(ValidationError, match="max_iters"):
+            SolverParams(max_iters=value)
+    assert SolverParams(rho=2, max_iters=np.int64(7)).max_iters == 7
 
 
 def test_non_convergence_is_reported_not_fatal():
@@ -472,6 +500,10 @@ def test_project_rows_matches_sort_reference(k):
             rng.random((4000, k)) * 1e-9 + 1.0 / k]
     V = np.concatenate(rows)
     assert np.array_equal(project_rows(V), project_rows_by_sort(V))
+    # the kernel projects its simplex copies in place
+    in_place = V.copy()
+    assert project_rows(in_place, out=in_place) is in_place
+    assert np.array_equal(in_place, project_rows_by_sort(V))
 
 
 def synth_chain_batch():
@@ -497,8 +529,8 @@ def run_kernel(prog, max_iters):
 
 def test_synth_chain_batch_golden():
     # pinned: alone, the components stop at 454, 427, 410, 460, 448 and
-    # 418 iterations; the cap stops the fourth, and the running half is
-    # gathered when the third of them stops
+    # 418 iterations; the cap stops the fourth, and the running components
+    # are gathered as they fall to 3/4 of the working set
     components, batch = synth_chain_batch()
     result = run_kernel(batch, max_iters=455)
     assert result.component_iterations.tolist() == [454, 427, 410, 455, 448, 418]
@@ -509,6 +541,72 @@ def test_synth_chain_batch_golden():
         alone = run_kernel(prog, max_iters=455)
         assert np.array_equal(result.z[start:start + prog.n_atoms], alone.z)
         start += prog.n_atoms
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]])
+def test_staggered_stops_compact_down_to_one_component(order, monkeypatch):
+    """The components of one batch stop at staggered iterations, so the
+    working set is gathered several times as the running copies fall to
+    3/4 of it, the last time down to the one component that the cap then
+    stops; each component ends as it does alone, in every order."""
+    components, _ = synth_chain_batch()
+    components = [components[i] for i in order]
+    gathers = []  # (components in the working set, components kept)
+    select = kernels._Working.select
+    monkeypatch.setattr(kernels._Working, "select", lambda w, keep: (
+        gathers.append((len(w.comps), int(keep.sum()))), select(w, keep))[1])
+    result = run_kernel(join(components), max_iters=455)
+    assert len(gathers) >= 3
+    assert gathers[-1][1] == 1
+    assert all(kept < held for held, kept in gathers)
+    assert [held for held, _ in gathers[1:]] == [kept for _, kept in gathers[:-1]]
+    capped = result.component_iterations == 455
+    assert capped.sum() == 1 and not result.converged[capped].any()
+    start = 0
+    for c, prog in enumerate(components):
+        alone = run_kernel(prog, max_iters=455)
+        assert np.array_equal(result.z[start:start + prog.n_atoms], alone.z)
+        assert result.component_iterations[c] == alone.iterations
+        assert result.converged[c] == alone.converged[0]
+        start += prog.n_atoms
+
+
+def kernel_bytes_per_copy(prog) -> float:
+    """The tracemalloc peak of one `kernels.solve_admm` call above its
+    entry, per working copy (hinge copies plus one simplex copy per atom)."""
+    k = len(prog.labels)
+    args = (prog.copy_atom, prog.copy_pot, prog.copy_coef, k, prog.pot_const,
+            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 1.0 / k),
+            1.0, 1e-5, 1e-4, 25_000, np.repeat(prog.block_comp, k))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kernels.solve_admm(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - entry) / (len(prog.copy_atom) + prog.n_atoms)
+
+
+# The kernel's peak measured 70 and 73.5 bytes per copy on the two
+# programs below (numpy 2.4, CPython 3.11; 123 and 115 before its buffers
+# were reused), pinned at the larger plus 25%; each copy-sized float array
+# alive at the peak adds 8 bytes per copy.
+KERNEL_BYTES_PER_COPY = 92
+
+
+def test_kernel_memory_per_copy():
+    _, batch = synth_chain_batch()
+    graph, bundles, _ = generate(SynthConfig(seed=1, n_topics=6, tree_depth=4, branching=2))
+    base = RuleSetConfig(chains=True)
+    joined = join(list(ground_graph(graph, bundles, base).programs))
+    six = join([joined.with_weights({rule.id: rule.weight for rule in build_ruleset(config)})
+                for config in expand_grid(base, {})])
+    six = six.select(~uncoupled_blocks(six))
+    assert six.n_components == 6 * joined.n_components
+    for prog in (batch, six):
+        assert kernel_bytes_per_copy(prog) <= KERNEL_BYTES_PER_COPY
 
 
 @settings(max_examples=300, deadline=None)
