@@ -37,10 +37,12 @@ MAX_BATCH_COPIES = 4096
 # `solve_configs` joins a batch under as many configs at once as keep the
 # joined program within this many copies (counted as above), and always at
 # least one: a full batch under every point of the default sweep grid, so
-# a default sweep makes one kernel call per batch.  The kernel holds about
-# 73 bytes per copy at its peak (`test_kernel_memory_per_copy`); on the
-# sweep benchmark (ten seeds, 2 cores, numpy) the full join read +1.7 MB
-# median peak RSS against two configs per call.
+# a default sweep makes one kernel call per batch.  The cap also bounds the
+# joined program, which is held while the kernel runs; above it, a
+# `solve_map_admm` call peaks at about 80 bytes per copy
+# (`test_joined_solve_memory_per_copy`).  On the sweep benchmark (ten
+# seeds, 2 cores, numpy) the full join read +1.7 MB median peak RSS
+# against two configs per call, and holding it through the call +0.6 MB.
 MAX_JOINED_COPIES = len(DEFAULT_CHAIN_GRID) * len(DEFAULT_PRIOR_GRID) * MAX_BATCH_COPIES
 
 
@@ -113,9 +115,9 @@ class Grounding:
 
     `programs` holds one program per component, in component order, with
     the swept weights (w_chain, w_prior) at a placeholder: `ground_graph`
-    gives an iterator that grounds each one as it is reached, and
-    `solve_configs` solves them under any configs of that structure in
-    one pass."""
+    gives an iterable that grounds each one as it is reached, anew on
+    every pass, and `solve_configs` solves them under any configs of that
+    structure in one pass."""
     structure: RuleSetConfig
     work: ArgumentGraph  # the pairs that were grounded, indirect ones included
     n_components: int
@@ -170,7 +172,17 @@ def ground_graph(
                       task_mode=work.task_mode)
 
     return Grounding(shape, work, len(components),
-                     map(ground_component, components, component_triples))
+                     _Mapped(ground_component, components, component_triples))
+
+
+class _Mapped:
+    """`map(fn, *iterables)`, made anew on each iteration."""
+
+    def __init__(self, fn, *iterables):
+        self.fn, self.iterables = fn, iterables
+
+    def __iter__(self):
+        return map(self.fn, *self.iterables)
 
 
 def solve_configs(
@@ -182,11 +194,9 @@ def solve_configs(
 
     The programs are solved in batches of components (`_batches`), each
     joined once and solved under as many configs per `solve_map_admm` call
-    as MAX_JOINED_COPIES allows: the joined batch, re-weighted per config,
-    is joined again config-major, so each (config, component) is a
-    component of its own and stops on its own residuals, as it would
-    alone.  Yields per batch, in batch order, one (ground weight,
-    assignment) per config, in config order.
+    as MAX_JOINED_COPIES allows (`_solve_batch`).  Yields per batch, in
+    batch order, one (ground weight, assignment) per config, in config
+    order.
     """
     params = params or SolverParams()
     if any(structure(config) != grounding.structure for config in configs):
@@ -202,10 +212,12 @@ def solve_configs(
 
 def _solve_batch(batch: GroundProgram, weights: list[dict[str, float]],
                  params: SolverParams) -> list[tuple[float, Assignment]]:
-    """The joined batch under each rule-weight map, in one solve; the
-    re-weighted and joined programs are released when this returns."""
+    """The joined batch under each rule-weight map, in one solve: joined
+    config-major, each (config, component) is a component of its own and
+    stops on its own residuals, as it would alone.  The re-weighted and
+    joined programs are released when this returns."""
     parts = [batch.with_weights(w) for w in weights]
-    assignment = solve_map_admm(parts, params)
+    assignment = solve_map_admm(join(parts), params)
     n_blocks, n_comps = batch.n_pairs, batch.n_components
     results, row = [], 0
     for c, part in enumerate(parts):

@@ -70,26 +70,33 @@ class RuleSetConfig:
         return 1 if self.hinge_power == "linear" else 2
 
 
+# The largest rule weight: under it every hinge step (2·w·‖a‖² ≤ 6e6), row
+# energy (≤ 4·w) and ground weight mass stays finite.
+MAX_WEIGHT = 1e6
+
+
+def _checked(weight: float, what: str) -> float:
+    if weight < 0:
+        raise ValidationError(f"negative {what}: {weight}")
+    if not weight <= MAX_WEIGHT:  # NaN too
+        raise ValidationError(f"{what} not finite or above {MAX_WEIGHT:g}: {weight}")
+    return weight
+
+
 def build_ruleset(config: RuleSetConfig) -> list[Rule]:
     """Instantiate the rule templates for one weight configuration."""
     if config.task_mode not in ("ternary", "binary"):
         raise ValidationError(f"unknown task_mode {config.task_mode!r}")
     if config.hinge_power not in ("linear", "squared"):
         raise ValidationError(f"unknown hinge_power {config.hinge_power!r}")
-    rules: list[Rule] = []
-    for rid, (pred, head) in LOGIC_RULES.items():
-        w = config.logic_weight(rid)
-        if w < 0:
-            raise ValidationError(f"negative weight for {rid}: {w}")
-        rules.append(Rule(rid, (pred,), head, w))
+    rules = [Rule(rid, (pred,), head, _checked(config.logic_weight(rid), f"weight for {rid}"))
+             for rid, (pred, head) in LOGIC_RULES.items()]
     if config.chains:
-        if config.w_chain < 0:
-            raise ValidationError(f"negative chain weight: {config.w_chain}")
-        for rid, (b1, b2, head) in CHAIN_RULES.items():
-            rules.append(Rule(rid, (b1, b2), head, config.w_chain))
-    if config.w_prior < 0:
-        raise ValidationError(f"negative prior weight: {config.w_prior}")
-    rules.append(Rule("C1", (), default_label(config.task_mode), config.w_prior))
+        w_chain = _checked(config.w_chain, "chain weight")
+        rules += [Rule(rid, (b1, b2), head, w_chain)
+                  for rid, (b1, b2, head) in CHAIN_RULES.items()]
+    w_prior = _checked(config.w_prior, "prior weight")
+    rules.append(Rule("C1", (), default_label(config.task_mode), w_prior))
     return rules
 
 

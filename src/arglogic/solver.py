@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .grounding import GroundProgram, energy, energy_by_pair, join
+from .grounding import GroundProgram, energy, energy_by_pair
 from .model import ATTACK, NEUTRAL, SUPPORT, ValidationError
 
 LABEL_PRIORITY = (NEUTRAL, ATTACK, SUPPORT)  # tie-break, most conservative first
@@ -120,29 +119,6 @@ class Assignment:
         )
 
 
-def _solve_coupled(parts: list[GroundProgram], exact: list[np.ndarray],
-                   params: SolverParams) -> tuple[kernels.AdmmResult, np.ndarray]:
-    """One ADMM call over the blocks of the parts that exact leaves to it:
-    the kernel's result, and the component id in the parts' join of each
-    of the result's components."""
-    k = len(parts[0].labels)
-    offsets = np.cumsum([0] + [p.n_components for p in parts[:-1]]).tolist()
-    coupled = [(p.select(~e) if e.any() else p, p.block_comp[~e] + offset)
-               for p, e, offset in zip(parts, exact, offsets) if not e.all()]
-    sub = join([p for p, _ in coupled])
-    comp = np.concatenate([c for _, c in coupled])
-    # only the arrays the kernel reads stay held while it runs
-    arrays = (sub.copy_atom, sub.copy_pot, sub.copy_coef, k, sub.pot_const,
-              sub.pot_weight, sub.power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k))
-    del coupled, sub
-    result = kernels.solve_admm(*arrays, params.rho, params.eps_abs, params.eps_rel,
-                                params.max_iters, np.repeat(comp, k))
-    if result.nan_seen.any():
-        raise FloatingPointError("ADMM produced NaN iterates")
-    # the kernel's results are per run of comp
-    return result, comp[np.flatnonzero(np.diff(comp, prepend=-1))]
-
-
 def _predict_labels(program: GroundProgram, values: np.ndarray) -> list[str]:
     """Each pair's highest-valued relation; near-ties go to LABEL_PRIORITY."""
     labels = program.labels
@@ -159,36 +135,40 @@ def _finish(program: GroundProgram, raw_values: np.ndarray) -> np.ndarray:
     return kernels.project_rows(rows).ravel()
 
 
-def solve_map_admm(program: GroundProgram | Sequence[GroundProgram],
-                   params: SolverParams = SolverParams()) -> Assignment:
+def solve_map_admm(program: GroundProgram, params: SolverParams = SolverParams()) -> Assignment:
     """MAP of the program: uncoupled blocks in closed form, the rest by one
-    ADMM call.  A sequence of programs is solved as their `join`, which is
-    built only once the ADMM call has returned, so that the joined program
-    and the kernel's working set are not held at once.  The per-component
-    results describe the ADMM blocks only; a component without any reports
-    0 iterations, zero residuals and converged."""
-    parts = [program] if isinstance(program, GroundProgram) else list(program)
-    exact = [uncoupled_blocks(p) for p in parts]
-    coupled = None if all(e.all() for e in exact) else _solve_coupled(parts, exact, params)
-    program = join(parts)
+    ADMM call.  The per-component results describe the ADMM blocks only; a
+    component without any reports 0 iterations, zero residuals and
+    converged."""
     if program.n_atoms == 0:
         return Assignment(np.empty(0), [], [], np.empty(0), np.empty(0))
     k = len(program.labels)
-    exact = np.concatenate(exact)
+    exact = uncoupled_blocks(program)
     n_comp = program.n_components
     iterations = np.zeros(n_comp, dtype=np.int64)
     converged = np.ones(n_comp, dtype=bool)
     primal, dual = np.zeros(n_comp), np.zeros(n_comp)
     z = np.empty((program.n_pairs, k))
-    if exact.any():
-        z[exact] = solve_uncoupled(program, np.flatnonzero(exact))
-    if coupled is not None:
-        result, comps = coupled
+    if not exact.all():
+        sub = program.select(~exact) if exact.any() else program
+        comp = sub.block_comp
+        # only the arrays the kernel reads stay held while it runs
+        arrays = (sub.copy_atom, sub.copy_pot, sub.copy_coef, k, sub.pot_const,
+                  sub.pot_weight, sub.power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k))
+        del sub
+        result = kernels.solve_admm(*arrays, params.rho, params.eps_abs, params.eps_rel,
+                                    params.max_iters, np.repeat(comp, k))
+        if result.nan_seen.any():
+            raise FloatingPointError("ADMM produced NaN iterates")
+        # the kernel's results are per run of comp
+        comps = comp[np.flatnonzero(np.diff(comp, prepend=-1))]
         z[~exact] = result.z.reshape(-1, k)
         iterations[comps] = result.component_iterations
         converged[comps] = result.converged
         primal[comps] = result.primal_residual
         dual[comps] = result.dual_residual
+    if exact.any():
+        z[exact] = solve_uncoupled(program, np.flatnonzero(exact))
     values = _finish(program, z)
     row_energy = energy(program, values)
     return Assignment(

@@ -490,6 +490,20 @@ def test_config_number_not_finite_exit_code_2(dataset, runner, tmp_path, text, f
     assert field in res.output
 
 
+@pytest.mark.parametrize("config, expected", [
+    ({"w_logic": {"R4": 2e6}}, "weight for R4 not finite or above"),
+    ({"w_logic": 1e308, "hinge_power": "squared"}, "weight for R1 not finite or above"),
+    ({"w_chain": 1e308, "chains": True, "hinge_power": "squared"},
+     "chain weight not finite or above"),
+    ({"w_prior": 1e308, "hinge_power": "squared"}, "prior weight not finite or above")])
+def test_config_weight_above_the_bound_exit_code_2(dataset, runner, tmp_path, config, expected):
+    """A weight above rules.MAX_WEIGHT would overflow a hinge step, a row
+    energy or the weight mass; it is rejected before anything is solved."""
+    res = run_with_config(dataset, runner, tmp_path, json.dumps(config))
+    assert res.exit_code == 2, res.output
+    assert expected in res.output
+
+
 @pytest.mark.parametrize("change, field", [
     ({"nli": {"p_ent": "0.7", "p_con": 0.2, "p_neu": 0.1}}, "'nli.p_ent'"),
     ({"causal": {"sc_cause": True}}, "'causal.sc_cause'"),
@@ -538,7 +552,10 @@ def test_unknown_field_exit_code_2(dataset, runner, tmp_path, file, change, fiel
     ({"grids": {"w_chain": "abc"}}, ["grids.w_chain"]),
     ({"grids": {"w_chain": 1.0}}, ["grids.w_chain"]),
     ({"grids": {"w_prior": [True]}}, ["grids.w_prior"]),
-    ({"grids": {"nope": [1]}}, ["grids", "nope"])])
+    ({"grids": {"nope": [1]}}, ["grids", "nope"]),
+    ({"grids": {"w_prior": [0.2, 1e308]}}, ["sweep config #1", "prior weight not finite or above"]),
+    ({"chains": True, "grids": {"w_chain": [1e7, 1.0]}},
+     ["sweep config #0", "chain weight not finite or above"])])
 def test_sweep_config_errors_exit_code_2(dataset, runner, tmp_path, config, expected):
     _, args_path, scores_path = dataset
     cfg = tmp_path / "config.json"

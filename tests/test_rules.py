@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from arglogic import infer, kernels
 from arglogic.model import ValidationError
 from arglogic.rules import (
     CONFIG_TABLE,
+    MAX_WEIGHT,
     RuleSetConfig,
     SweepRow,
     build_ruleset,
@@ -45,6 +47,17 @@ def test_negative_weight_rejected():
         build_ruleset(RuleSetConfig(chains=True, w_chain=-1))
     with pytest.raises(ValidationError):
         build_ruleset(RuleSetConfig(w_logic={"R3": -2.0}))
+
+
+@pytest.mark.parametrize("what, config", [
+    ("prior weight", lambda w: RuleSetConfig(w_prior=w)),
+    ("chain weight", lambda w: RuleSetConfig(chains=True, w_chain=w)),
+    ("weight for R3", lambda w: RuleSetConfig(w_logic={"R3": w}))])
+def test_weight_above_the_bound_or_nan_rejected(what, config):
+    build_ruleset(config(MAX_WEIGHT))
+    for weight in (math.nextafter(MAX_WEIGHT, math.inf), math.nan):
+        with pytest.raises(ValidationError, match=f"{what} not finite or above"):
+            build_ruleset(config(weight))
 
 
 def test_build_ruleset_deterministic():
