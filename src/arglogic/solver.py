@@ -10,9 +10,18 @@ uncoupled; with chains on, every pair that no chain triple reaches.
 
 The other blocks go to ADMM as one sub-program: each ground hinge
 potential and each block's simplex constraint is a local term with
-private copies of its atoms, and the consensus step averages copies and
-clips to [0, 1].  Components stay the node-connected ones the caller passes, and
-each stops on the residuals of its ADMM blocks alone.  The returned
+private copies of its atoms, and the consensus step averages copies,
+pulls them toward 1/k by the proximal term delta/2·‖x − 1/k‖² and clips
+to [0, 1].  So the closed-form blocks minimise the hinge energy exactly,
+and the ADMM blocks minimise the hinge energy plus that term, whose
+minimiser is unique: their labels do not depend on ρ or on where on a
+face of optima ADMM would stop.  Each component's delta is
+DELTA_PER_WEIGHT times the mean weight of its rows, so the term scales
+with the hinges: multiplying every weight by a constant scales a
+component's objective and leaves its minimiser where it was.  Reported
+energies and shares are the plain hinge energy of the returned values.
+Components stay the node-connected ones the caller passes, and each
+stops on the residuals of its ADMM blocks alone.  The returned
 assignment is projected block-wise onto the simplex so it is exactly
 feasible.
 """
@@ -31,6 +40,7 @@ from .model import ATTACK, NEUTRAL, SUPPORT, ValidationError
 
 LABEL_PRIORITY = (NEUTRAL, ATTACK, SUPPORT)  # tie-break, most conservative first
 TIE_TOL = 1e-9
+DELTA_PER_WEIGHT = 0.1  # an ADMM component's proximal weight per unit of mean row weight
 
 
 @dataclass(frozen=True)
@@ -152,16 +162,20 @@ def solve_map_admm(program: GroundProgram, params: SolverParams = SolverParams()
     if not exact.all():
         sub = program.select(~exact) if exact.any() else program
         comp = sub.block_comp
+        # the kernel's results, and its delta, are per run of comp
+        comps = comp[np.flatnonzero(np.diff(comp, prepend=-1))]
+        row_comp = comp[sub.pot_block]
+        mean_weight = (np.bincount(row_comp, weights=sub.pot_weight, minlength=n_comp)
+                       / np.maximum(np.bincount(row_comp, minlength=n_comp), 1))
         # only the arrays the kernel reads stay held while it runs
         arrays = (sub.copy_atom, sub.copy_pot, sub.copy_coef, k, sub.pot_const,
                   sub.pot_weight, sub.power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k))
         del sub
         result = kernels.solve_admm(*arrays, params.rho, params.eps_abs, params.eps_rel,
-                                    params.max_iters, np.repeat(comp, k))
+                                    params.max_iters, np.repeat(comp, k),
+                                    DELTA_PER_WEIGHT * mean_weight[comps])
         if result.nan_seen.any():
             raise FloatingPointError("ADMM produced NaN iterates")
-        # the kernel's results are per run of comp
-        comps = comp[np.flatnonzero(np.diff(comp, prepend=-1))]
         z[~exact] = result.z.reshape(-1, k)
         iterations[comps] = result.component_iterations
         converged[comps] = result.converged

@@ -311,14 +311,15 @@ def test_admm_deterministic():
     assert a1.iterations == a2.iterations
 
 
-def kernel_iterations(prog, params=SolverParams()):
-    """ADMM iterations of the kernel on all of the program's blocks."""
-    k = len(prog.labels)
+def kernel_iterations(prog, delta=0.0):
+    """ADMM iterations of the kernel on all of the program's blocks, under
+    the default parameters and the given proximal weight."""
+    k, params = len(prog.labels), SolverParams()
     return kernels.solve_admm(
         prog.copy_atom, prog.copy_pot, prog.copy_coef, k,
         prog.pot_const, prog.pot_weight, prog.power, prog.n_atoms,
         np.full(prog.n_atoms, 1.0 / k), params.rho, params.eps_abs,
-        params.eps_rel, params.max_iters).iterations
+        params.eps_rel, params.max_iters, delta=delta).iterations
 
 
 def test_admm_iterations_golden():
@@ -326,6 +327,12 @@ def test_admm_iterations_golden():
     # grounded arrays or their order moves them
     iterations = [kernel_iterations(random_ground_program(s)) for s in range(10)]
     assert iterations == [35, 30, 149, 168, 56, 123, 27, 33, 186, 38]
+
+
+def test_admm_iterations_golden_regularised():
+    # the same programs with the proximal term at the solver's default
+    iterations = [kernel_iterations(random_ground_program(s), delta=0.1) for s in range(10)]
+    assert iterations == [36, 30, 117, 146, 57, 90, 29, 33, 154, 39]
 
 
 def test_admm_matches_grid_oracle_sample():
@@ -453,11 +460,11 @@ def test_capped_component_does_not_stop_the_batch():
     programs = [random_ground_program(s) for s in (15, 16, 41)]
     assert not any(uncoupled_blocks(p).any() for p in programs)
     iters = [solve_map_admm(p).iterations for p in programs]
-    assert iters == [51, 62, 46]
+    assert iters == [51, 63, 47]
     params = SolverParams(max_iters=55)
     a = solve_map_admm(join(programs), params)
     assert a.component_converged.tolist() == [True, False, True]
-    assert a.component_iterations.tolist() == [51, 55, 46]
+    assert a.component_iterations.tolist() == [51, 55, 47]
     assert not a.converged
     capped = solve_map_admm(programs[1], params)
     assert not capped.converged
@@ -790,6 +797,102 @@ def test_admm_energy_certified_by_lp_on_deep_chain_components(seed):
     for prog in coupled:
         optimum = lp_energy(prog)
         assert optimum * (1 - 1e-9) <= solve_map_admm(prog).energy <= optimum * (1 + 1e-3)
+
+
+def test_labels_do_not_depend_on_rho():
+    """With the proximal term the MAP is unique, so ρ moves no direct label
+    of a deep-chains-shaped program (without it, 3 to 6 move per seed)."""
+    config = RuleSetConfig(chains=True)
+    for seed in range(1, 6):
+        graph, bundles, _ = generate(SynthConfig(seed=seed, n_topics=2, tree_depth=3,
+                                                 branching=3))
+        grounding = ground_graph(graph, bundles, config)
+        labels = [{pid: p.predicted for pid, p in run_inference(
+            graph, bundles, config, SolverParams(rho=rho), grounding=grounding
+        ).predictions.items()} for rho in (0.5, 1.0, 2.0, 4.0)]
+        assert all(other == labels[1] for other in labels), seed
+
+
+def test_scaling_every_weight_leaves_the_direct_labels():
+    """δ follows the weights, so weights ×c leave the regularised MAP where
+    it was.  ρ is scaled with them, since a fixed ρ makes ADMM's steps and
+    stopping tolerances differ with the scale (at ×0.01 and ρ = 1 a
+    full-size deep-chains run takes ten times the iterations).  With δ
+    fixed at 0.1, ×100 moves 8 to 11 of these labels and ×0.01 moves
+    scores by 0.65."""
+    def scaled(c):
+        return RuleSetConfig(chains=True, w_logic=dict.fromkeys(LOGIC_RULES, c),
+                             w_chain=c, w_prior=0.2 * c)
+
+    for seed in range(1, 6):
+        graph, bundles, _ = generate(SynthConfig(seed=seed, n_topics=2, tree_depth=3,
+                                                 branching=3))
+        direct = {p.pair_id for p in graph if p.kind == "direct"}
+        base, *others = [{pid: p for pid, p in run_inference(
+            graph, bundles, scaled(c), SolverParams(rho=c)).predictions.items()
+            if pid in direct} for c in (1.0, 0.01, 100.0)]
+        for other in others:
+            assert {pid: p.predicted for pid, p in other.items()} == {
+                pid: p.predicted for pid, p in base.items()}, seed
+            assert max(abs(other[pid].scores[rel] - p.scores[rel])
+                       for pid, p in base.items() for rel in p.scores) < 0.01, seed
+
+
+def regularised_objective(prog, values, delta):
+    """Hinge energy plus the proximal term delta/2·‖x − 1/k‖²."""
+    return energy(prog, values).sum() + delta / 2 * np.sum((values - 1 / len(prog.labels)) ** 2)
+
+
+def slsqp_optimum(prog, delta):
+    """The regularised MAP by SLSQP over (x, slacks): each row's slack is at
+    least 0 and its hinge value, and each block's atoms lie on the simplex."""
+    from scipy.optimize import minimize
+
+    n, m, k = prog.n_atoms, len(prog.pot_const), len(prog.labels)
+    hinges = np.zeros((m, n))
+    np.add.at(hinges, (prog.copy_pot, prog.copy_atom), prog.copy_coef)
+    sums = np.zeros((prog.n_pairs, n))
+    sums[np.repeat(np.arange(prog.n_pairs), k), blocks(prog).ravel()] = 1.0
+    w, p = prog.pot_weight, prog.power
+
+    def objective(v):
+        return w @ v[n:] ** p + delta / 2 * np.sum((v[:n] - 1 / k) ** 2)
+
+    def gradient(v):
+        return np.concatenate([delta * (v[:n] - 1 / k), p * w * v[n:] ** (p - 1)])
+
+    constraints = [
+        {"type": "ineq", "fun": lambda v: v[n:] - hinges @ v[:n] - prog.pot_const,
+         "jac": lambda v: np.hstack([-hinges, np.eye(m)])},
+        {"type": "eq", "fun": lambda v: sums @ v[:n] - 1.0,
+         "jac": lambda v: np.hstack([sums, np.zeros((prog.n_pairs, m))])}]
+    x0 = np.full(n, 1 / k)
+    res = minimize(objective, np.concatenate([x0, np.maximum(hinges @ x0 + prog.pot_const, 0)]),
+                   jac=gradient, constraints=constraints, method="SLSQP",
+                   bounds=[(0, 1)] * n + [(0, None)] * m,
+                   options={"ftol": 1e-12, "maxiter": 1000})
+    assert res.success, res.message
+    return regularised_objective(prog, project_rows(res.x[:n].reshape(-1, k)).ravel(), delta)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_regularised_kernel_matches_slsqp_optimum(power):
+    """At a tight tolerance, the kernel's regularised objective on small
+    coupled programs is within 1e-6 of SLSQP's optimum."""
+    delta = 0.1
+    programs = [p for p in map(random_ground_program, range(200))
+                if p.power == power and not uncoupled_blocks(p).all()][:8]
+    assert len(programs) == 8
+    for prog in programs:
+        k = len(prog.labels)
+        result = kernels.solve_admm(
+            prog.copy_atom, prog.copy_pot, prog.copy_coef, k, prog.pot_const,
+            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 1 / k),
+            1.0, 1e-10, 1e-10, 100_000, delta=delta)
+        assert result.converged.all()
+        values = project_rows(result.z.reshape(-1, k)).ravel()
+        assert abs(regularised_objective(prog, values, delta)
+                   - slsqp_optimum(prog, delta)) <= 1e-6
 
 
 def test_closed_form_linear_matches_lp_optimum():
