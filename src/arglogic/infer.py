@@ -23,15 +23,16 @@ from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, Sco
                     Table, choice, connected_components, labels_for_mode, sums_to_one)
 from .predicates import evaluate_all
 from .rules import DEFAULT_CHAIN_GRID, DEFAULT_PRIOR_GRID, RuleSetConfig, build_ruleset, structure
-from .solver import Assignment, SolverParams, solve_map_admm
+from .solver import Assignment, solve_map_admm
 
 log = logging.getLogger(__name__)
 
 # Components are solved in batches of at most this many ADMM local copies
 # (a program's hinge copies plus one simplex copy per atom), counted on the
-# structure's programs: one kernel call per batch instead of per component,
-# while the batch's working arrays stay small.  A larger component is a
-# batch of its own.
+# structure's programs over every block, those `solve_map_admm` solves in
+# closed form included: one kernel call per batch instead of per
+# component, while the batch's working arrays stay small.  A larger
+# component is a batch of its own.
 MAX_BATCH_COPIES = 4096
 
 # `solve_configs` joins a batch under as many configs at once as keep the
@@ -188,7 +189,6 @@ class _Mapped:
 def solve_configs(
     grounding: Grounding,
     configs: list[RuleSetConfig],
-    params: SolverParams | None = None,
 ) -> Iterator[list[tuple[float, Assignment]]]:
     """Solve the grounding's programs under each config of its structure.
 
@@ -198,7 +198,6 @@ def solve_configs(
     batch order, one (ground weight, assignment) per config, in config
     order.
     """
-    params = params or SolverParams()
     if any(structure(config) != grounding.structure for config in configs):
         raise ValueError("grounding was made under another rule-set structure")
     weights = [{rule.id: rule.weight for rule in build_ruleset(config)} for config in configs]
@@ -207,17 +206,17 @@ def solve_configs(
         batch.clear()  # from here on only the join holds the programs
         step = max(1, MAX_JOINED_COPIES // copies)
         yield [result for start in range(0, len(weights), step)
-               for result in _solve_batch(joined, weights[start:start + step], params)]
+               for result in _solve_batch(joined, weights[start:start + step])]
 
 
-def _solve_batch(batch: GroundProgram, weights: list[dict[str, float]],
-                 params: SolverParams) -> list[tuple[float, Assignment]]:
+def _solve_batch(batch: GroundProgram,
+                 weights: list[dict[str, float]]) -> list[tuple[float, Assignment]]:
     """The joined batch under each rule-weight map, in one solve: joined
     config-major, each (config, component) is a component of its own and
     stops on its own residuals, as it would alone.  The re-weighted and
     joined programs are released when this returns."""
     parts = [batch.with_weights(w) for w in weights]
-    assignment = solve_map_admm(join(parts), params)
+    assignment = solve_map_admm(join(parts))
     n_blocks, n_comps = batch.n_pairs, batch.n_components
     results, row = [], 0
     for c, part in enumerate(parts):
@@ -233,7 +232,6 @@ def run_inference(
     graph: ArgumentGraph,
     bundles: dict[str, ScoreBundle],
     config: RuleSetConfig,
-    params: SolverParams | None = None,
     ablate: frozenset[str] = frozenset(),
     restrict_split: str | None = None,
     grounding: Grounding | None = None,
@@ -252,7 +250,7 @@ def run_inference(
     if grounding is None:
         grounding = ground_graph(graph, bundles, config, ablate, restrict_split)
     if solved is None:
-        solved = (results[0] for results in solve_configs(grounding, [config], params))
+        solved = (results[0] for results in solve_configs(grounding, [config]))
     solved = list(solved)
     total_energy = 0.0
     total_weight = 0.0

@@ -13,11 +13,12 @@ Each atom's z minimises delta/2·(z − 1/k)² + ρ/2·Σ(y + u − z)² over it
 copies, on [0, 1], where delta is its component's proximal weight:
   z = clip((Σ(y + u) + delta/(ρk)) / (counts + delta/ρ), 0, 1).
 At delta = 0 this is the copies' average and the iterates are plain
-ADMM's, bit for bit.  With delta > 0 a component solves its hinge
-energy plus delta/2·‖z − 1/k‖², which is strongly convex: its optimum is
-unique, so a linear-hinge component (an LP, whose optimum is often a
-face) has one answer, independent of ρ and of the start, and ADMM
-contracts to it in fewer iterations.  `_Working` holds counts + delta/ρ
+ADMM's, bit for bit: the added 0.0 can only turn a -0.0 sum into +0.0,
+which the clip at 0 does anyway.  With delta > 0 a component solves its
+hinge energy plus delta/2·‖z − 1/k‖², which is strongly convex: its
+optimum is unique, so a linear-hinge component (an LP, whose optimum is
+often a face) has one answer, independent of ρ and of the start, and
+ADMM contracts to it in fewer iterations.  `_Working` holds counts + delta/ρ
 and delta/(ρk) per atom, so the term costs one atom-sized add per
 iteration.
 
@@ -182,13 +183,11 @@ class _Working:
         self.n_hinge = len(hinge_pot)
         # every atom's hinge copies plus its simplex copy
         self.counts = (np.bincount(hinge_atom, minlength=n_atoms) + 1).astype(float)
-        # per atom, the consensus step's denominator and the prox centre's
-        # share; with delta all 0 the denominator is counts, bit for bit,
-        # and no share is added (adding 0.0 would turn a -0.0 sum into +0.0)
+        # per atom, the consensus step's denominator and the prox centre's share
         self.delta = delta
         atom_delta = delta[atom_comp]
         self.z_den = self.counts + atom_delta / rho
-        self.z_bias = atom_delta / (rho * width) if delta.any() else None
+        self.z_bias = atom_delta / (rho * width)
         self.n_copies = (np.bincount(hinge_comp, minlength=n_comp)
                          + np.bincount(atom_comp, minlength=n_comp))
         self.abs_tol = np.sqrt(self.n_copies) * eps_abs
@@ -285,8 +284,7 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
         np.add(v_h, u_h, out=scratch)
         z = np.bincount(w.hinge_atom, weights=scratch, minlength=len(z_old))
         z += np.add(v_s, u_s, out=temp)
-        if w.z_bias is not None:
-            z += w.z_bias
+        z += w.z_bias
         np.divide(z, w.z_den, out=z)
         np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
         z.take(w.hinge_atom, out=z_h, mode="clip")

@@ -7,11 +7,12 @@ upstream probabilities per line).  See FORMATS.md for field names.
 Every record read or written is declared once, as a `Table` of (field
 name, kind, default, group) rows: `Table.read` checks a JSON object and
 builds its value, `Table.write` turns the value back into the object.
-Each table compiles its reader, with every field's check inlined, and
-its writers once, on first use; the generic walker `_read` only reads a
-record the compiled reader turns down, so it alone words errors and
-renormalises distributions.  `Table.line` writes a flat record's values
-straight to its JSONL line, without building the record.
+Only the reader and `Table.line` are compiled, each once per table, on
+first use.  The compiled reader inlines every field's check; the generic
+walker `_read` only reads a record the compiled reader turns down, so it
+alone words errors and renormalises distributions.  `Table.line` writes
+a flat record's values straight to its JSONL line, without building the
+record.  `Table.write` is a plain loop over the rows.
 The pair and score block types are made from their tables.  The tables
 of configs and predictions live next to the types they build
 (`rules.py`, `synth.py`, `infer.py`).
@@ -304,9 +305,9 @@ class Table:
     taking its own default, and is not written while it is None.  Any other
     default is the value of a field left out.  Unknown fields are errors.
     `check`, compiled on first use, reads a record or raises _Reject;
-    `write`, compiled on first use too, turns the value back into the
-    record, and `line(*values)` writes the record of field values given in
-    row order as its JSONL line."""
+    `line(*values)`, compiled on first use too, writes the record of field
+    values given in row order as its JSONL line; `write`, built on first
+    use and not compiled, turns the value back into the record."""
 
     def __init__(self, make, rows):
         self.rows = rows = tuple(rows)
@@ -346,7 +347,7 @@ _MISSING = object()  # a field the record leaves out
 
 
 def _reader(table: Table) -> Callable:
-    """`check(record)`, compiled once per table as `_writer` is: each row's
+    """`check(record)`, compiled once per table as `_line` is: each row's
     test and conversion inlined, a nested table's `check` called directly,
     each group's `accepts`, and the value built positionally if the table
     made its own named tuple.  Where it does not accept a record (an error,
@@ -436,45 +437,39 @@ def _read(table: Table, value, line):
 
 
 def _writer(table: Table) -> Callable:
-    """One dict display over the rows, compiled once per table as `dataclasses`
-    compiles `__init__`, so a record costs what a hand-written display costs;
-    then a None optional field is dropped and a nested value written by its
-    table's writer, compiled here too.  A table that reads records into a
-    dict, or nests one that does, has no attributes to write from:
-    compiling its writer raises TypeError."""
+    """`write(obj)`: one loop over the rows.  A field of a group `held_in`
+    a dict is read from that dict, a None optional field is left out and a
+    nested value is written by its table's writer, built here too.  A
+    table that reads records into a dict, or nests one that does, has no
+    attributes to write from: building its writer raises TypeError."""
     if table.make is dict:
         raise _unwritable(table, "written", "it reads records into a dict")
-    display = eval("lambda o: {%s}" % ", ".join(
-        f"{name!r}: o.{group.held_in}[{name!r}]" if group and group.held_in
-        else f"{name!r}: o.{name}" for name, _, _, group in table.rows))
-    post = []  # (field, nested writer or None, many)
-    for name, kind, default, _ in table.rows:
-        if default is None or kind.table is not None:
-            try:
-                sub = kind.table.write if kind.table is not None else None
-            except TypeError as exc:
-                raise _unwritable(table, "written", f"field {name!r} cannot be written") from exc
-            post.append((name, sub, kind.many))
-    if not post:
-        return display
+    fields = []  # (name, the dict holding it or None, optional, nested writer or None, many)
+    for name, kind, default, group in table.rows:
+        try:
+            sub = kind.table.write if kind.table is not None else None
+        except TypeError as exc:
+            raise _unwritable(table, "written", f"field {name!r} cannot be written") from exc
+        fields.append((name, group and group.held_in, default is None, sub, kind.many))
 
     def write(obj) -> dict:
-        record = display(obj)
-        for name, sub, many in post:
-            value = record[name]
-            if value is None:
-                del record[name]
-            elif sub is not None:
-                record[name] = [sub(v) for v in value] if many else sub(value)
+        record = {}
+        for name, held_in, optional, sub, many in fields:
+            value = getattr(obj, held_in)[name] if held_in else getattr(obj, name)
+            if value is None and optional:
+                continue
+            if sub is not None:
+                value = [sub(v) for v in value] if many else sub(value)
+            record[name] = value
         return record
     return write
 
 
 def _line(table: Table) -> Callable:
-    """`line(*values)`, compiled once per table as `_writer` is: one
-    %-format string with the fields in sorted key order, the order
-    `json.dumps(sort_keys=True)` writes them in, filled with each value's
-    `Kind.text`, so the line is the one `dump_jsonl` writes for the record.
+    """`line(*values)`, compiled once per table: one %-format string with
+    the fields in sorted key order, the order `json.dumps(sort_keys=True)`
+    writes them in, filled with each value's `Kind.text`, so the line is
+    the one `dump_jsonl` writes for the record.
     Only a table of fields that are always written, each on one line, has
     one: a nested, array or optional (None default) field raises TypeError."""
     rows = table.rows

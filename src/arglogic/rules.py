@@ -143,7 +143,12 @@ def load_config(path) -> tuple[RuleSetConfig, dict]:
 
 
 def expand_grid(base: RuleSetConfig, grids: dict) -> list[RuleSetConfig]:
-    """Cartesian product over grid axes, in declaration order."""
+    """Cartesian product over grid axes, in declaration order.  The base's
+    prior weight, and its chain weight when chains are on, are checked
+    first, as `infer` checks them, though the grid replaces them."""
+    _checked(base.w_prior, "prior weight")
+    if base.chains:
+        _checked(base.w_chain, "chain weight")
     chain_grid = grids.get("w_chain", DEFAULT_CHAIN_GRID if base.chains else (base.w_chain,))
     prior_grid = grids.get("w_prior", DEFAULT_PRIOR_GRID)
     if not chain_grid or not prior_grid:
@@ -162,7 +167,7 @@ class SweepRow:
     normalized_objective: float
 
 
-def sweep(configs, graph, bundles, params=None):
+def sweep(configs, graph, bundles):
     """Pick the config whose validation-split MAP energy, normalized by
     ground weight mass, is smallest.  Gold labels are never consulted.
 
@@ -202,7 +207,7 @@ def sweep(configs, graph, bundles, params=None):
         try:
             grounding = infer.ground_graph(graph, bundles, configs[group[0]],
                                            restrict_split="val")
-            batches = list(infer.solve_configs(grounding, [configs[i] for i in group], params))
+            batches = list(infer.solve_configs(grounding, [configs[i] for i in group]))
         except ValidationError as exc:
             raise ValidationError(f"{_named(group, configs)}: {exc}") from exc
         except Exception as exc:
@@ -214,9 +219,8 @@ def sweep(configs, graph, bundles, params=None):
     n_pairs = max(1, len(val_ids))
     for i, (config, (grounding, results)) in enumerate(zip(configs, solved)):
         try:
-            result = infer.run_inference(graph, bundles, config, params=params,
-                                         restrict_split="val", grounding=grounding,
-                                         solved=results)
+            result = infer.run_inference(graph, bundles, config, restrict_split="val",
+                                         grounding=grounding, solved=results)
         except Exception as exc:
             raise RuntimeError(f"{_named([i], configs)} failed: {exc}") from exc
         raw = result.total_energy

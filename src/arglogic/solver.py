@@ -24,39 +24,30 @@ Components stay the node-connected ones the caller passes, and each
 stops on the residuals of its ADMM blocks alone.  The returned
 assignment is projected block-wise onto the simplex so it is exactly
 feasible.
+
+ADMM runs at the penalty RHO = 1 and stops a component on the Boyd et
+al. 2011 (§3.3.1) residual test with tolerances EPS_ABS = 1e-5 and
+EPS_REL = 1e-4, or unconverged at MAX_ITERS = 25,000 iterations.  These
+are constants of the solver, not options: no command or config sets
+them, and `solve_map_admm` reads them when it is called.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .grounding import GroundProgram, energy, energy_by_pair
-from .model import ATTACK, NEUTRAL, SUPPORT, ValidationError
+from .model import ATTACK, NEUTRAL, SUPPORT
 
 LABEL_PRIORITY = (NEUTRAL, ATTACK, SUPPORT)  # tie-break, most conservative first
 TIE_TOL = 1e-9
 DELTA_PER_WEIGHT = 0.1  # an ADMM component's proximal weight per unit of mean row weight
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    rho: float = 1.0
-    eps_abs: float = 1e-5
-    eps_rel: float = 1e-4
-    max_iters: int = 25_000
-
-    def __post_init__(self):
-        for name in ("rho", "eps_abs", "eps_rel"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValidationError(f"solver parameter {name} must be positive and finite")
-        if (not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool)
-                or self.max_iters <= 0):
-            raise ValidationError("solver parameter max_iters must be a positive integer")
+RHO = 1.0  # ADMM's penalty
+EPS_ABS, EPS_REL = 1e-5, 1e-4  # the stopping rule's absolute and relative tolerances
+MAX_ITERS = 25_000  # a component still running here stops unconverged
 
 
 def _empty(dtype):
@@ -145,7 +136,7 @@ def _finish(program: GroundProgram, raw_values: np.ndarray) -> np.ndarray:
     return kernels.project_rows(rows).ravel()
 
 
-def solve_map_admm(program: GroundProgram, params: SolverParams = SolverParams()) -> Assignment:
+def solve_map_admm(program: GroundProgram) -> Assignment:
     """MAP of the program: uncoupled blocks in closed form, the rest by one
     ADMM call.  The per-component results describe the ADMM blocks only; a
     component without any reports 0 iterations, zero residuals and
@@ -171,9 +162,8 @@ def solve_map_admm(program: GroundProgram, params: SolverParams = SolverParams()
         arrays = (sub.copy_atom, sub.copy_pot, sub.copy_coef, k, sub.pot_const,
                   sub.pot_weight, sub.power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k))
         del sub
-        result = kernels.solve_admm(*arrays, params.rho, params.eps_abs, params.eps_rel,
-                                    params.max_iters, np.repeat(comp, k),
-                                    DELTA_PER_WEIGHT * mean_weight[comps])
+        result = kernels.solve_admm(*arrays, RHO, EPS_ABS, EPS_REL, MAX_ITERS,
+                                    np.repeat(comp, k), DELTA_PER_WEIGHT * mean_weight[comps])
         if result.nan_seen.any():
             raise FloatingPointError("ADMM produced NaN iterates")
         z[~exact] = result.z.reshape(-1, k)

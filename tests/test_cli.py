@@ -555,7 +555,10 @@ def test_unknown_field_exit_code_2(dataset, runner, tmp_path, file, change, fiel
     ({"grids": {"nope": [1]}}, ["grids", "nope"]),
     ({"grids": {"w_prior": [0.2, 1e308]}}, ["sweep config #1", "prior weight not finite or above"]),
     ({"chains": True, "grids": {"w_chain": [1e7, 1.0]}},
-     ["sweep config #0", "chain weight not finite or above"])])
+     ["sweep config #0", "chain weight not finite or above"]),
+    # base weights the grid replaces are still checked, as `infer` checks them
+    ({"w_prior": 1e308}, ["prior weight not finite or above"]),
+    ({"chains": True, "w_chain": 1e308}, ["chain weight not finite or above"])])
 def test_sweep_config_errors_exit_code_2(dataset, runner, tmp_path, config, expected):
     _, args_path, scores_path = dataset
     cfg = tmp_path / "config.json"

@@ -14,14 +14,14 @@ from arglogic.grounding import (
     ground,
     join,
 )
-from arglogic import infer, kernels
+from arglogic import infer, kernels, solver
 from arglogic.kernels import project_rows
 from arglogic.chains import build_indirect
 from arglogic.infer import ground_graph, run_inference, solve_configs
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
 from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, expand_grid, structure
-from arglogic.solver import SolverParams, _predict_labels, solve_map_admm, uncoupled_blocks
+from arglogic.solver import _predict_labels, solve_map_admm, uncoupled_blocks
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, index_of, random_ground_program
 from reference import (present, project_rows_by_sort, project_simplex, simplex_grid,
@@ -313,13 +313,13 @@ def test_admm_deterministic():
 
 def kernel_iterations(prog, delta=0.0):
     """ADMM iterations of the kernel on all of the program's blocks, under
-    the default parameters and the given proximal weight."""
-    k, params = len(prog.labels), SolverParams()
+    the solver's ρ, tolerances and cap and the given proximal weight."""
+    k = len(prog.labels)
     return kernels.solve_admm(
         prog.copy_atom, prog.copy_pot, prog.copy_coef, k,
         prog.pot_const, prog.pot_weight, prog.power, prog.n_atoms,
-        np.full(prog.n_atoms, 1.0 / k), params.rho, params.eps_abs,
-        params.eps_rel, params.max_iters, delta=delta).iterations
+        np.full(prog.n_atoms, 1.0 / k), solver.RHO, solver.EPS_ABS,
+        solver.EPS_REL, solver.MAX_ITERS, delta=delta).iterations
 
 
 def test_admm_iterations_golden():
@@ -401,25 +401,11 @@ def test_zero_evidence_predicts_default():
         assert a.labels["p1"] == expected
 
 
-def test_solver_params_validation():
-    with pytest.raises(ValidationError):
-        SolverParams(rho=0)
-    with pytest.raises(ValidationError):
-        SolverParams(max_iters=-1)
-    for name in ("rho", "eps_abs", "eps_rel"):
-        for value in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValidationError, match=name):
-                SolverParams(**{name: value})
-    for value in (2.5, 25_000.0, True, False, "100"):
-        with pytest.raises(ValidationError, match="max_iters"):
-            SolverParams(max_iters=value)
-    assert SolverParams(rho=2, max_iters=np.int64(7)).max_iters == 7
-
-
-def test_non_convergence_is_reported_not_fatal():
+def test_non_convergence_is_reported_not_fatal(monkeypatch):
     prog = random_ground_program(1)  # three pairs coupled by a chain triple
     assert not uncoupled_blocks(prog).any()
-    a = solve_map_admm(prog, SolverParams(max_iters=2))
+    monkeypatch.setattr(solver, "MAX_ITERS", 2)
+    a = solve_map_admm(prog)
     assert not a.converged
     assert a.iterations == 2
     for block in blocks(prog):  # still exactly feasible
@@ -455,18 +441,18 @@ def test_batched_solve_equals_per_component_solve(mode):
                                        for k, v in s.energy_shares.items()}
 
 
-def test_capped_component_does_not_stop_the_batch():
+def test_capped_component_does_not_stop_the_batch(monkeypatch):
     # binary, squared hinges, each three pairs coupled by a chain triple
     programs = [random_ground_program(s) for s in (15, 16, 41)]
     assert not any(uncoupled_blocks(p).any() for p in programs)
     iters = [solve_map_admm(p).iterations for p in programs]
     assert iters == [51, 63, 47]
-    params = SolverParams(max_iters=55)
-    a = solve_map_admm(join(programs), params)
+    monkeypatch.setattr(solver, "MAX_ITERS", 55)
+    a = solve_map_admm(join(programs))
     assert a.component_converged.tolist() == [True, False, True]
     assert a.component_iterations.tolist() == [51, 55, 47]
     assert not a.converged
-    capped = solve_map_admm(programs[1], params)
+    capped = solve_map_admm(programs[1])
     assert not capped.converged
     start = programs[0].n_atoms
     assert np.array_equal(a.values[start:start + programs[1].n_atoms], capped.values)
@@ -799,7 +785,7 @@ def test_admm_energy_certified_by_lp_on_deep_chain_components(seed):
         assert optimum * (1 - 1e-9) <= solve_map_admm(prog).energy <= optimum * (1 + 1e-3)
 
 
-def test_labels_do_not_depend_on_rho():
+def test_labels_do_not_depend_on_rho(monkeypatch):
     """With the proximal term the MAP is unique, so ρ moves no direct label
     of a deep-chains-shaped program (without it, 3 to 6 move per seed)."""
     config = RuleSetConfig(chains=True)
@@ -807,13 +793,17 @@ def test_labels_do_not_depend_on_rho():
         graph, bundles, _ = generate(SynthConfig(seed=seed, n_topics=2, tree_depth=3,
                                                  branching=3))
         grounding = ground_graph(graph, bundles, config)
-        labels = [{pid: p.predicted for pid, p in run_inference(
-            graph, bundles, config, SolverParams(rho=rho), grounding=grounding
-        ).predictions.items()} for rho in (0.5, 1.0, 2.0, 4.0)]
+
+        def labels_at(rho):
+            monkeypatch.setattr(solver, "RHO", rho)
+            return {pid: p.predicted for pid, p in run_inference(
+                graph, bundles, config, grounding=grounding).predictions.items()}
+
+        labels = [labels_at(rho) for rho in (0.5, 1.0, 2.0, 4.0)]
         assert all(other == labels[1] for other in labels), seed
 
 
-def test_scaling_every_weight_leaves_the_direct_labels():
+def test_scaling_every_weight_leaves_the_direct_labels(monkeypatch):
     """δ follows the weights, so weights ×c leave the regularised MAP where
     it was.  ρ is scaled with them, since a fixed ρ makes ADMM's steps and
     stopping tolerances differ with the scale (at ×0.01 and ρ = 1 a
@@ -821,6 +811,8 @@ def test_scaling_every_weight_leaves_the_direct_labels():
     fixed at 0.1, ×100 moves 8 to 11 of these labels and ×0.01 moves
     scores by 0.65."""
     def scaled(c):
+        """Every weight and ρ times c."""
+        monkeypatch.setattr(solver, "RHO", c)
         return RuleSetConfig(chains=True, w_logic=dict.fromkeys(LOGIC_RULES, c),
                              w_chain=c, w_prior=0.2 * c)
 
@@ -829,7 +821,7 @@ def test_scaling_every_weight_leaves_the_direct_labels():
                                                  branching=3))
         direct = {p.pair_id for p in graph if p.kind == "direct"}
         base, *others = [{pid: p for pid, p in run_inference(
-            graph, bundles, scaled(c), SolverParams(rho=c)).predictions.items()
+            graph, bundles, scaled(c)).predictions.items()
             if pid in direct} for c in (1.0, 0.01, 100.0)]
         for other in others:
             assert {pid: p.predicted for pid, p in other.items()} == {
@@ -979,14 +971,14 @@ def test_coupled_blocks_of_a_mixed_component_solve_as_if_alone():
     assert a.closed_form.tolist() == exact.tolist()
 
 
-def test_closed_form_pairs_report_converged():
+def test_closed_form_pairs_report_converged(monkeypatch):
     from arglogic.infer import run_inference
 
     g = ArgumentGraph(task_mode="ternary")
     for pid, s, c in (("a", "S", "I"), ("b", "I", "C"), ("x", "S", "D")):
         g.add_pair(ArgumentPair(pid, s, c))
-    result = run_inference(g, {}, RuleSetConfig(chains=True),
-                           params=SolverParams(max_iters=2))
+    monkeypatch.setattr(solver, "MAX_ITERS", 2)
+    result = run_inference(g, {}, RuleSetConfig(chains=True))
     assert not result.converged
     assert {pid: p.converged for pid, p in result.predictions.items()} == {
         "a": False, "b": False, "x": True}
