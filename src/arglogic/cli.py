@@ -230,13 +230,15 @@ def cmd_baseline(arguments_path, scores_path, which, mode, seed, out_path):
 @click.option("--out-arguments", required=True, type=click.Path(dir_okay=False))
 @click.option("--out-scores", required=True, type=click.Path(dir_okay=False))
 @click.option("--out-mask", default=None, type=click.Path(dir_okay=False),
-              help="Masked pair ids (chain scenario only).")
+              help="Masked pair ids; needs --chain-scenario.")
 @guarded
 def cmd_synth(config_path, seed, mode, chain_scenario, mask_fraction,
               out_arguments, out_scores, out_mask):
     """Generate a synthetic dataset in the standard file formats."""
     from .model import bundle_to_record, pair_to_record
 
+    if out_mask and not chain_scenario:
+        raise ValidationError("--out-mask needs --chain-scenario")
     overrides = load_json_object(config_path, "synth config") if config_path else {}
     if seed is not None:
         overrides["seed"] = seed

@@ -43,31 +43,28 @@ class GroundProgram:
     then its prior; then per chain triple, one row per chain rule):
       potentials[p]         rule id of row p
       pot_block[p]          block the row is attributed to (its head's pair)
-      pot_ptr[p]:pot_ptr[p+1]  the row's copies
       pot_const[p]          hinge constant
       pot_weight[p]         weight
     and every row has the hinge power `power`: 1 linear, 2 squared.
 
     Copies: copy_atom[c], copy_pot[c] and copy_coef[c] are the atom, the
-    row and the hinge coefficient of local copy c.
+    row and the hinge coefficient of local copy c.  copy_pot is the only
+    link between rows and copies: each row's copies are one contiguous
+    run, the runs follow the rows in order, and every row has at least
+    one copy, so copy_pot is non-decreasing and takes every row index.
     """
 
     task_mode: str
     block_pair_ids: list[str]
     potentials: tuple[str, ...]
     pot_block: np.ndarray
-    pot_ptr: np.ndarray
     pot_const: np.ndarray
     pot_weight: np.ndarray
     power: int
     copy_atom: np.ndarray
     copy_pot: np.ndarray
     copy_coef: np.ndarray
-    block_comp: np.ndarray | None = None  # None: one component
-
-    def __post_init__(self):
-        if self.block_comp is None:
-            self.block_comp = np.zeros(self.n_pairs, dtype=np.int64)
+    block_comp: np.ndarray
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -97,7 +94,9 @@ class GroundProgram:
         """The blocks where keep holds, with every row on their atoms, in
         the same order; no such row may touch a block that is dropped."""
         keep_atom = np.repeat(keep, len(self.labels))
-        return self._subset(keep, keep_atom[self.copy_atom[self.pot_ptr[:-1]]])
+        keep_row = np.zeros(len(self.pot_const), dtype=bool)
+        keep_row[self.copy_pot[keep_atom[self.copy_atom]]] = True
+        return self._subset(keep, keep_row)
 
     def with_weights(self, weights: dict[str, float]) -> "GroundProgram":
         """The program with each row weighted as its rule in weights, and
@@ -125,7 +124,6 @@ class GroundProgram:
             potentials=tuple(rid for rid, kept in zip(self.potentials, keep_row.tolist())
                              if kept),
             pot_block=_renumber(keep)[self.pot_block[keep_row]],
-            pot_ptr=np.concatenate([[0], np.cumsum(np.diff(self.pot_ptr)[keep_row])]),
             pot_const=self.pot_const[keep_row],
             pot_weight=self.pot_weight[keep_row],
             power=self.power,
@@ -203,7 +201,6 @@ def ground(
         potentials=(tuple(unary[r].id for r in u_rule.tolist())
                     + tuple(r.id for r in chain) * len(hops)),
         pot_block=np.concatenate([u_block, np.repeat(hops[:, 2], len(chain))]).astype(np.int64),
-        pot_ptr=np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)]),
         pot_const=np.concatenate([consts[u_block, u_rule], np.full(n_chain, -1.0)]),
         pot_weight=np.concatenate([u_weight[u_rule],
                                    np.tile([r.weight for r in chain], len(hops))]),
@@ -212,6 +209,7 @@ def ground(
         copy_pot=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         copy_coef=np.concatenate([np.full(len(u_block), -1.0),
                                   np.tile([1.0, 1.0, -1.0], n_chain)]),
+        block_comp=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -237,8 +235,6 @@ def join(programs: Sequence[GroundProgram]) -> GroundProgram:
         block_pair_ids=[pid for p in programs for pid in p.block_pair_ids],
         potentials=tuple(rid for p in programs for rid in p.potentials),
         pot_block=shifted([p.pot_block for p in programs], n_blocks),
-        pot_ptr=np.concatenate([[0], shifted([p.pot_ptr[1:] for p in programs],
-                                             [len(p.copy_atom) for p in programs])]),
         pot_const=np.concatenate([p.pot_const for p in programs]),
         pot_weight=np.concatenate([p.pot_weight for p in programs]),
         power=programs[0].power,
@@ -251,15 +247,15 @@ def join(programs: Sequence[GroundProgram]) -> GroundProgram:
     )
 
 
-def check_feasible(program: GroundProgram, values: np.ndarray, tol: float = FEAS_TOL):
+def check_feasible(program: GroundProgram, values: np.ndarray):
     values = np.asarray(values, dtype=float)
     if values.shape != (program.n_atoms,):
         raise ValidationError(
             f"assignment has {values.shape} values, expected {program.n_atoms}")
-    if np.any(values < -tol) or np.any(values > 1 + tol):
+    if np.any(values < -FEAS_TOL) or np.any(values > 1 + FEAS_TOL):
         raise ValidationError("assignment violates [0, 1] bounds")
     sums = values.reshape(program.n_pairs, len(program.labels)).sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
+    bad = np.nonzero(np.abs(sums - 1.0) > FEAS_TOL)[0]
     if len(bad):
         raise ValidationError(
             f"simplex constraint violated: block sums to {sums[bad[0]]:.8f}")

@@ -532,7 +532,6 @@ NliScores, SlotScore, TuplePairScores = _NLI.make, _SLOT.make, _TUPLE_PAIR.make
 SentiDist, SentiPairScores = _SENTI_DIST.make, _SENTI_PAIR.make
 CausalScores, NormativeScores, ScoreBundle = _CAUSAL.make, _NORMATIVE.make, BUNDLE_TABLE.make
 
-parse_pair = PAIR_TABLE.read
 parse_bundle = BUNDLE_TABLE.read
 
 

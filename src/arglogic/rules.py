@@ -145,10 +145,13 @@ def load_config(path) -> tuple[RuleSetConfig, dict]:
 def expand_grid(base: RuleSetConfig, grids: dict) -> list[RuleSetConfig]:
     """Cartesian product over grid axes, in declaration order.  The base's
     prior weight, and its chain weight when chains are on, are checked
-    first, as `infer` checks them, though the grid replaces them."""
+    first, as `infer` checks them, though the grid replaces them.  With
+    chains off no chain row is grounded, so a w_chain axis is refused."""
     _checked(base.w_prior, "prior weight")
     if base.chains:
         _checked(base.w_chain, "chain weight")
+    elif "w_chain" in grids:
+        raise ValidationError("grids.w_chain: a chain weight axis needs chains on")
     chain_grid = grids.get("w_chain", DEFAULT_CHAIN_GRID if base.chains else (base.w_chain,))
     prior_grid = grids.get("w_prior", DEFAULT_PRIOR_GRID)
     if not chain_grid or not prior_grid:

@@ -130,12 +130,6 @@ def _predict_labels(program: GroundProgram, values: np.ndarray) -> list[str]:
     return [labels[order[c]] for c in chosen.tolist()]
 
 
-def _finish(program: GroundProgram, raw_values: np.ndarray) -> np.ndarray:
-    """Project each pair block exactly onto the simplex."""
-    rows = np.asarray(raw_values, dtype=float).reshape(program.n_pairs, -1)
-    return kernels.project_rows(rows).ravel()
-
-
 def solve_map_admm(program: GroundProgram) -> Assignment:
     """MAP of the program: uncoupled blocks in closed form, the rest by one
     ADMM call.  The per-component results describe the ADMM blocks only; a
@@ -173,7 +167,7 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
         dual[comps] = result.dual_residual
     if exact.any():
         z[exact] = solve_uncoupled(program, np.flatnonzero(exact))
-    values = _finish(program, z)
+    values = kernels.project_rows(z).ravel()  # each block exactly on the simplex
     row_energy = energy(program, values)
     return Assignment(
         values=values,
@@ -199,10 +193,10 @@ TIE_RTOL = 1e-12  # slopes this close, relative, count as tied
 def uncoupled_blocks(program: GroundProgram) -> np.ndarray:
     """Per block: whether every hinge row on its atoms has one copy, with a
     negative coefficient."""
-    simple = np.diff(program.pot_ptr) == 1
-    simple[simple] = program.copy_coef[program.pot_ptr[:-1][simple]] < 0
+    one_copy = np.bincount(program.copy_pot, minlength=len(program.pot_const)) == 1
+    simple = one_copy[program.copy_pot] & (program.copy_coef < 0)  # per copy
     coupled = np.zeros(program.n_pairs, dtype=bool)
-    coupled[program.copy_atom[~simple[program.copy_pot]] // len(program.labels)] = True
+    coupled[program.copy_atom[~simple] // len(program.labels)] = True
     return ~coupled
 
 
@@ -238,11 +232,15 @@ def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
     n = len(blocks)
     local = np.full(program.n_pairs, -1)
     local[blocks] = np.arange(n)
-    rows = np.flatnonzero((program.pot_const > 0) & (program.pot_weight > 0))
-    atom = program.copy_atom[program.pot_ptr[rows]]
+    # every row on an uncoupled block's atoms has one copy: its copy on
+    # the given blocks' atoms, taken in row order, stands for the row
+    active = (program.pot_const > 0) & (program.pot_weight > 0)
+    copies = np.flatnonzero(active[program.copy_pot])
+    atom = program.copy_atom[copies]
     mine = local[atom // k] >= 0
-    rows, atom = rows[mine], atom[mine]
-    alpha = -program.copy_coef[program.pot_ptr[rows]]
+    copies, atom = copies[mine], atom[mine]
+    rows = program.copy_pot[copies]
+    alpha = -program.copy_coef[copies]
     const, weight = program.pot_const[rows], program.pot_weight[rows]
     cell = local[atom // k] * k + atom % k
     t = const / alpha

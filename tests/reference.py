@@ -70,7 +70,8 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
     grid = simplex_grid(k, resolution)
     n_points = len(grid)
 
-    ptr = program.pot_ptr.tolist()
+    # each row's copies are one run of copy_pot
+    ptr = np.searchsorted(program.copy_pot, np.arange(len(program.pot_const) + 1)).tolist()
     atoms = program.copy_atom.tolist()
     coefs = program.copy_coef.tolist()
     total = np.zeros([n_points] * nb)

@@ -460,6 +460,18 @@ def test_eval_duplicate_prediction_exit_code_2(runner, tmp_path):
     assert "duplicate" in res.output and first["pair_id"] in res.output
 
 
+def test_out_mask_without_chain_scenario_exit_code_2(runner, tmp_path):
+    """Only the chain scenario masks pairs: a mask path without it is an
+    error, reported before any file is written."""
+    res = runner.invoke(main, ["synth", "--seed", "1",
+                               "--out-arguments", str(tmp_path / "args.jsonl"),
+                               "--out-scores", str(tmp_path / "scores.jsonl"),
+                               "--out-mask", str(tmp_path / "mask.jsonl")])
+    assert res.exit_code == 2
+    assert "--out-mask" in res.output and "--chain-scenario" in res.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_chain_scenario_synth_ignores_hash_seed(tmp_path):
     """Two interpreters with different string hash seeds write the same files."""
     env = {**os.environ,
@@ -556,6 +568,8 @@ def test_unknown_field_exit_code_2(dataset, runner, tmp_path, file, change, fiel
     ({"grids": {"w_prior": [0.2, 1e308]}}, ["sweep config #1", "prior weight not finite or above"]),
     ({"chains": True, "grids": {"w_chain": [1e7, 1.0]}},
      ["sweep config #0", "chain weight not finite or above"]),
+    # with chains off a chain weight changes nothing: its axis is refused
+    ({"grids": {"w_chain": [1.0, 0.5, 0.1]}}, ["grids.w_chain", "chains on"]),
     # base weights the grid replaces are still checked, as `infer` checks them
     ({"w_prior": 1e308}, ["prior weight not finite or above"]),
     ({"chains": True, "w_chain": 1e308}, ["chain weight not finite or above"])])

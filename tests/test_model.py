@@ -38,7 +38,6 @@ from arglogic.model import (
     load_dataset,
     pair_to_record,
     parse_bundle,
-    parse_pair,
 )
 from arglogic.rules import CONFIG_TABLE, LOGIC_RULES, RuleSetConfig
 from arglogic.synth import SYNTH_TABLE, SynthConfig, generate
@@ -234,7 +233,7 @@ def test_components_match_brute_force(edges):
 
 # One valid record of each kind, and the reader that checks it.
 VALID_RECORDS = {
-    "arguments": (ARGS[0], parse_pair),
+    "arguments": (ARGS[0], PAIR_TABLE.read),
     "scores": ({**SCORES[0], **SCORES[1], **SCORES[2], "pair_id": "p1",
                 "fact_pairs": [{"slots": [{"p_ent": 0.9, "p_con": 0.05}]}],
                 "normative": {"p_conseq": 0.9, "p_norm": 0.1, "q_pos": 0.6, "q_neg": 0.1,

@@ -117,6 +117,31 @@ def test_joining_once_equals_reweighting_each_program(power):
     assert np.array_equal(np.diff(coupled.block_comp) != 0, np.diff(each.block_comp) != 0)
 
 
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+@pytest.mark.parametrize("power", ["linear", "squared"])
+@pytest.mark.parametrize("chains", [True, False])
+def test_each_row_is_one_run_of_copies(mode, power, chains):
+    """copy_pot is a program's only row index: it is non-decreasing and
+    takes every row index, so each row's copies are one run, the runs
+    follow the rows, and no row is without a copy.  This holds for every
+    program the solver sees: grounded, joined, its ADMM blocks, and
+    re-weighted with the chain or prior rows dropped."""
+    fractions = {"fractions": {"support": 0.5, "attack": 0.5}} if mode == "binary" else {}
+    graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2,
+                                             task_mode=mode, **fractions))
+    base = RuleSetConfig(task_mode=mode, chains=chains, hinge_power=power)
+    grounded = list(ground_graph(graph, bundles, base).programs)
+    joined = join(grounded)
+    coupled = joined.select(~uncoupled_blocks(joined))
+    assert (coupled.n_pairs > 0) == chains
+    dropped = [joined.with_weights({rule.id: rule.weight for rule in build_ruleset(c)})
+               for c in (replace(base, w_chain=0.0), replace(base, w_prior=0.0))]
+    assert len(dropped[1].pot_const) < len(joined.pot_const)
+    for prog in grounded + [joined, coupled] + dropped:
+        assert np.all(np.diff(prog.copy_pot) >= 0)
+        assert np.array_equal(np.unique(prog.copy_pot), np.arange(len(prog.pot_const)))
+
+
 @pytest.mark.parametrize("power", ["linear", "squared"])
 def test_with_weights_equals_ground_under_the_config(power):
     cfg = SynthConfig(n_topics=3, tree_depth=3, branching=2, seed=4)
@@ -174,13 +199,13 @@ def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, ta
         block_pair_ids=[p.pair_id for p in pair_list],
         potentials=tuple(r.id for r, *_ in rows),
         pot_block=np.array([b for _, b, _, _ in rows], dtype=np.int64),
-        pot_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
         pot_const=np.array([c for _, _, c, _ in rows], dtype=float),
         pot_weight=np.array([r.weight for r, *_ in rows], dtype=float),
         power=power,
         copy_atom=np.array([a for a, _ in copies], dtype=np.int64),
         copy_pot=np.repeat(np.arange(len(rows), dtype=np.int64), sizes),
         copy_coef=np.array([c for _, c in copies], dtype=float),
+        block_comp=np.zeros(len(pair_list), dtype=np.int64),
     )
 
 
@@ -227,10 +252,10 @@ def test_energy_weighted_sum():
     prog = GroundProgram(
         task_mode="binary", block_pair_ids=["p"], potentials=("R1", "R1"),
         pot_block=np.zeros(2, dtype=np.int64),
-        pot_ptr=np.array([0, 1, 2]), pot_const=np.array([1.0, 0.75]),
+        pot_const=np.array([1.0, 0.75]),
         pot_weight=np.array([2.0, 1.0]), power=1,
         copy_atom=np.array([0, 0]), copy_pot=np.array([0, 1]),
-        copy_coef=np.array([-1.0, -1.0]))
+        copy_coef=np.array([-1.0, -1.0]), block_comp=np.zeros(1, dtype=np.int64))
     rows = energy(prog, np.array([0.5, 0.5]))
     assert rows.tolist() == pytest.approx([1.0, 0.25])
     assert energy_by_pair(prog, rows).tolist() == [1.0]
@@ -243,7 +268,7 @@ def test_energy_matches_per_potential_loop():
         values = rng.dirichlet(np.ones(len(prog.labels)), prog.n_pairs).ravel()
         per_pair = dict.fromkeys(prog.block_pair_ids, 0.0)
         for p in range(len(prog.potentials)):
-            copies = range(prog.pot_ptr[p], prog.pot_ptr[p + 1])
+            copies = np.flatnonzero(prog.copy_pot == p)
             s = prog.pot_const[p] + sum(prog.copy_coef[c] * values[prog.copy_atom[c]]
                                         for c in copies)
             per_pair[prog.block_pair_ids[prog.pot_block[p]]] += (
@@ -713,13 +738,13 @@ def uncoupled_program(mode, power, rows, n_pairs=1):
         task_mode=mode, block_pair_ids=[f"p{b}" for b in range(n_pairs)],
         potentials=("R1",) * n_rows,
         pot_block=atoms // k,
-        pot_ptr=np.arange(n_rows + 1),
         pot_const=np.array([r[2] for r in rows], dtype=float),
         pot_weight=np.array([r[3] for r in rows], dtype=float),
         power=power,
         copy_atom=atoms,
         copy_pot=np.arange(n_rows),
-        copy_coef=np.array([r[1] for r in rows], dtype=float))
+        copy_coef=np.array([r[1] for r in rows], dtype=float),
+        block_comp=np.zeros(n_pairs, dtype=np.int64))
 
 
 def random_uncoupled_program(rng, mode, power, n_pairs=4):
@@ -901,8 +926,7 @@ def test_closed_form_squared_meets_kkt():
         assert a.iterations == 0 and a.closed_form.all()
         x = a.values
         # marginal decrease -f'(x) of each atom's energy
-        copy = prog.pot_ptr[:-1]
-        atom, coef = prog.copy_atom[copy], prog.copy_coef[copy]
+        atom, coef = prog.copy_atom, prog.copy_coef  # one copy per row, in row order
         slack = np.maximum(prog.pot_const + coef * x[atom], 0.0)
         decrease = np.bincount(atom, weights=-2 * prog.pot_weight * slack * coef,
                                minlength=prog.n_atoms).reshape(prog.n_pairs, -1)
