@@ -2,51 +2,73 @@
 
 `solver.solve_map_admm` passes it only the pair blocks that it cannot
 solve in closed form: in practice, those a chain row reaches.  Each hinge
-potential holds private copies of its atoms, and so does each block's
-simplex constraint.  One iteration applies every hinge row's proximal
-update to its copies (a closed-form step) and projects each block's
-simplex copies onto the simplex, takes the consensus z of each atom's
-copies, and advances the scaled duals.
+row of several atoms holds private copies of its atoms, and so does each
+block's simplex constraint.  A one-atom row (one copy, with a negative
+coefficient: every logic rule and the prior ground as such rows) holds
+none: its whole term is a function of one atom, so it enters that atom's
+consensus step as a regulariser (Boyd et al. 2011, §7.1.1, global
+consensus with a regulariser in the z-update).  One iteration applies
+every hinge row's proximal update to its copies (a closed-form step),
+projects each block's simplex copies onto the simplex, takes each atom's
+consensus z, and advances the scaled duals.
 
 Consensus step (Boyd et al. 2011, §7.1, with a proximal term on z).
-Each atom's z minimises delta/2·(z − 1/k)² + ρ/2·Σ(y + u − z)² over its
-copies, on [0, 1], where delta is its component's proximal weight:
-  z = clip((Σ(y + u) + delta/(ρk)) / (counts + delta/ρ), 0, 1).
-At delta = 0 this is the copies' average and the iterates are plain
-ADMM's, bit for bit: the added 0.0 can only turn a -0.0 sum into +0.0,
-which the clip at 0 does anyway.  With delta > 0 a component solves its
-hinge energy plus delta/2·‖z − 1/k‖², which is strongly convex: its
-optimum is unique, so a linear-hinge component (an LP, whose optimum is
-often a face) has one answer, independent of ρ and of the start, and
-ADMM contracts to it in fewer iterations.  `_Working` holds counts + delta/ρ
-and delta/(ρk) per atom, so the term costs one atom-sized add per
+Each atom's z minimises, on [0, 1],
+  delta/2·(z − 1/k)² + ρ/2·Σ(y + u − z)² + Σ_r w_r·max(0, c_r + a_r·z)^p
+over its copies and its one-atom rows r (a_r < 0), where delta is its
+component's proximal weight.  Without rows that is clip(M, 0, 1), with
+D = counts + delta/ρ and
+  M = (Σ(y + u) + delta/(ρk)) / D.
+Row r is active below its breakpoint t_r = c_r/|a_r|.  With the atom's rows
+sorted by t, the rows from r on are the active ones between t_(r-1) and
+t_r, where the minimiser would be the line α_r·M + β_r:
+  linear hinges:  α_r = 1 and β_r = S_r/D, S_r the suffix sum of w·|a|/ρ;
+  squared hinges: α_r = D/(D + Q_r) and β_r = P_r/(D + Q_r), Q_r and P_r
+                  the suffix sums of q = 2w·a²/ρ and of q·t.
+Each min(α_r·M + β_r, t_r) is at most the minimiser, and the segment that
+holds it reaches it, so
+  z = clip(max(M, max_r min(α_r·M + β_r, t_r)), 0, 1),
+exact with tied breakpoints and with rows that are zero on [0, 1]
+(c <= 0 or w = 0).  α, β and t are derived once per working set, the
+suffix sums within each atom's rows, so an atom's terms are those it has
+alone; an iteration gathers M per row and takes one `np.maximum.at`.
+
+With delta = 0 a component solves its hinge energy by plain ADMM.  With
+delta > 0 it solves its hinge energy plus delta/2·‖z − 1/k‖², which is
+strongly convex: its optimum is unique, so a linear-hinge component (an
+LP, whose optimum is often a face) has one answer, independent of ρ and
+of the start, and ADMM contracts to it in fewer iterations.  `_Working`
+holds D and delta/(ρk) per atom, so the term costs one atom-sized add per
 iteration.
 
 Flat program layout (`grounding.GroundProgram` holds these arrays):
-  copy_atom[m]   atom index of each hinge copy
-  copy_pot[m]    owning hinge row of each copy
-  copy_coef[m]   hinge coefficient of each copy
-  pot_const[p]   hinge constant
+  copy_atom[m]   atom index of each copy
+  copy_pot[m]    owning row of each copy
+  copy_coef[m]   coefficient of each copy
+  pot_const[p]   row constant
   pot_weight[p]  row weight
   power          1 = linear hinges, 2 = squared hinges
   k              block width, 2 or 3: atoms b*k .. b*k + k - 1 sum to 1
   atom_comp[n]   optional component id of each atom (default: all 0)
+The kernel splits the rows itself: the one-atom rows leave the copies, and
+the hinge step, the copy counts and the residuals cover the rest.
 
 Working layout: each copy-sized iterate is two arrays, one over the
-caller's hinge copies and one simplex copy per atom, in atom order.  A
-simplex copy's consensus value is its atom's z itself, so only the hinge
-copies are gathered (z̃ = z[copy_atom]) and summed by `np.bincount`; each
-atom's simplex term is added after its hinge sum, the order in which one
-`bincount` over all copies would add it.  The simplex part is one
-contiguous (blocks, k) array, projected in place without a gather.  A
-component's residual sums add its hinge run, then its simplex run.
+hinge copies of the rows of several atoms and one simplex copy per atom,
+in atom order.  A simplex copy's consensus value is its atom's z itself,
+so only the hinge copies are gathered (z̃ = z[hinge_atom]) and summed by
+`np.bincount`; each atom's simplex term is added after its hinge sum, the
+order in which one `bincount` over all copies would add it.  The simplex
+part is one contiguous (blocks, k) array, projected in place without a
+gather.  A component's residual sums add its hinge run, then its simplex
+run.
 
-Buffers: u and v (both parts), z̃ and one scratch array (hinge-sized) and
-one atom-sized scratch array are allocated once per working set and
-written in place (`out=`).  v holds z̃ - u, which the hinge step and the
-projection turn into y; the residual y - z̃ and the squares the stopping
-test sums go to the scratch arrays.  Per iteration only row- and
-atom-sized arrays are allocated.
+Buffers: u and v (both parts), z̃ and one scratch array (hinge-sized), one
+atom-sized scratch array and the one-atom rows' candidates are allocated
+once per working set and written in place (`out=`).  v holds z̃ - u,
+which the hinge step and the projection turn into y; the residual y - z̃
+and the squares the stopping test sums go to the scratch arrays.  Per
+iteration only row- and atom-sized arrays are allocated.
 
 One call solves any number of independent components.  A component is a
 run of equal consecutive atom_comp values; its hinge rows, and so its
@@ -59,19 +81,22 @@ solved alone.  A component stops on its own residual test, at max_iters,
 or on a NaN, and keeps the iterate it stopped at.  Stopped components
 stay in the working arrays, their results ignored, until the copies
 still running are at most 3/4 of those arrays; then the running
-components' u and z are gathered, the other buffers released, and
-`_Working.select` rebuilds the working set from the running components'
-hinge rows with the same constructor, which derives every value per row,
-atom or component.
+components' u and z are gathered, the buffers released, `_Working.select`
+returns the running components' rows, the old working set is released,
+and the constructor builds the new one from those rows, deriving every
+value per row, atom or component.
 
 Stopping test (Boyd et al. 2011, §3.3.1), per component with m copies:
 r <= sqrt(m)·eps_abs + eps_rel·max(‖y‖, ‖z̃‖) and
-s <= sqrt(m)·eps_abs + eps_rel·ρ·‖u‖, where z̃ is each copy's z.  Since
-y = z̃ + (y - z̃), ‖y‖ <= ‖z̃‖ + r, and ‖z̃‖ comes from the per-atom sum
-of counts·z² that the NaN check reads anyway.  So while r exceeds
+s <= ρ·sqrt(m)·eps_abs + eps_rel·ρ·‖u‖, where z̃ is each copy's z.  With
+every weight, delta and ρ scaled by one factor the iterates stay as they
+are and both sides of the dual test scale by it, so, up to rounding, no
+stop decision depends on the scale.  Since y = z̃ + (y - z̃),
+‖y‖ <= ‖z̃‖ + r, and ‖z̃‖ comes from the per-atom sum of counts·z² that
+the NaN check reads anyway.  So while r exceeds
 sqrt(m)·eps_abs + eps_rel·(‖z̃‖ + r) in every running component, no
-component can stop on its test, and the iteration skips ‖y‖, ‖u‖ and
-the dual residual.
+component can stop on its test, and the iteration skips ‖y‖, ‖u‖ and the
+dual residual.
 """
 
 from __future__ import annotations
@@ -116,7 +141,8 @@ def project_rows(V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     theta = cand[-1]
     for c, q in zip(cols, cand):
         theta = np.where(c > q, q, theta)
-    return np.maximum(V - theta[:, None], 0.0, out=out)
+    out = np.subtract(V, theta[:, None], out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 class AdmmResult(NamedTuple):
@@ -149,19 +175,63 @@ def _starts(ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(ids, prepend=-1))
 
 
+def _suffix_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each entry of x plus the entries after it in its run, for runs that
+    begin at starts (the first at 0).  The sums are taken from each run's
+    end back, one depth at a time, so a run's sums are those it has alone,
+    whatever the other runs hold."""
+    out = x.copy()
+    ends = np.append(starts, len(x))[1:]
+    depth = np.repeat(ends - 1, ends - starts) - np.arange(len(x))
+    order = np.argsort(depth, kind="stable")
+    cuts = np.searchsorted(depth[order], np.arange(1, depth.max(initial=0) + 2))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        at = order[lo:hi]
+        out[at] += out[at + 1]
+    return out
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """`np.bincount`'s weighted sums, as floats also over no weights (numpy
+    then returns ints)."""
+    return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
+
+
+def one_atom_copies(copy_pot: np.ndarray, copy_coef: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per copy: whether its row is a one-atom row, with one copy and a
+    negative coefficient, so its term does not increase in its atom."""
+    one_copy = np.bincount(copy_pot, minlength=n_rows) == 1
+    return one_copy[copy_pot] & (copy_coef < 0)
+
+
+def _split(copy_atom, copy_pot, copy_coef, pot_const, pot_weight):
+    """The hinge rows and the one-atom rows: the hinge copies, their rows
+    renumbered, the hinge rows' const and weight, and the one-atom rows as
+    (atom, coef, const, weight)."""
+    folded = one_atom_copies(copy_pot, copy_coef, len(pot_const))
+    rows = copy_pot[folded]
+    hinge_row = np.ones(len(pot_const), dtype=bool)
+    hinge_row[rows] = False
+    hinge = ~folded
+    return (copy_atom[hinge], (np.cumsum(hinge_row) - 1)[copy_pot[hinge]], copy_coef[hinge],
+            pot_const[hinge_row], pot_weight[hinge_row],
+            (copy_atom[folded], copy_coef[folded], pot_const[rows], pot_weight[rows]))
+
+
 class _Working:
     """The arrays one iteration reads, for a set of whole components.
 
-    Built from the hinge copies and each row's const and weight, it
-    derives each row's step t = clip(scale·s / den, 0, cap) of its value
-    s = const + coef·v.  A copy-sized iterate is a hinge part over the
-    hinge copies and a simplex part of one copy per atom, in atom order, in
-    blocks of `width`.  atoms and comps map the local atom and component
-    indices back to the caller's; delta is each local component's
-    proximal weight.
+    Built from the hinge copies, each hinge row's const and weight, and the
+    one-atom rows (atom, coef, const, weight), it derives each hinge row's
+    step t = clip(scale·s / den, 0, cap) of its value s = const + coef·v,
+    and each one-atom row's breakpoint and slope terms of the consensus
+    step.  A copy-sized iterate is a hinge part over the hinge copies and a
+    simplex part of one copy per atom, in atom order, in blocks of
+    `width`.  atoms and comps map the local atom and component indices back
+    to the caller's; delta is each local component's proximal weight.
     """
 
-    def __init__(self, hinge_atom, hinge_pot, hinge_coef, const, weight, width, power,
+    def __init__(self, hinge_atom, hinge_pot, hinge_coef, const, weight, fold, width, power,
                  atom_comp, atoms, comps, rho, eps_abs, delta):
         hinge_comp = atom_comp[hinge_atom]
         if np.any(np.diff(hinge_comp) < 0):
@@ -183,11 +253,12 @@ class _Working:
         self.n_hinge = len(hinge_pot)
         # every atom's hinge copies plus its simplex copy
         self.counts = (np.bincount(hinge_atom, minlength=n_atoms) + 1).astype(float)
-        # per atom, the consensus step's denominator and the prox centre's share
+        # per atom, the consensus step's denominator D and the prox centre's share
         self.delta = delta
         atom_delta = delta[atom_comp]
         self.z_den = self.counts + atom_delta / rho
         self.z_bias = atom_delta / (rho * width)
+        self._fold(fold, rho)
         self.n_copies = (np.bincount(hinge_comp, minlength=n_comp)
                          + np.bincount(atom_comp, minlength=n_comp))
         self.abs_tol = np.sqrt(self.n_copies) * eps_abs
@@ -196,6 +267,38 @@ class _Working:
         self.hinge_start = _starts(hinge_comp)
         self.run_comp = np.concatenate([hinge_comp[self.hinge_start],
                                         atom_comp[self.atom_start]])
+
+    def _fold(self, fold, rho):
+        """The one-atom rows, each atom's in ascending breakpoint
+        t = const/|coef|, and their terms of the consensus step: a row's
+        candidate is min(alpha·M + beta, t), and an atom's z is the largest
+        of M and its rows' candidates, clipped to [0, 1]."""
+        t = fold[2] / -fold[1]
+        order = np.lexsort((t, fold[0]))
+        self.fold = self.fold_atom, coef, const, weight = tuple(a[order] for a in fold)
+        self.fold_t = t[order]
+        starts = _starts(self.fold_atom)
+        den = self.z_den[self.fold_atom]
+        if self.power == 1:
+            self.fold_alpha = None  # α = 1
+            self.fold_beta = _suffix_sums(weight * -coef / rho, starts) / den
+        else:
+            q = 2.0 * weight * coef * coef / rho
+            den_q = den + _suffix_sums(q, starts)
+            self.fold_alpha = den / den_q
+            self.fold_beta = _suffix_sums(q * self.fold_t, starts) / den_q
+
+    def fold_prox(self, z, cand):
+        """Each atom's z from its consensus value M, in place: the minimiser
+        over [0, 1] of ρ/2·D·(z − M)² plus its one-atom rows.  cand is a
+        buffer of one entry per one-atom row."""
+        z.take(self.fold_atom, out=cand, mode="clip")
+        if self.fold_alpha is not None:
+            np.multiply(cand, self.fold_alpha, out=cand)
+        np.add(cand, self.fold_beta, out=cand)
+        np.minimum(cand, self.fold_t, out=cand)
+        np.maximum.at(z, self.fold_atom, cand)
+        np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
 
     def per_copy(self, hinge, simplex):
         """Per-component sums over the copies, given their hinge and simplex
@@ -207,27 +310,30 @@ class _Working:
     def per_atom(self, x):
         return np.add.reduceat(x, self.atom_start)
 
-    def select(self, keep) -> "_Working":
-        """The working set of the components where keep (local) holds."""
+    def select(self, keep) -> tuple:
+        """The constructor's arguments for the working set of the
+        components where keep (local) holds."""
         keep_atom = keep[self.atom_comp]
+        atom_index = np.cumsum(keep_atom) - 1
         keep_hinge = keep_atom[self.hinge_atom]
         keep_row = np.zeros(len(self.const), dtype=bool)
         keep_row[self.hinge_pot[keep_hinge]] = True
-        return _Working(
-            (np.cumsum(keep_atom) - 1)[self.hinge_atom[keep_hinge]],
-            (np.cumsum(keep_row) - 1)[self.hinge_pot[keep_hinge]],
-            self.hinge_coef[keep_hinge], self.const[keep_row], self.weight[keep_row],
-            self.width, self.power, (np.cumsum(keep) - 1)[self.atom_comp[keep_atom]],
-            self.atoms[keep_atom], self.comps[keep], self.rho, self.eps_abs,
-            self.delta[keep])
+        keep_fold = keep_atom[self.fold_atom]
+        fold = (atom_index[self.fold_atom[keep_fold]],) + tuple(a[keep_fold] for a in self.fold[1:])
+        return (atom_index[self.hinge_atom[keep_hinge]],
+                (np.cumsum(keep_row) - 1)[self.hinge_pot[keep_hinge]],
+                self.hinge_coef[keep_hinge], self.const[keep_row], self.weight[keep_row],
+                fold, self.width, self.power, (np.cumsum(keep) - 1)[self.atom_comp[keep_atom]],
+                self.atoms[keep_atom], self.comps[keep], self.rho, self.eps_abs,
+                self.delta[keep])
 
 
 def _buffers(w, z):
     """The iteration's scratch arrays for working set w at consensus z:
-    v's hinge and simplex parts, z̃ of the hinge copies, and one hinge- and
-    one atom-sized scratch array."""
+    v's hinge and simplex parts, z̃ of the hinge copies, one hinge- and one
+    atom-sized scratch array, and the consensus step's candidates."""
     return (np.empty(w.n_hinge), np.empty(len(z)), z[w.hinge_atom], np.empty(w.n_hinge),
-            np.empty(len(z)))
+            np.empty(len(z)), np.empty(len(w.fold_t)))
 
 
 def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
@@ -239,8 +345,7 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
     per-component results are indexed by run of atom_comp, in atom order.
     delta >= 0 weighs the proximal term delta/2·‖z − 1/k‖² of the
     consensus step: one weight for every component, or one per run of
-    atom_comp.  At 0 the iterates are those of plain ADMM.  Needs at least
-    one atom.
+    atom_comp.  Needs at least one atom.
     """
     if atom_comp is None:
         atom_comp = np.zeros(n_atoms, dtype=np.int64)
@@ -254,39 +359,41 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
     nan_out = np.zeros(n_comp, dtype=bool)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), (n_comp,))
 
-    w = _Working(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, k, power,
+    w = _Working(*_split(copy_atom, copy_pot, copy_coef, pot_const, pot_weight), k, power,
                  atom_comp, np.arange(n_atoms), np.arange(n_comp), rho, eps_abs, delta)
     eps_rel_rho = eps_rel * rho
     running = np.ones(n_comp, dtype=bool)
     z = z_out.copy()
     u_h, u_s = np.zeros(w.n_hinge), np.zeros(n_atoms)
-    v_h, v_s, z_h, scratch, temp = _buffers(w, z)
+    v_h, v_s, z_h, scratch, temp, cand = _buffers(w, z)
     for it in range(1, max_iters + 1):
         # v = z̃ - u; the hinge step and the projection then turn it into y
         np.subtract(z_h, u_h, out=v_h)
         np.subtract(z, u_s, out=v_s)
         np.multiply(w.hinge_coef, v_h, out=scratch)
         # each row's value s, then in place its step t
-        t = np.bincount(w.hinge_pot, weights=scratch, minlength=len(w.const))
+        t = _sums(w.hinge_pot, scratch, len(w.const))
         np.add(w.const, t, out=t)
         np.multiply(w.scale, t, out=t)
         np.divide(t, w.den, out=t)
         np.minimum(np.maximum(t, 0.0, out=t), w.cap, out=t)
         # the indices are in range; "clip" lets take write straight to out
         t.take(w.hinge_pot, out=scratch, mode="clip")
+        del t  # before the projection, where an iteration's memory peaks
         np.multiply(scratch, w.hinge_coef, out=scratch)
         np.subtract(v_h, scratch, out=v_h)
         v_rows = v_s.reshape(-1, w.width)
         project_rows(v_rows, out=v_rows)
 
-        # consensus: each atom's hinge copies in order, then its simplex copy
+        # consensus: M from each atom's hinge copies in order, then its
+        # simplex copy; then the largest of M and its one-atom rows' candidates
         z_old = z
         np.add(v_h, u_h, out=scratch)
-        z = np.bincount(w.hinge_atom, weights=scratch, minlength=len(z_old))
+        z = _sums(w.hinge_atom, scratch, len(z_old))
         z += np.add(v_s, u_s, out=temp)
         z += w.z_bias
         np.divide(z, w.z_den, out=z)
-        np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
+        w.fold_prox(z, cand)
         z.take(w.hinge_atom, out=z_h, mode="clip")
 
         # the residual y - z̃ advances u, then its squares are summed
@@ -310,7 +417,7 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
         u_norm = np.sqrt(w.per_copy(np.multiply(u_h, u_h, out=scratch),
                                     np.multiply(u_s, u_s, out=temp)))
         done = (primal_passes(r_norm, y_norm, z_norm, w.abs_tol, eps_rel)
-                & (s_norm <= w.abs_tol + eps_rel_rho * u_norm) & ~nan_seen)
+                & (s_norm <= rho * w.abs_tol + eps_rel_rho * u_norm) & ~nan_seen)
         stop = running & (done | nan_seen | (it == max_iters))
         if not stop.any():
             continue
@@ -328,13 +435,17 @@ def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
         if live == 0:
             break
         if 4 * live <= 3 * (w.n_hinge + len(z)):
-            # gather the running components; the other buffers are released
-            # before the new working set is built, and made anew at its size
+            # gather the running components; the other buffers and then the
+            # old working set are released before the new one is built, and
+            # the buffers made anew at its size
             keep_atom = running[w.atom_comp]
             u_h, u_s, z = u_h[keep_atom[w.hinge_atom]], u_s[keep_atom], z[keep_atom]
-            del v_h, v_s, z_h, scratch, temp, keep_atom
-            w, running = w.select(running), running[running]
-            v_h, v_s, z_h, scratch, temp = _buffers(w, z)
+            del v_h, v_s, z_h, scratch, temp, cand, keep_atom, z_old, dz
+            args = w.select(running)
+            del w
+            w, running = _Working(*args), running[running]
+            del args
+            v_h, v_s, z_h, scratch, temp, cand = _buffers(w, z)
 
     return AdmmResult(z_out, int(iterations.sum()), iterations, r_out, s_out,
                       converged, nan_out)

@@ -8,14 +8,17 @@ its MAP over the simplex is a separable resource allocation solved in
 closed form (`solve_uncoupled`).  With chains off every pair is
 uncoupled; with chains on, every pair that no chain triple reaches.
 
-The other blocks go to ADMM as one sub-program: each ground hinge
-potential and each block's simplex constraint is a local term with
-private copies of its atoms, and the consensus step averages copies,
-pulls them toward 1/k by the proximal term delta/2·‖x − 1/k‖² and clips
-to [0, 1].  So the closed-form blocks minimise the hinge energy exactly,
-and the ADMM blocks minimise the hinge energy plus that term, whose
-minimiser is unique: their labels do not depend on ρ or on where on a
-face of optima ADMM would stop.  Each component's delta is
+The other blocks go to ADMM as one sub-program: each hinge row of
+several atoms (in practice, a chain row) and each block's simplex
+constraint is a local term with private copies of its atoms.  The
+consensus step averages an atom's copies, pulls the average toward 1/k by
+the proximal term delta/2·‖x − 1/k‖², and takes the exact minimiser over
+[0, 1] of that and the atom's one-atom rows (every logic rule and the
+prior), which hold no copies (`kernels`).  So the closed-form blocks
+minimise the hinge energy exactly, and the ADMM blocks minimise the hinge
+energy plus that term, whose minimiser is unique: their labels do not
+depend on ρ or on where on a face of optima ADMM would stop.  Each
+component's delta is
 DELTA_PER_WEIGHT times the mean weight of its rows, so the term scales
 with the hinges: multiplying every weight by a constant scales a
 component's objective and leaves its minimiser where it was.  Reported
@@ -191,10 +194,10 @@ TIE_RTOL = 1e-12  # slopes this close, relative, count as tied
 
 
 def uncoupled_blocks(program: GroundProgram) -> np.ndarray:
-    """Per block: whether every hinge row on its atoms has one copy, with a
-    negative coefficient."""
-    one_copy = np.bincount(program.copy_pot, minlength=len(program.pot_const)) == 1
-    simple = one_copy[program.copy_pot] & (program.copy_coef < 0)  # per copy
+    """Per block: whether every row on its atoms is a one-atom row (one
+    copy, with a negative coefficient)."""
+    simple = kernels.one_atom_copies(program.copy_pot, program.copy_coef,
+                                     len(program.pot_const))
     coupled = np.zeros(program.n_pairs, dtype=bool)
     coupled[program.copy_atom[~simple] // len(program.labels)] = True
     return ~coupled
