@@ -26,7 +26,8 @@ _NO_EVIDENCE = PredicateVector()  # the row of a pair without a score bundle
 
 @dataclass
 class GroundProgram:
-    """One ground program in the flat layout `kernels.solve_admm` reads.
+    """One ground program in flat arrays, which `solver.split_rows` splits
+    into the rows each solver reads.
 
     Atoms: with labels = labels_for_mode(task_mode) and k = len(labels),
     atom b*k + j is relation labels[j] of pair b, and each block of k
@@ -89,14 +90,6 @@ class GroundProgram:
         row_comp = self.block_comp[self.pot_block]
         ends = np.searchsorted(row_comp, np.arange(self.n_components + 1)).tolist()
         return sum((float(self.pot_weight[a:b].sum()) for a, b in zip(ends, ends[1:])), 0.0)
-
-    def select(self, keep: np.ndarray) -> "GroundProgram":
-        """The blocks where keep holds, with every row on their atoms, in
-        the same order; no such row may touch a block that is dropped."""
-        keep_atom = np.repeat(keep, len(self.labels))
-        keep_row = np.zeros(len(self.pot_const), dtype=bool)
-        keep_row[self.copy_pot[keep_atom[self.copy_atom]]] = True
-        return self._subset(keep, keep_row)
 
     def with_weights(self, weights: dict[str, float]) -> "GroundProgram":
         """The program with each row weighted as its rule in weights, and

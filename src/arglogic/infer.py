@@ -40,7 +40,7 @@ MAX_BATCH_COPIES = 4096
 # least one: a full batch under every point of the default sweep grid, so
 # a default sweep makes one kernel call per batch.  The cap also bounds the
 # joined program, which is held while the kernel runs; above it, a
-# `solve_map_admm` call peaks at about 91 bytes per copy
+# `solve_map_admm` call peaks at about 92 bytes per copy
 # (`test_joined_solve_memory_per_copy`).  On the sweep benchmark (ten
 # seeds, 2 cores, numpy) the full join read +1.7 MB median peak RSS
 # against two configs per call, and holding it through the call +0.6 MB.

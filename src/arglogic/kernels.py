@@ -41,17 +41,21 @@ of the start, and ADMM contracts to it in fewer iterations.  `_Working`
 holds D and delta/(ρk) per atom, so the term costs one atom-sized add per
 iteration.
 
-Flat program layout (`grounding.GroundProgram` holds these arrays):
-  copy_atom[m]   atom index of each copy
-  copy_pot[m]    owning row of each copy
+Row layout (`solver.split_rows` splits a `grounding.GroundProgram` into
+these, with atoms numbered within the blocks the kernel gets):
+  copy_atom[m]   atom index of each hinge copy
+  copy_pot[m]    owning hinge row of each copy
   copy_coef[m]   coefficient of each copy
-  pot_const[p]   row constant
-  pot_weight[p]  row weight
-  power          1 = linear hinges, 2 = squared hinges
+  pot_const[p]   hinge row constant
+  pot_weight[p]  hinge row weight
+  one_atom       the one-atom rows (atom, coef, const, weight), ordered by
+                 atom and then by breakpoint t = const/|coef|
   k              block width, 2 or 3: atoms b*k .. b*k + k - 1 sum to 1
-  atom_comp[n]   optional component id of each atom (default: all 0)
-The kernel splits the rows itself: the one-atom rows leave the copies, and
-the hinge step, the copy counts and the residuals cover the rest.
+  power          1 = linear hinges, 2 = squared hinges
+  atom_comp[n]   component id of each atom
+The kernel iterates on exactly these rows: the hinge step, the copy
+counts and the residuals cover the hinge copies, and the one-atom rows
+enter the consensus step in the order given, which each call checks.
 
 Working layout: each copy-sized iterate is two arrays, one over the
 hinge copies of the rows of several atoms and one simplex copy per atom,
@@ -197,32 +201,12 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
 
 
-def one_atom_copies(copy_pot: np.ndarray, copy_coef: np.ndarray, n_rows: int) -> np.ndarray:
-    """Per copy: whether its row is a one-atom row, with one copy and a
-    negative coefficient, so its term does not increase in its atom."""
-    one_copy = np.bincount(copy_pot, minlength=n_rows) == 1
-    return one_copy[copy_pot] & (copy_coef < 0)
-
-
-def _split(copy_atom, copy_pot, copy_coef, pot_const, pot_weight):
-    """The hinge rows and the one-atom rows: the hinge copies, their rows
-    renumbered, the hinge rows' const and weight, and the one-atom rows as
-    (atom, coef, const, weight)."""
-    folded = one_atom_copies(copy_pot, copy_coef, len(pot_const))
-    rows = copy_pot[folded]
-    hinge_row = np.ones(len(pot_const), dtype=bool)
-    hinge_row[rows] = False
-    hinge = ~folded
-    return (copy_atom[hinge], (np.cumsum(hinge_row) - 1)[copy_pot[hinge]], copy_coef[hinge],
-            pot_const[hinge_row], pot_weight[hinge_row],
-            (copy_atom[folded], copy_coef[folded], pot_const[rows], pot_weight[rows]))
-
-
 class _Working:
     """The arrays one iteration reads, for a set of whole components.
 
     Built from the hinge copies, each hinge row's const and weight, and the
-    one-atom rows (atom, coef, const, weight), it derives each hinge row's
+    one-atom rows (atom, coef, const, weight), ordered by atom and then by
+    breakpoint (`solve_admm` checks the orders), it derives each hinge row's
     step t = clip(scale·s / den, 0, cap) of its value s = const + coef·v,
     and each one-atom row's breakpoint and slope terms of the consensus
     step.  A copy-sized iterate is a hinge part over the hinge copies and a
@@ -234,8 +218,6 @@ class _Working:
     def __init__(self, hinge_atom, hinge_pot, hinge_coef, const, weight, fold, width, power,
                  atom_comp, atoms, comps, rho, eps_abs, delta):
         hinge_comp = atom_comp[hinge_atom]
-        if np.any(np.diff(hinge_comp) < 0):
-            raise ValueError("copies must be grouped by component, in atom order")
         self.hinge_atom, self.hinge_pot, self.hinge_coef = hinge_atom, hinge_pot, hinge_coef
         self.const, self.weight, self.width, self.power = const, weight, width, power
         self.rho, self.eps_abs = rho, eps_abs
@@ -269,14 +251,12 @@ class _Working:
                                         atom_comp[self.atom_start]])
 
     def _fold(self, fold, rho):
-        """The one-atom rows, each atom's in ascending breakpoint
+        """The one-atom rows, each atom's given in ascending breakpoint
         t = const/|coef|, and their terms of the consensus step: a row's
         candidate is min(alpha·M + beta, t), and an atom's z is the largest
         of M and its rows' candidates, clipped to [0, 1]."""
-        t = fold[2] / -fold[1]
-        order = np.lexsort((t, fold[0]))
-        self.fold = self.fold_atom, coef, const, weight = tuple(a[order] for a in fold)
-        self.fold_t = t[order]
+        self.fold = self.fold_atom, coef, const, weight = fold
+        self.fold_t = const / -coef
         starts = _starts(self.fold_atom)
         den = self.z_den[self.fold_atom]
         if self.power == 1:
@@ -312,7 +292,7 @@ class _Working:
 
     def select(self, keep) -> tuple:
         """The constructor's arguments for the working set of the
-        components where keep (local) holds."""
+        components where keep (local) holds, each array kept in its order."""
         keep_atom = keep[self.atom_comp]
         atom_index = np.cumsum(keep_atom) - 1
         keep_hinge = keep_atom[self.hinge_atom]
@@ -336,30 +316,31 @@ def _buffers(w, z):
             np.empty(len(z)), np.empty(len(w.fold_t)))
 
 
-def solve_admm(copy_atom, copy_pot, copy_coef, k, pot_const,
-               pot_weight, power, n_atoms, z0, rho, eps_abs,
-               eps_rel, max_iters, atom_comp=None, delta=0.0) -> AdmmResult:
+def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, k, power,
+               z0, rho, eps_abs, eps_rel, max_iters, atom_comp, delta) -> AdmmResult:
     """Run ADMM from z0 until every component has stopped.
 
-    n_atoms is a multiple of k, and a component holds whole blocks.  The
-    per-component results are indexed by run of atom_comp, in atom order.
-    delta >= 0 weighs the proximal term delta/2·‖z − 1/k‖² of the
-    consensus step: one weight for every component, or one per run of
-    atom_comp.  Needs at least one atom.
+    The rows come split as the layout above says; z0 holds whole blocks of
+    k atoms, and a component whole blocks.  delta >= 0 is each component's
+    proximal weight, one per run of atom_comp, and the per-component
+    results are indexed likewise, in atom order.  Needs at least one atom.
     """
-    if atom_comp is None:
-        atom_comp = np.zeros(n_atoms, dtype=np.int64)
     atom_comp = np.cumsum(np.diff(atom_comp, prepend=atom_comp[0]) != 0)
-    n_comp = int(atom_comp[-1]) + 1
+    if np.any(np.diff(atom_comp[copy_atom]) < 0):
+        raise ValueError("copies must be grouped by component, in atom order")
+    step = np.diff(one_atom[0])
+    if np.any((step < 0) | ((step == 0) & (np.diff(one_atom[2] / -one_atom[1]) < 0))):
+        raise ValueError("one-atom rows must be ordered by atom, then by breakpoint")
+    del step
+    n_atoms, n_comp = len(z0), int(atom_comp[-1]) + 1
     z_out = z0.astype(float).copy()
     iterations = np.zeros(n_comp, dtype=np.int64)
     r_out = np.full(n_comp, np.inf)
     s_out = np.full(n_comp, np.inf)
     converged = np.zeros(n_comp, dtype=bool)
     nan_out = np.zeros(n_comp, dtype=bool)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), (n_comp,))
 
-    w = _Working(*_split(copy_atom, copy_pot, copy_coef, pot_const, pot_weight), k, power,
+    w = _Working(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, k, power,
                  atom_comp, np.arange(n_atoms), np.arange(n_comp), rho, eps_abs, delta)
     eps_rel_rho = eps_rel * rho
     running = np.ones(n_comp, dtype=bool)

@@ -1,28 +1,29 @@
 """MAP inference: an exact solve for uncoupled pairs, consensus ADMM for
 the rest.
 
-A pair (block) is uncoupled when every hinge row on its atoms has one
-copy, with a negative coefficient: then its energy is a sum of
-non-increasing one-atom hinges, no row links it to another pair, and
-its MAP over the simplex is a separable resource allocation solved in
-closed form (`solve_uncoupled`).  With chains off every pair is
-uncoupled; with chains on, every pair that no chain triple reaches.
+`split_rows` splits a program's rows once per solve.  A one-atom row has
+one copy, with a negative coefficient (every logic rule and the prior);
+the other rows (in practice, the chain rows) are hinge rows.  A pair
+(block) that no hinge row reaches is uncoupled: its energy is a sum of
+non-increasing one-atom hinges on its own simplex, a separable resource
+allocation solved in closed form (`solve_uncoupled`).  With chains off
+every pair is uncoupled.  The one-atom rows are ordered by atom and then
+by breakpoint once, and both solvers read them in that order.
 
-The other blocks go to ADMM as one sub-program: each hinge row of
-several atoms (in practice, a chain row) and each block's simplex
-constraint is a local term with private copies of its atoms.  The
-consensus step averages an atom's copies, pulls the average toward 1/k by
-the proximal term delta/2·‖x − 1/k‖², and takes the exact minimiser over
-[0, 1] of that and the atom's one-atom rows (every logic rule and the
-prior), which hold no copies (`kernels`).  So the closed-form blocks
-minimise the hinge energy exactly, and the ADMM blocks minimise the hinge
-energy plus that term, whose minimiser is unique: their labels do not
-depend on ρ or on where on a face of optima ADMM would stop.  Each
-component's delta is
-DELTA_PER_WEIGHT times the mean weight of its rows, so the term scales
-with the hinges: multiplying every weight by a constant scales a
-component's objective and leaves its minimiser where it was.  Reported
-energies and shares are the plain hinge energy of the returned values.
+The other blocks go to one ADMM call with the hinge rows and their
+one-atom rows.  Each hinge row and each block's simplex constraint holds
+private copies of its atoms.  The consensus step averages an atom's
+copies, pulls the average toward 1/k by the proximal term
+delta/2·‖x − 1/k‖², and takes the exact minimiser over [0, 1] of that and
+the atom's one-atom rows, which hold no copies (`kernels`).  So the
+closed-form blocks minimise the hinge energy exactly, and the ADMM blocks
+minimise the hinge energy plus that term, whose minimiser is unique:
+their labels do not depend on ρ or on where on a face of optima ADMM
+would stop.  Each component's delta is DELTA_PER_WEIGHT times the mean
+weight of the rows on its ADMM blocks, so the term scales with the
+hinges: multiplying every weight by a constant scales a component's
+objective and leaves its minimiser where it was.  Reported energies and
+shares are the plain hinge energy of the returned values.
 Components stay the node-connected ones the caller passes, and each
 stops on the residuals of its ADMM blocks alone.  The returned
 assignment is projected block-wise onto the simplex so it is exactly
@@ -38,6 +39,7 @@ them, and `solve_map_admm` reads them when it is called.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,35 +143,37 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
     if program.n_atoms == 0:
         return Assignment(np.empty(0), [], [], np.empty(0), np.empty(0))
     k = len(program.labels)
-    exact = uncoupled_blocks(program)
+    split = split_rows(program)
+    admm = split.admm
     n_comp = program.n_components
     iterations = np.zeros(n_comp, dtype=np.int64)
     converged = np.ones(n_comp, dtype=bool)
     primal, dual = np.zeros(n_comp), np.zeros(n_comp)
     z = np.empty((program.n_pairs, k))
-    if not exact.all():
-        sub = program.select(~exact) if exact.any() else program
-        comp = sub.block_comp
+    if not admm.all():
+        z[~admm] = solve_uncoupled(split.closed_form_rows, program.n_pairs - int(admm.sum()),
+                                   k, program.power)
+    if admm.any():
+        comp = program.block_comp[admm]
         # the kernel's results, and its delta, are per run of comp
         comps = comp[np.flatnonzero(np.diff(comp, prepend=-1))]
-        row_comp = comp[sub.pot_block]
-        mean_weight = (np.bincount(row_comp, weights=sub.pot_weight, minlength=n_comp)
+        rows = admm[program.pot_block]  # a row's head is one of its atoms
+        row_comp = program.block_comp[program.pot_block[rows]]
+        mean_weight = (np.bincount(row_comp, weights=program.pot_weight[rows], minlength=n_comp)
                        / np.maximum(np.bincount(row_comp, minlength=n_comp), 1))
         # only the arrays the kernel reads stay held while it runs
-        arrays = (sub.copy_atom, sub.copy_pot, sub.copy_coef, k, sub.pot_const,
-                  sub.pot_weight, sub.power, sub.n_atoms, np.full(sub.n_atoms, 1.0 / k))
-        del sub
+        arrays = (*split.hinge, split.admm_rows, k, program.power,
+                  np.full(k * len(comp), 1.0 / k))
+        del split, rows, row_comp
         result = kernels.solve_admm(*arrays, RHO, EPS_ABS, EPS_REL, MAX_ITERS,
                                     np.repeat(comp, k), DELTA_PER_WEIGHT * mean_weight[comps])
         if result.nan_seen.any():
             raise FloatingPointError("ADMM produced NaN iterates")
-        z[~exact] = result.z.reshape(-1, k)
+        z[admm] = result.z.reshape(-1, k)
         iterations[comps] = result.component_iterations
         converged[comps] = result.converged
         primal[comps] = result.primal_residual
         dual[comps] = result.dual_residual
-    if exact.any():
-        z[exact] = solve_uncoupled(program, np.flatnonzero(exact))
     values = kernels.project_rows(z).ravel()  # each block exactly on the simplex
     row_energy = energy(program, values)
     return Assignment(
@@ -179,12 +183,54 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
         shares=energy_by_pair(program, row_energy),
         row_energy=row_energy,
         block_comp=program.block_comp,
-        closed_form=exact,
+        closed_form=~admm,
         component_iterations=iterations,
         component_converged=converged,
         primal_residual=primal,
         dual_residual=dual,
     )
+
+
+class RowSplit(NamedTuple):
+    """A program's rows as the two solvers read them (`split_rows`).  Atoms
+    are numbered within the blocks each solver gets, in program order."""
+
+    admm: np.ndarray  # per block: solved by ADMM, not in closed form
+    hinge: tuple  # the hinge rows: copy_atom, copy_pot, copy_coef, pot_const, pot_weight
+    admm_rows: tuple  # the ADMM blocks' one-atom rows: atom, coef, const, weight
+    closed_form_rows: tuple  # the other blocks' one-atom rows, likewise
+
+
+def split_rows(program: GroundProgram, admm_all: bool = False) -> RowSplit:
+    """The program's rows, split once.  A one-atom row has one copy and a
+    negative coefficient, so its term does not increase in its atom.  The
+    other rows are hinge rows, and a block that one of their copies reaches
+    is coupled: it goes to ADMM, with every row on its atoms.  With
+    admm_all, every block does.  The one-atom rows are ordered by atom and
+    then by breakpoint t = const/|coef|, ties in row order."""
+    k = len(program.labels)
+    copy_atom, copy_pot, copy_coef = program.copy_atom, program.copy_pot, program.copy_coef
+    one_copy = np.bincount(copy_pot, minlength=len(program.pot_const)) == 1
+    folded = one_copy[copy_pot] & (copy_coef < 0)
+    hinge = ~folded
+    admm = np.full(program.n_pairs, admm_all)
+    admm[copy_atom[hinge] // k] = True
+    admm_atom = np.repeat(admm, k)
+    # each atom's index among the atoms on its side
+    local = np.where(admm_atom, np.cumsum(admm_atom), np.cumsum(~admm_atom)) - 1
+    rows = copy_pot[folded]
+    atom, coef = copy_atom[folded], copy_coef[folded]
+    const, weight = program.pot_const[rows], program.pot_weight[rows]
+    order = np.lexsort((const / -coef, atom))
+    atom, coef, const, weight = (a[order] for a in (atom, coef, const, weight))
+    on = admm_atom[atom]
+    hinge_row = np.bincount(copy_pot, weights=hinge, minlength=len(program.pot_const)) > 0
+    return RowSplit(
+        admm,
+        (local[copy_atom[hinge]], (np.cumsum(hinge_row) - 1)[copy_pot[hinge]],
+         copy_coef[hinge], program.pot_const[hinge_row], program.pot_weight[hinge_row]),
+        (local[atom[on]], coef[on], const[on], weight[on]),
+        (local[atom[~on]], coef[~on], const[~on], weight[~on]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +239,14 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
 TIE_RTOL = 1e-12  # slopes this close, relative, count as tied
 
 
-def uncoupled_blocks(program: GroundProgram) -> np.ndarray:
-    """Per block: whether every row on its atoms is a one-atom row (one
-    copy, with a negative coefficient)."""
-    simple = kernels.one_atom_copies(program.copy_pot, program.copy_coef,
-                                     len(program.pot_const))
-    coupled = np.zeros(program.n_pairs, dtype=bool)
-    coupled[program.copy_atom[~simple] // len(program.labels)] = True
-    return ~coupled
+def solve_uncoupled(rows: tuple, n: int, k: int, power: int) -> np.ndarray:
+    """Exact MAP of n uncoupled blocks of k atoms: one row of k values each.
 
-
-def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
-    """Exact MAP of the given uncoupled blocks: one row of k values each.
-
-    Atom j of a block carries rows w * max(0, c - a*x_j)**p with a > 0, so
-    its energy f_j does not increase in x_j.  Rows with c > 0 and w > 0
-    are active below their breakpoint t = c/a; sorted by t, the
+    rows are the blocks' one-atom rows (atom, coef, const, weight), ordered
+    by atom and then by breakpoint (`split_rows`).  Atom j of a block
+    carries rows w * max(0, c - a*x_j)**p with a = -coef > 0, so its
+    energy f_j does not increase in x_j.  Rows with c > 0 and w > 0 are
+    active below their breakpoint t = c/a; in that order, the
     breakpoints cut [0, max t] into segments, on each of which f_j is
     linear (p = 1) or quadratic (p = 2).  The block minimises the sum of
     its f_j subject to the k values summing to 1.
@@ -231,27 +269,13 @@ def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
     within one block only; the padding adds exact zeros, so a block's
     values do not depend on which other blocks share the call.
     """
-    k = len(program.labels)
-    n = len(blocks)
-    local = np.full(program.n_pairs, -1)
-    local[blocks] = np.arange(n)
-    # every row on an uncoupled block's atoms has one copy: its copy on
-    # the given blocks' atoms, taken in row order, stands for the row
-    active = (program.pot_const > 0) & (program.pot_weight > 0)
-    copies = np.flatnonzero(active[program.copy_pot])
-    atom = program.copy_atom[copies]
-    mine = local[atom // k] >= 0
-    copies, atom = copies[mine], atom[mine]
-    rows = program.copy_pot[copies]
-    alpha = -program.copy_coef[copies]
-    const, weight = program.pot_const[rows], program.pot_weight[rows]
-    cell = local[atom // k] * k + atom % k
+    atom, coef, const, weight = rows
+    active = (const > 0) & (weight > 0)
+    cell, alpha, const = atom[active], -coef[active], const[active]
     t = const / alpha
+    wa = weight[active] * alpha
 
-    # each cell's rows in ascending t, right-aligned, zero padding in front
-    order = np.lexsort((t, cell))
-    cell, t = cell[order], t[order]
-    wa = (weight * alpha)[order]
+    # each cell's rows right-aligned, zero padding in front
     counts = np.bincount(cell, minlength=n * k)
     width = max(1, int(counts.max(initial=0)))
     slot = width - counts[cell] + np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell]
@@ -261,10 +285,9 @@ def solve_uncoupled(program: GroundProgram, blocks: np.ndarray) -> np.ndarray:
         out[cell, slot] = values
         return out.reshape(n, k, width)
 
-    if program.power == 1:
+    if power == 1:
         return _fill_greedy(padded(t), padded(wa))
-    return _water_fill(padded(t), padded(2 * wa * const[order]),
-                       padded(2 * wa * alpha[order]))
+    return _water_fill(padded(t), padded(2 * wa * const), padded(2 * wa * alpha))
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:

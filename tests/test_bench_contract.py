@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from arglogic import infer, model
 from arglogic.chains import _MANIFEST_TABLE
 from arglogic.cli import main
@@ -104,6 +106,28 @@ def test_sweep_makes_one_kernel_call_per_batch(tmp_path):
     calls = [name for _, name, _ in tracer.outcomes]
     assert calls.count("solver.solve_map_admm") == n_batches
     assert calls.count("kernels.solve_admm") == n_batches
+
+
+def test_kernel_copy_updates_count_the_hinge_copies(tmp_path):
+    """The tracer's `kernels.copy_updates` is each kernel call's iterations
+    times the copies it iterates on: the hinge copies of its ADMM blocks,
+    those of the rows of several atoms, and not the one-atom rows."""
+    args, scores = write_inputs(tmp_path, TINY_SYNTH)
+    graph, bundles = load_dataset(str(args), str(scores), TASK_MODE)
+    config = RuleSetConfig(chains=True)
+    tracer = tracing.Tracer()
+    tracer.install(timed=False)
+    try:
+        result = infer.run_inference(graph, bundles, config)
+    finally:
+        tracer.uninstall()
+    grounding = infer.ground_graph(graph, bundles, config)
+    batches = list(infer._batches(grounding.programs, infer.MAX_BATCH_COPIES))
+    assert len(batches) == len(result.solved)
+    hinge = [sum(int(np.sum(np.bincount(p.copy_pot)[p.copy_pot] > 1)) for p in batch)
+             for batch, _ in batches]
+    expected = sum(a.iterations * h for (_, a), h in zip(result.solved, hinge))
+    assert tracing.pass_counts(tracer.outcomes, 0)["kernels.copy_updates"] == expected > 0
 
 
 # One valid record of every table; the nested tables are read inside them.

@@ -21,7 +21,7 @@ from arglogic.infer import ground_graph, run_inference, solve_configs
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
 from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, expand_grid, structure
-from arglogic.solver import _predict_labels, solve_map_admm, uncoupled_blocks
+from arglogic.solver import _predict_labels, solve_map_admm, split_rows
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, index_of, random_ground_program
 from reference import (present, project_rows_by_sort, project_simplex, simplex_grid,
@@ -84,9 +84,8 @@ def test_joining_once_equals_reweighting_each_program(power):
     """A batch joined once and re-weighted per config, then joined
     config-major, is the program joined from each component re-weighted
     alone: on the default grid, and with the chain or prior rows dropped.
-    Its ADMM blocks, the sub-program `solve_map_admm` passes the kernel,
-    are the join of each config's ADMM blocks, with the joined program's
-    component ids."""
+    Its row split, which `solve_map_admm` passes its two solvers, is the
+    join of each config's split."""
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
     base = RuleSetConfig(chains=True, hinge_power=power)
     programs = list(ground_graph(graph, bundles, base).programs)
@@ -101,20 +100,52 @@ def test_joining_once_equals_reweighting_each_program(power):
     assert np.array_equal(np.unique(once.block_comp), np.arange(n_comps))
     assert np.all(np.diff(once.block_comp) >= 0)
 
-    coupled = once.select(~uncoupled_blocks(once))
-    selected, comps = [], []
-    for offset, part in zip(range(0, n_comps, len(programs)), parts):
-        exact = uncoupled_blocks(part)
-        if not exact.all():  # the w_chain 0 config has no ADMM block
-            selected.append(part.select(~exact))
-            comps.append(part.block_comp[~exact] + offset)
-    assert len(selected) == len(configs) - 1
-    each = join(selected)
-    assert_programs_equal(coupled, each, skip={"block_comp"})
-    assert coupled.block_comp.dtype == np.int64
-    assert np.array_equal(coupled.block_comp, np.concatenate(comps))
-    # the kernel's components are the runs of block_comp: the same runs
-    assert np.array_equal(np.diff(coupled.block_comp) != 0, np.diff(each.block_comp) != 0)
+    split = split_rows(once)
+    splits = [split_rows(part) for part in parts]
+    assert sum(not s.admm.any() for s in splits) == 1  # the w_chain 0 config
+    assert_splits_equal(split, join_splits(splits, len(once.labels)))
+    # the kernel's components are the runs of the ADMM blocks' ids: each
+    # config's, with the joined program's component ids
+    comps = [part.block_comp[s.admm] + offset for offset, part, s
+             in zip(range(0, n_comps, len(programs)), parts, splits)]
+    assert np.array_equal(once.block_comp[split.admm], np.concatenate(comps))
+
+
+def join_splits(splits, k):
+    """The splits of programs joined end to end, as `grounding.join` joins
+    the programs: atoms and rows numbered on from those before them."""
+    def shifted(arrays, sizes):
+        return np.concatenate([a + off for a, off in zip(arrays, np.cumsum([0] + sizes[:-1]))])
+
+    def joined(rows, n_atoms):
+        return (shifted([r[0] for r in rows], n_atoms),
+                *(np.concatenate([r[i] for r in rows]) for i in range(1, len(rows[0]))))
+
+    admm_atoms = [k * int(s.admm.sum()) for s in splits]
+    hinge = joined([s.hinge for s in splits], admm_atoms)
+    return solver.RowSplit(
+        np.concatenate([s.admm for s in splits]),
+        (hinge[0], shifted([s.hinge[1] for s in splits], [len(s.hinge[3]) for s in splits]),
+         *hinge[2:]),
+        joined([s.admm_rows for s in splits], admm_atoms),
+        joined([s.closed_form_rows for s in splits],
+               [k * int((~s.admm).sum()) for s in splits]))
+
+
+def assert_splits_equal(a, b):
+    assert np.array_equal(a.admm, b.admm)
+    for name in ("hinge", "admm_rows", "closed_form_rows"):
+        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def admm_part(prog):
+    """The program's ADMM blocks, with every row on their atoms, in the
+    same order."""
+    keep = split_rows(prog).admm
+    keep_row = np.zeros(len(prog.pot_const), dtype=bool)
+    keep_row[prog.copy_pot[np.repeat(keep, len(prog.labels))[prog.copy_atom]]] = True
+    return prog._subset(keep, keep_row)
 
 
 @pytest.mark.parametrize("mode", ["ternary", "binary"])
@@ -132,7 +163,7 @@ def test_each_row_is_one_run_of_copies(mode, power, chains):
     base = RuleSetConfig(task_mode=mode, chains=chains, hinge_power=power)
     grounded = list(ground_graph(graph, bundles, base).programs)
     joined = join(grounded)
-    coupled = joined.select(~uncoupled_blocks(joined))
+    coupled = admm_part(joined)
     assert (coupled.n_pairs > 0) == chains
     dropped = [joined.with_weights({rule.id: rule.weight for rule in build_ruleset(c)})
                for c in (replace(base, w_chain=0.0), replace(base, w_prior=0.0))]
@@ -336,15 +367,28 @@ def test_admm_deterministic():
     assert a1.iterations == a2.iterations
 
 
+SOLVER_EPS = (solver.EPS_ABS, solver.EPS_REL)
+
+
+def kernel_args(prog, max_iters=solver.MAX_ITERS, delta=0.0, eps=SOLVER_EPS):
+    """`kernels.solve_admm`'s arguments for all of the program's blocks,
+    split by the solver, under its ρ, the given cap, proximal weight and
+    tolerances, from the centre of each simplex."""
+    k = len(prog.labels)
+    split = split_rows(prog, admm_all=True)
+    return (*split.hinge, split.admm_rows, k, prog.power, np.full(prog.n_atoms, 1.0 / k),
+            solver.RHO, *eps, max_iters, np.repeat(prog.block_comp, k),
+            np.full(prog.n_components, delta))
+
+
+def run_kernel(prog, max_iters=solver.MAX_ITERS, delta=0.0, eps=SOLVER_EPS):
+    return kernels.solve_admm(*kernel_args(prog, max_iters, delta, eps))
+
+
 def kernel_iterations(prog, delta=0.0):
     """ADMM iterations of the kernel on all of the program's blocks, under
     the solver's ρ, tolerances and cap and the given proximal weight."""
-    k = len(prog.labels)
-    return kernels.solve_admm(
-        prog.copy_atom, prog.copy_pot, prog.copy_coef, k,
-        prog.pot_const, prog.pot_weight, prog.power, prog.n_atoms,
-        np.full(prog.n_atoms, 1.0 / k), solver.RHO, solver.EPS_ABS,
-        solver.EPS_REL, solver.MAX_ITERS, delta=delta).iterations
+    return run_kernel(prog, delta=delta).iterations
 
 
 def test_admm_iterations_golden():
@@ -428,7 +472,7 @@ def test_zero_evidence_predicts_default():
 
 def test_non_convergence_is_reported_not_fatal(monkeypatch):
     prog = random_ground_program(1)  # three pairs coupled by a chain triple
-    assert not uncoupled_blocks(prog).any()
+    assert split_rows(prog).admm.all()
     monkeypatch.setattr(solver, "MAX_ITERS", 2)
     a = solve_map_admm(prog)
     assert not a.converged
@@ -469,7 +513,7 @@ def test_batched_solve_equals_per_component_solve(mode):
 def test_capped_component_does_not_stop_the_batch(monkeypatch):
     # binary, squared hinges, each three pairs coupled by a chain triple
     programs = [random_ground_program(s) for s in (15, 16, 41)]
-    assert not any(uncoupled_blocks(p).any() for p in programs)
+    assert all(split_rows(p).admm.all() for p in programs)
     iters = [solve_map_admm(p).iterations for p in programs]
     assert iters == [45, 57, 38]
     monkeypatch.setattr(solver, "MAX_ITERS", 55)
@@ -573,18 +617,8 @@ def synth_chain_batch():
     config = RuleSetConfig(chains=True)
     weights = {rule.id: rule.weight for rule in build_ruleset(config)}
     programs = [p.with_weights(weights) for p in ground_graph(graph, bundles, config).programs]
-    coupled = [p.select(~uncoupled_blocks(p)) for p in programs
-               if not uncoupled_blocks(p).all()]
+    coupled = [admm_part(p) for p in programs if split_rows(p).admm.any()]
     return coupled, join(coupled)
-
-
-def run_kernel(prog, max_iters, delta=0.0):
-    k = len(prog.labels)
-    return kernels.solve_admm(
-        prog.copy_atom, prog.copy_pot, prog.copy_coef, k,
-        prog.pot_const, prog.pot_weight, prog.power, prog.n_atoms,
-        np.full(prog.n_atoms, 1.0 / k), 1.0, 1e-5, 1e-4, max_iters,
-        np.repeat(prog.block_comp, k), delta)
 
 
 def test_synth_chain_batch_golden():
@@ -650,19 +684,16 @@ def peak_bytes_per_copy(call, prog) -> float:
 
 def kernel_bytes_per_copy(prog) -> float:
     """`peak_bytes_per_copy` of one `kernels.solve_admm` call on prog."""
-    k = len(prog.labels)
-    args = (prog.copy_atom, prog.copy_pot, prog.copy_coef, k, prog.pot_const,
-            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 1.0 / k),
-            1.0, 1e-5, 1e-4, 25_000, np.repeat(prog.block_comp, k))
+    args = kernel_args(prog)
     return peak_bytes_per_copy(lambda: kernels.solve_admm(*args), prog)
 
 
-# The kernel's peak measured 70 and 73.5 bytes per copy on the two
-# programs below (numpy 2.4, CPython 3.11; 123 and 115 before its buffers
-# were reused), pinned at the larger plus 25%; each copy-sized float array
-# alive at the peak adds 8 bytes per copy.  Since the kernel copies the
-# rows of several atoms and the one-atom rows into arrays of their own, it
-# reads 84.1 and 82.0 (numpy 2.4.6, CPython 3.11.7).
+# The kernel's peak above its entry on the two programs below reads 61.1
+# and 62.0 bytes per copy (numpy 2.4.6, CPython 3.11.7, outside pytest),
+# now that it takes its rows split and sorted; it read 84.1 and 82.0 while
+# it copied and sorted them itself.  The pin was set at 73.5 plus 25% and
+# leaves 48% headroom; each copy-sized float array alive at the peak adds
+# 8 bytes per copy.
 KERNEL_BYTES_PER_COPY = 92
 
 
@@ -673,17 +704,18 @@ def test_kernel_memory_per_copy():
     joined = join(list(ground_graph(graph, bundles, base).programs))
     six = join([joined.with_weights({rule.id: rule.weight for rule in build_ruleset(config)})
                 for config in expand_grid(base, {})])
-    six = six.select(~uncoupled_blocks(six))
+    six = admm_part(six)
     assert six.n_components == 6 * joined.n_components
     for prog in (batch, six):
         assert kernel_bytes_per_copy(prog) <= KERNEL_BYTES_PER_COPY
 
 
 # One `solve_map_admm` call on a six-config join, the program a default
-# sweep batch passes it, measured 79.4 bytes per copy above its entry
-# (numpy 2.4, CPython 3.11), pinned plus 25%; it now reads 91.0 (numpy
-# 2.4.6, CPython 3.11.7).  The joined program itself is built before the
-# call and held through it.
+# sweep batch passes it, reads 91.7 bytes per copy above its entry (numpy
+# 2.4.6, CPython 3.11.7, outside pytest; 91.0 while the kernel split the
+# rows itself).  The pin was set at 79.4 plus 25% and leaves 8% headroom.
+# The joined program is built before the call and held through it, and
+# so are the split rows the kernel reads.
 SOLVE_BYTES_PER_COPY = 99
 
 
@@ -726,17 +758,42 @@ def test_kernel_rejects_widths_other_than_2_and_3(width):
         project_rows(np.full((4, width), 0.5))
     # one pair of `width` atoms under one linear hinge row
     with pytest.raises(ValueError, match="width 2 or 3 only"):
-        kernels.solve_admm(np.array([0]), np.array([0]), np.array([-1.0]), width,
-                           np.array([0.5]), np.array([1.0]), 1, width,
-                           np.full(width, 1.0 / width), 1.0, 1e-5, 1e-4, 100)
+        kernels.solve_admm(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                           np.zeros(0), np.zeros(0), np.zeros(0),
+                           (np.array([0]), np.array([-1.0]), np.array([0.5]), np.array([1.0])),
+                           width, 1, np.full(width, 1.0 / width), 1.0, 1e-5, 1e-4, 100,
+                           np.zeros(width, dtype=np.int64), np.zeros(1))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_kernel_rejects_one_atom_rows_out_of_order(power):
+    """The consensus step reads each atom's one-atom rows in ascending
+    breakpoint, so the kernel refuses them shuffled, or with two rows of
+    one atom swapped."""
+    prog = next(p for p in map(random_ground_program, range(200))
+                if p.power == power and split_rows(p).admm.all())
+    args = kernel_args(prog)
+    assert run_kernel(prog).converged.all()
+    atom, coef, const, _ = args[5]
+    t = const / -coef
+    within = np.flatnonzero((atom[1:] == atom[:-1]) & (t[1:] > t[:-1]))
+    assert len(within)
+    swapped = np.arange(len(atom))
+    swapped[[within[0], within[0] + 1]] = swapped[[within[0] + 1, within[0]]]
+    for order in (np.random.default_rng(power).permutation(len(atom)), swapped):
+        rows = tuple(a[order] for a in args[5])
+        with pytest.raises(ValueError, match="ordered by atom, then by breakpoint"):
+            kernels.solve_admm(*args[:5], rows, *args[6:])
 
 
 def fold_working(rows, n_atoms, hinge_rows, power, rho, delta):
     """A working set of one component: one-atom rows (atom, coef, const,
     weight) and two-copy hinge rows (atom, atom), which raise their atoms'
-    copy counts."""
+    copy counts.  The rows are ordered as the kernel takes them: by atom,
+    then by breakpoint."""
     hinge_atom = np.array([a for pair in hinge_rows for a in sorted(pair)], dtype=np.int64)
     n_hinge = len(hinge_rows)
+    rows = sorted(rows, key=lambda r: (r[0], r[2] / -r[1]))
     fold = tuple(np.array([r[i] for r in rows], dtype=dtype)
                  for i, dtype in enumerate((np.int64, float, float, float)))
     return kernels._Working(
@@ -796,13 +853,12 @@ def test_kernel_on_one_atom_rows_matches_the_closed_form(power):
     plain ADMM then reaches the closed form's energy to solver tolerance."""
     for prog in uncoupled_programs(power):
         k = len(prog.labels)
-        result = kernels.solve_admm(
-            prog.copy_atom, prog.copy_pot, prog.copy_coef, k, prog.pot_const,
-            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 1.0 / k),
-            solver.RHO, solver.EPS_ABS, solver.EPS_REL, solver.MAX_ITERS)
+        result = run_kernel(prog)
         assert result.converged.all()
         admm = energy(prog, project_rows(result.z.reshape(-1, k)).ravel()).sum()
-        exact = energy(prog, solver.solve_uncoupled(prog, np.arange(prog.n_pairs)).ravel()).sum()
+        closed_form = solver.solve_uncoupled(split_rows(prog).closed_form_rows, prog.n_pairs,
+                                             k, prog.power)
+        exact = energy(prog, closed_form.ravel()).sum()
         assert exact - 1e-9 <= admm <= exact + 1e-3 * max(1.0, prog.total_weight)
 
 
@@ -845,7 +901,7 @@ def uncoupled_programs(power):
     ones, in both task modes."""
     rng = np.random.default_rng(power)
     grounded = [p for p in map(random_ground_program, range(120))
-                if p.power == power and uncoupled_blocks(p).all()]
+                if p.power == power and not split_rows(p).admm.any()]
     built = [random_uncoupled_program(rng, mode, power)
              for mode in ("ternary", "binary") for _ in range(30)]
     assert {p.task_mode for p in grounded} == {"ternary", "binary"}
@@ -884,7 +940,7 @@ def test_admm_energy_certified_by_lp_on_deep_chain_components(seed):
     config = RuleSetConfig(chains=True)
     weights = {rule.id: rule.weight for rule in build_ruleset(config)}
     programs = [p.with_weights(weights) for p in ground_graph(graph, bundles, config).programs]
-    coupled = [p for p in programs if not uncoupled_blocks(p).all()]
+    coupled = [p for p in programs if split_rows(p).admm.any()]
     assert coupled
     for prog in coupled:
         optimum = lp_energy(prog)
@@ -979,14 +1035,11 @@ def test_regularised_kernel_matches_slsqp_optimum(power):
     coupled programs is within 1e-6 of SLSQP's optimum."""
     delta = 0.1
     programs = [p for p in map(random_ground_program, range(200))
-                if p.power == power and not uncoupled_blocks(p).all()][:8]
+                if p.power == power and split_rows(p).admm.any()][:8]
     assert len(programs) == 8
     for prog in programs:
         k = len(prog.labels)
-        result = kernels.solve_admm(
-            prog.copy_atom, prog.copy_pot, prog.copy_coef, k, prog.pot_const,
-            prog.pot_weight, prog.power, prog.n_atoms, np.full(prog.n_atoms, 1 / k),
-            1.0, 1e-10, 1e-10, 100_000, delta=delta)
+        result = run_kernel(prog, max_iters=100_000, delta=delta, eps=(1e-10, 1e-10))
         assert result.converged.all()
         values = project_rows(result.z.reshape(-1, k)).ravel()
         assert abs(regularised_objective(prog, values, delta)
@@ -1066,10 +1119,10 @@ def test_coupled_blocks_of_a_mixed_component_solve_as_if_alone():
                for pid in ("a", "b", "x")}
     prog = ground(build_ruleset(RuleSetConfig(chains=True)), list(g), vectors,
                   triples, task_mode="ternary")
-    exact = uncoupled_blocks(prog)
+    exact = ~split_rows(prog).admm
     assert exact.tolist() == [b == "x" for b in prog.block_pair_ids]
     a = solve_map_admm(prog)
-    alone = solve_map_admm(prog.select(~exact))
+    alone = solve_map_admm(admm_part(prog))
     assert a.iterations == alone.iterations > 0
     k = len(prog.labels)
     assert np.array_equal(a.values.reshape(-1, k)[~exact], alone.values.reshape(-1, k))
