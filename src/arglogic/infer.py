@@ -4,8 +4,8 @@
 of its structure, each batch under several of them per solver call;
 `run_inference` gathers one config's results.  An `infer` run is the
 one-config case, and writes its output lines straight from the solver's
-arrays (`prediction_lines`); a sweep solves each structure's configs
-together and then gathers each config in turn.
+arrays (`prediction_lines`); a sweep solves its configs, all of one
+structure, together and then gathers each config in turn.
 """
 
 from __future__ import annotations

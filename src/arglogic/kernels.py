@@ -81,8 +81,9 @@ touches atoms of two components (`grounding.join` builds this layout).
 Every step of an iteration is elementwise, per row or per atom, and each
 component's residuals are summed over its own copies and atoms only, so
 its iterates and its stopping iteration are those it would have if
-solved alone.  A component stops on its own residual test, at max_iters,
-or on a NaN, and keeps the iterate it stopped at.  Stopped components
+solved alone.  A component stops on its own residual test or at
+max_iters, and keeps the iterate it stopped at; a NaN in a running
+component's iterate raises FloatingPointError.  Stopped components
 stay in the working arrays, their results ignored, until the copies
 still running are at most 3/4 of those arrays; then the running
 components' u and z are gathered, the buffers released, `_Working.select`
@@ -158,7 +159,6 @@ class AdmmResult(NamedTuple):
     primal_residual: np.ndarray
     dual_residual: np.ndarray
     converged: np.ndarray
-    nan_seen: np.ndarray
 
 
 def primal_ruled_out(r, z_norm, abs_tol, eps_rel):
@@ -324,6 +324,7 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
     k atoms, and a component whole blocks.  delta >= 0 is each component's
     proximal weight, one per run of atom_comp, and the per-component
     results are indexed likewise, in atom order.  Needs at least one atom.
+    Raises FloatingPointError at the first NaN in a running component.
     """
     atom_comp = np.cumsum(np.diff(atom_comp, prepend=atom_comp[0]) != 0)
     if np.any(np.diff(atom_comp[copy_atom]) < 0):
@@ -338,7 +339,6 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
     r_out = np.full(n_comp, np.inf)
     s_out = np.full(n_comp, np.inf)
     converged = np.zeros(n_comp, dtype=bool)
-    nan_out = np.zeros(n_comp, dtype=bool)
 
     w = _Working(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, k, power,
                  atom_comp, np.arange(n_atoms), np.arange(n_comp), rho, eps_abs, delta)
@@ -390,7 +390,9 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
         if it < max_iters and primal_ruled_out(r_norm, z_norm, w.abs_tol, eps_rel)[running].all():
             continue
 
-        nan_seen = ~np.isfinite(zc2)
+        # a NaN fails the early-out's bound, so the first one is seen here
+        if not np.isfinite(zc2[running]).all():
+            raise FloatingPointError("ADMM produced NaN iterates")
         dz = z - z_old
         s_norm = rho * np.sqrt(w.per_atom(w.counts * dz * dz))
         y_norm = np.sqrt(w.per_copy(np.multiply(v_h, v_h, out=scratch),
@@ -398,8 +400,8 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
         u_norm = np.sqrt(w.per_copy(np.multiply(u_h, u_h, out=scratch),
                                     np.multiply(u_s, u_s, out=temp)))
         done = (primal_passes(r_norm, y_norm, z_norm, w.abs_tol, eps_rel)
-                & (s_norm <= rho * w.abs_tol + eps_rel_rho * u_norm) & ~nan_seen)
-        stop = running & (done | nan_seen | (it == max_iters))
+                & (s_norm <= rho * w.abs_tol + eps_rel_rho * u_norm))
+        stop = running & (done | (it == max_iters))
         if not stop.any():
             continue
 
@@ -408,7 +410,6 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
         r_out[ids] = r_norm[stop]
         s_out[ids] = s_norm[stop]
         converged[ids] = done[stop]
-        nan_out[ids] = nan_seen[stop]
         frozen = stop[w.atom_comp]
         z_out[w.atoms[frozen]] = z[frozen]
         running &= ~stop
@@ -428,5 +429,4 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
             del args
             v_h, v_s, z_h, scratch, temp, cand = _buffers(w, z)
 
-    return AdmmResult(z_out, int(iterations.sum()), iterations, r_out, s_out,
-                      converged, nan_out)
+    return AdmmResult(z_out, int(iterations.sum()), iterations, r_out, s_out, converged)

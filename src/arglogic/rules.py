@@ -5,9 +5,10 @@ value; R14-R17 chain two free relation atoms into a third; C1 is a soft
 prior on the default relation.  The per-pair simplex is program
 structure, not a rule.
 
-The sweep groups its configs by structure (`structure`: the config with
-the swept weights masked), grounds each group's validation split once and
-solves it under the group's configs together (`infer.solve_configs`).
+A sweep ranks configs of one structure (`structure`: the config with the
+swept weights masked), which ground the same rows: it grounds the
+validation split once and solves it under every config together
+(`infer.solve_configs`).
 """
 
 from __future__ import annotations
@@ -174,13 +175,14 @@ def sweep(configs, graph, bundles):
     """Pick the config whose validation-split MAP energy, normalized by
     ground weight mass, is smallest.  Gold labels are never consulted.
 
-    Configs are grouped by structure.  The split is grounded once per
-    group and each batch of its programs is solved under several configs
-    of the group per call (`infer.solve_configs`); then
-    `infer.run_inference` gathers each config's result, in config order.
-    Only the energies and weights are read here, so no config's
-    `predictions` are built (`InferenceResult.predictions` is built on
-    first read).
+    The ranking is fair only between configs that ground the same rows, so
+    every config must have the structure of the first: only w_chain and
+    w_prior may differ.  The split is grounded once and each batch of its
+    programs is solved under several configs per call
+    (`infer.solve_configs`); then `infer.run_inference` gathers each
+    config's result, in config order.  Only the energies and weights are
+    read here, so no config's `predictions` are built
+    (`InferenceResult.predictions` is built on first read).
 
     Returns (best_config, [SweepRow...]); ties resolve to the earliest
     config in declaration order.
@@ -189,47 +191,38 @@ def sweep(configs, graph, bundles):
 
     if not configs:
         raise ValidationError("sweep requires at least one config")
-    val_ids = {p.pair_id for p in graph if p.split == "val" and p.kind == "direct"}
-    if not val_ids:
+    if not any(p.split == "val" and p.kind == "direct" for p in graph):
         raise ValidationError("validation split is empty")
-
-    groups: list[list[int]] = []  # config indices per structure; a config holds a dict
     for i, config in enumerate(configs):
         try:
             build_ruleset(config)
         except ValidationError as exc:
             raise ValidationError(f"{_named([i], configs)}: {exc}") from exc
-        group = next((g for g in groups if structure(configs[g[0]]) == structure(config)), None)
-        if group is None:
-            groups.append([i])
-        else:
-            group.append(i)
+        if structure(config) != structure(configs[0]):
+            raise ValidationError(f"{_named([i], configs)}: only "
+                                  f"{' and '.join(GRID_AXES)} may differ from sweep config #0")
 
-    solved = [None] * len(configs)  # per config: (its grounding, its batch results)
-    for group in groups:
-        try:
-            grounding = infer.ground_graph(graph, bundles, configs[group[0]],
-                                           restrict_split="val")
-            batches = list(infer.solve_configs(grounding, [configs[i] for i in group]))
-        except ValidationError as exc:
-            raise ValidationError(f"{_named(group, configs)}: {exc}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"{_named(group, configs)} failed: {exc}") from exc
-        for j, i in enumerate(group):
-            solved[i] = grounding, [results[j] for results in batches]
+    every = range(len(configs))
+    try:
+        grounding = infer.ground_graph(graph, bundles, configs[0], restrict_split="val")
+        batches = list(infer.solve_configs(grounding, configs))
+    except ValidationError as exc:
+        raise ValidationError(f"{_named(every, configs)}: {exc}") from exc
+    except Exception as exc:
+        raise RuntimeError(f"{_named(every, configs)} failed: {exc}") from exc
 
     rows: list[SweepRow] = []
-    n_pairs = max(1, len(val_ids))
-    for i, (config, (grounding, results)) in enumerate(zip(configs, solved)):
+    for i, config in enumerate(configs):
         try:
             result = infer.run_inference(graph, bundles, config, restrict_split="val",
-                                         grounding=grounding, solved=results)
+                                         grounding=grounding,
+                                         solved=[results[i] for results in batches])
         except Exception as exc:
             raise RuntimeError(f"{_named([i], configs)} failed: {exc}") from exc
         raw = result.total_energy
         mass = result.total_weight
-        norm = raw / mass if mass > 0 else raw / n_pairs
-        rows.append(SweepRow(config, raw, norm))
+        # zero mass grounds no row (a row of weight 0 is dropped), so no energy
+        rows.append(SweepRow(config, raw, raw / mass if mass > 0 else 0.0))
 
     best = min(rows, key=lambda r: r.normalized_objective)
     return best.config, rows

@@ -140,8 +140,6 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
     ADMM call.  The per-component results describe the ADMM blocks only; a
     component without any reports 0 iterations, zero residuals and
     converged."""
-    if program.n_atoms == 0:
-        return Assignment(np.empty(0), [], [], np.empty(0), np.empty(0))
     k = len(program.labels)
     split = split_rows(program)
     admm = split.admm
@@ -167,8 +165,6 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
         del split, rows, row_comp
         result = kernels.solve_admm(*arrays, RHO, EPS_ABS, EPS_REL, MAX_ITERS,
                                     np.repeat(comp, k), DELTA_PER_WEIGHT * mean_weight[comps])
-        if result.nan_seen.any():
-            raise FloatingPointError("ADMM produced NaN iterates")
         z[admm] = result.z.reshape(-1, k)
         iterations[comps] = result.component_iterations
         converged[comps] = result.converged

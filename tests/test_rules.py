@@ -1,13 +1,13 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from arglogic import infer, kernels
 from arglogic.model import ValidationError
 from arglogic.rules import (
     CONFIG_TABLE,
+    LOGIC_RULES,
     MAX_WEIGHT,
     RuleSetConfig,
     SweepRow,
@@ -163,9 +163,11 @@ def assert_same_as_alone(config, row, result, graph, bundles):
     assert row.normalized_objective == alone.total_energy / alone.total_weight
 
 
-def test_sweep_grounds_once_and_matches_run_inference_alone(val_dataset, recorded_sweep):
+@pytest.mark.parametrize("hinge_power", ["linear", "squared"])
+def test_sweep_grounds_once_and_matches_run_inference_alone(val_dataset, recorded_sweep,
+                                                            hinge_power):
     graph, bundles, _ = val_dataset
-    configs = expand_grid(RuleSetConfig(chains=True), {})
+    configs = expand_grid(RuleSetConfig(chains=True, hinge_power=hinge_power), {})
     best, rows, results, ground_calls = recorded_sweep(configs, graph, bundles)
     assert len(results) == len(configs)
     assert ground_calls == results[0].n_components > 1
@@ -174,44 +176,47 @@ def test_sweep_grounds_once_and_matches_run_inference_alone(val_dataset, recorde
         assert_same_as_alone(config, row, result, graph, bundles)
 
 
-def test_sweep_over_structures_grounds_once_per_structure(val_dataset, recorded_sweep):
+def test_run_inference_refuses_another_structures_grounding(val_dataset):
     graph, bundles, _ = val_dataset
-    grids = {"w_chain": [1.0, 0.0], "w_prior": [0.3]}
-    linear = expand_grid(RuleSetConfig(chains=True), grids)
-    squared = expand_grid(RuleSetConfig(chains=True, hinge_power="squared"), grids)
-    configs = [c for pair in zip(linear, squared) for c in pair]
-    best, rows, results, ground_calls = recorded_sweep(configs, graph, bundles)
-    assert ground_calls == 2 * results[0].n_components
-    for config, row, result in zip(configs, rows, results):
-        assert_same_as_alone(config, row, result, graph, bundles)
-
-    grounding = infer.ground_graph(graph, bundles, linear[0], restrict_split="val")
+    grounding = infer.ground_graph(graph, bundles, RuleSetConfig(chains=True),
+                                   restrict_split="val")
     with pytest.raises(ValueError, match="structure"):
-        infer.run_inference(graph, bundles, squared[0], restrict_split="val",
-                            grounding=grounding)
+        infer.run_inference(graph, bundles, RuleSetConfig(chains=True, hinge_power="squared"),
+                            restrict_split="val", grounding=grounding)
 
 
 def test_sweep_errors_name_the_configs(val_dataset, monkeypatch):
     graph, bundles, _ = val_dataset
-    grids = {"w_chain": [1.0], "w_prior": [0.2, 0.3]}
-    linear = expand_grid(RuleSetConfig(chains=True), grids)
-    squared = expand_grid(RuleSetConfig(chains=True, hinge_power="squared"), grids)
-    configs = [linear[0], squared[0], linear[1], squared[1]]
+    configs = expand_grid(RuleSetConfig(chains=True), {"w_chain": [1.0, 0.5],
+                                                       "w_prior": [0.2, 0.3]})
 
-    bad = configs[:2] + [dataclasses.replace(linear[1], w_prior=-1.0)]
+    bad = configs[:2] + [dataclasses.replace(configs[2], w_prior=-1.0)]
     with pytest.raises(ValidationError, match="negative prior weight") as exc:
         sweep(bad, graph, bundles)
     assert str(exc.value).startswith(f"sweep config #2 ({bad[2]}): ")
 
-    # a NaN in a joined solve names every config of its structure
-    solve_admm = kernels.solve_admm
+    # the ranking compares configs that ground the same rows only
+    mixed = configs[:2] + [dataclasses.replace(configs[2], hinge_power="squared"), configs[3]]
+    with pytest.raises(ValidationError, match="only w_chain and w_prior may differ") as exc:
+        sweep(mixed, graph, bundles)
+    assert str(exc.value).startswith(f"sweep config #2 ({mixed[2]}): ")
 
+    # a NaN in the joined solve names every config
     def nan_kernel(*args):
-        result = solve_admm(*args)
-        return result._replace(nan_seen=np.ones_like(result.nan_seen))
+        raise FloatingPointError("ADMM produced NaN iterates")
     monkeypatch.setattr(kernels, "solve_admm", nan_kernel)
     with pytest.raises(RuntimeError, match="NaN") as exc:
         sweep(configs, graph, bundles)
     assert str(exc.value).startswith(
-        f"sweep config #0 ({configs[0]}); sweep config #2 ({configs[2]}) failed: ")
-    assert "#1" not in str(exc.value) and "#3" not in str(exc.value)
+        "; ".join(f"sweep config #{i} ({c})" for i, c in enumerate(configs)) + " failed: ")
+
+
+def test_sweep_over_configs_that_ground_no_row(val_dataset, recorded_sweep):
+    """With every rule weight 0 no row is grounded, so each config's energy
+    and weight mass are 0 and its normalised objective reads 0."""
+    graph, bundles, _ = val_dataset
+    silent = RuleSetConfig(w_logic=dict.fromkeys(LOGIC_RULES, 0.0), w_prior=0.0)
+    best, rows, results, _ = recorded_sweep([silent, silent], graph, bundles)
+    assert best == silent
+    assert [(r.n_potentials, r.total_weight) for r in results] == [(0, 0.0)] * 2
+    assert [(r.raw_objective, r.normalized_objective) for r in rows] == [(0.0, 0.0)] * 2

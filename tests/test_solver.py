@@ -481,6 +481,26 @@ def test_non_convergence_is_reported_not_fatal(monkeypatch):
         assert a.values[list(block)].sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("index", [3, 4], ids=["pot_const", "pot_weight"])
+def test_kernel_raises_on_a_nan_hinge_row(index):
+    """A NaN constant or weight on one hinge row reaches the iterate in the
+    first iteration, and the kernel raises rather than return it."""
+    prog = random_ground_program(1)  # three pairs coupled by a chain triple
+    args = list(kernel_args(prog))
+    assert len(args[index])
+    args[index] = args[index].copy()
+    args[index][0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="NaN"):
+        kernels.solve_admm(*args)
+
+
+def test_empty_program_solves_to_an_empty_converged_assignment():
+    a = solve_map_admm(ground(build_ruleset(RuleSetConfig()), [], {}))
+    assert len(a.values) == 0 and a.pair_ids == [] and a.predicted == []
+    assert a.energy == 0.0
+    assert a.converged and a.iterations == 0
+
+
 def programs_of_mode(mode, count):
     """Random one-component programs of one mode, with distinct pair ids."""
     programs = [p for p in map(random_ground_program, range(200))
@@ -630,7 +650,6 @@ def test_synth_chain_batch_golden():
     result = run_kernel(batch, max_iters=166)
     assert result.component_iterations.tolist() == [165, 158, 159, 166, 166, 166]
     assert result.converged.tolist() == [True, True, True, False, True, True]
-    assert not result.nan_seen.any()
     start = 0
     for prog in components:
         alone = run_kernel(prog, max_iters=166)
