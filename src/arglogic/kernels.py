@@ -10,15 +10,16 @@ consensus step as a regulariser (Boyd et al. 2011, §7.1.1, global
 consensus with a regulariser in the z-update).  One iteration applies
 every hinge row's proximal update to its copies (a closed-form step),
 projects each block's simplex copies onto the simplex, takes each atom's
-consensus z, and advances the scaled duals.
+consensus z from the over-relaxed copies, and advances the scaled duals.
 
 Consensus step (Boyd et al. 2011, §7.1, with a proximal term on z).
 Each atom's z minimises, on [0, 1],
-  delta/2·(z − 1/k)² + ρ/2·Σ(y + u − z)² + Σ_r w_r·max(0, c_r + a_r·z)^p
-over its copies and its one-atom rows r (a_r < 0), where delta is its
-component's proximal weight.  Without rows that is clip(M, 0, 1), with
-D = counts + delta/ρ and
-  M = (Σ(y + u) + delta/(ρk)) / D.
+  delta/2·(z − 1/k)² + ρ/2·Σ(ŷ + u − z)² + Σ_r w_r·max(0, c_r + a_r·z)^p
+over its copies and its one-atom rows r (a_r < 0), where ρ and delta are
+its component's penalty and proximal weight, and ŷ are the over-relaxed
+copies below.  Without rows that is clip(M, 0, 1), with D = counts +
+delta/ρ and
+  M = (Σ(ŷ + u) + delta/(ρk)) / D.
 Row r is active below its breakpoint t_r = c_r/|a_r|.  With the atom's rows
 sorted by t, the rows from r on are the active ones between t_(r-1) and
 t_r, where the minimiser would be the line α_r·M + β_r:
@@ -40,6 +41,15 @@ LP, whose optimum is often a face) has one answer, independent of ρ and
 of the start, and ADMM contracts to it in fewer iterations.  `_Working`
 holds D and delta/(ρk) per atom, so the term costs one atom-sized add per
 iteration.
+
+Each component runs at its own ρ, gathered once per working set to each
+place it enters: a hinge row's cap w/ρ (linear) or denominator
+ρ + 2w·‖a‖² (squared), an atom's D and delta/(ρk), a one-atom row's β
+(and α and q), and the dual test.  The consensus step is over-relaxed
+(Boyd et al. 2011, §3.4.3; Eckstein and Bertsekas 1992): it reads
+ŷ = alpha·y + (1 − alpha)·z̃_old in place of each copy y, hinge and
+simplex parts alike, where z̃_old is the copy's z before the step, and u
+advances by ŷ − z̃.  alpha = 1 is plain ADMM.
 
 Row layout (`solver.split_rows` splits a `grounding.GroundProgram` into
 these, with atoms numbered within the blocks the kernel gets):
@@ -70,9 +80,11 @@ run.
 Buffers: u and v (both parts), z̃ and one scratch array (hinge-sized), one
 atom-sized scratch array and the one-atom rows' candidates are allocated
 once per working set and written in place (`out=`).  v holds z̃ - u,
-which the hinge step and the projection turn into y; the residual y - z̃
-and the squares the stopping test sums go to the scratch arrays.  Per
-iteration only row- and atom-sized arrays are allocated.
+which the hinge step and the projection turn into y; ŷ + u goes to the
+scratch arrays, which the consensus step sums and which then give u its
+new value ŷ + u - z̃; the residual y - z̃ and the squares the stopping test
+sums go to the scratch arrays next.  Per iteration only row- and
+atom-sized arrays are allocated.
 
 One call solves any number of independent components.  A component is a
 run of equal consecutive atom_comp values; its hinge rows, and so its
@@ -93,10 +105,11 @@ value per row, atom or component.
 
 Stopping test (Boyd et al. 2011, §3.3.1), per component with m copies:
 r <= sqrt(m)·eps_abs + eps_rel·max(‖y‖, ‖z̃‖) and
-s <= ρ·sqrt(m)·eps_abs + eps_rel·ρ·‖u‖, where z̃ is each copy's z.  With
-every weight, delta and ρ scaled by one factor the iterates stay as they
-are and both sides of the dual test scale by it, so, up to rounding, no
-stop decision depends on the scale.  Since y = z̃ + (y - z̃),
+s <= ρ·(sqrt(m)·eps_abs + eps_rel·‖u‖), where z̃ is each copy's z, r =
+‖y − z̃‖ and s = ρ·‖Δz‖ over the copies.  With every weight, delta and ρ
+scaled by one factor the iterates stay as they are and both sides of the
+dual test scale by it, so, up to rounding, no stop decision depends on
+the scale; by a power of two, exactly.  Since y = z̃ + (y - z̃),
 ‖y‖ <= ‖z̃‖ + r, and ‖z̃‖ comes from the per-atom sum of counts·z² that
 the NaN check reads anyway.  So while r exceeds
 sqrt(m)·eps_abs + eps_rel·(‖z̃‖ + r) in every running component, no
@@ -212,7 +225,8 @@ class _Working:
     step.  A copy-sized iterate is a hinge part over the hinge copies and a
     simplex part of one copy per atom, in atom order, in blocks of
     `width`.  atoms and comps map the local atom and component indices back
-    to the caller's; delta is each local component's proximal weight.
+    to the caller's; rho and delta are each local component's penalty and
+    proximal weight.
     """
 
     def __init__(self, hinge_atom, hinge_pot, hinge_coef, const, weight, fold, width, power,
@@ -223,13 +237,16 @@ class _Working:
         self.rho, self.eps_abs = rho, eps_abs
         self.atom_comp, self.atoms, self.comps = atom_comp, atoms, comps
         norm2 = np.bincount(hinge_pot, weights=hinge_coef * hinge_coef, minlength=len(weight))
+        # each hinge row's ρ, from the component of its copies
+        row_rho = np.empty(len(weight))
+        row_rho[hinge_pot] = rho[hinge_comp]
         # a scalar scale of 1 or cap of ∞ leaves t's bits as the per-row form
         if power == 1:
             self.scale, self.den = 1.0, np.where(norm2 > 0, norm2, np.inf)
-            self.cap = weight / rho
+            self.cap = weight / row_rho
         else:
             two_w = 2.0 * weight
-            self.scale, self.den, self.cap = two_w, rho + two_w * norm2, np.inf
+            self.scale, self.den, self.cap = two_w, row_rho + two_w * norm2, np.inf
 
         n_atoms, n_comp = len(atom_comp), len(comps)
         self.n_hinge = len(hinge_pot)
@@ -237,10 +254,10 @@ class _Working:
         self.counts = (np.bincount(hinge_atom, minlength=n_atoms) + 1).astype(float)
         # per atom, the consensus step's denominator D and the prox centre's share
         self.delta = delta
-        atom_delta = delta[atom_comp]
-        self.z_den = self.counts + atom_delta / rho
-        self.z_bias = atom_delta / (rho * width)
-        self._fold(fold, rho)
+        atom_rho, atom_delta = rho[atom_comp], delta[atom_comp]
+        self.z_den = self.counts + atom_delta / atom_rho
+        self.z_bias = atom_delta / (atom_rho * width)
+        self._fold(fold, atom_rho)
         self.n_copies = (np.bincount(hinge_comp, minlength=n_comp)
                          + np.bincount(atom_comp, minlength=n_comp))
         self.abs_tol = np.sqrt(self.n_copies) * eps_abs
@@ -250,7 +267,7 @@ class _Working:
         self.run_comp = np.concatenate([hinge_comp[self.hinge_start],
                                         atom_comp[self.atom_start]])
 
-    def _fold(self, fold, rho):
+    def _fold(self, fold, atom_rho):
         """The one-atom rows, each atom's given in ascending breakpoint
         t = const/|coef|, and their terms of the consensus step: a row's
         candidate is min(alpha·M + beta, t), and an atom's z is the largest
@@ -259,6 +276,7 @@ class _Working:
         self.fold_t = const / -coef
         starts = _starts(self.fold_atom)
         den = self.z_den[self.fold_atom]
+        rho = atom_rho[self.fold_atom]
         if self.power == 1:
             self.fold_alpha = None  # α = 1
             self.fold_beta = _suffix_sums(weight * -coef / rho, starts) / den
@@ -304,7 +322,7 @@ class _Working:
                 (np.cumsum(keep_row) - 1)[self.hinge_pot[keep_hinge]],
                 self.hinge_coef[keep_hinge], self.const[keep_row], self.weight[keep_row],
                 fold, self.width, self.power, (np.cumsum(keep) - 1)[self.atom_comp[keep_atom]],
-                self.atoms[keep_atom], self.comps[keep], self.rho, self.eps_abs,
+                self.atoms[keep_atom], self.comps[keep], self.rho[keep], self.eps_abs,
                 self.delta[keep])
 
 
@@ -317,14 +335,15 @@ def _buffers(w, z):
 
 
 def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, k, power,
-               z0, rho, eps_abs, eps_rel, max_iters, atom_comp, delta) -> AdmmResult:
+               z0, rho, eps_abs, eps_rel, max_iters, atom_comp, delta, alpha) -> AdmmResult:
     """Run ADMM from z0 until every component has stopped.
 
     The rows come split as the layout above says; z0 holds whole blocks of
-    k atoms, and a component whole blocks.  delta >= 0 is each component's
-    proximal weight, one per run of atom_comp, and the per-component
-    results are indexed likewise, in atom order.  Needs at least one atom.
-    Raises FloatingPointError at the first NaN in a running component.
+    k atoms, and a component whole blocks.  rho > 0 and delta >= 0 are
+    each component's penalty and proximal weight, one per run of
+    atom_comp, and the per-component results are indexed likewise, in atom
+    order; alpha is the over-relaxation.  Needs at least one atom.  Raises
+    FloatingPointError at the first NaN in a running component.
     """
     atom_comp = np.cumsum(np.diff(atom_comp, prepend=atom_comp[0]) != 0)
     if np.any(np.diff(atom_comp[copy_atom]) < 0):
@@ -342,7 +361,6 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
 
     w = _Working(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, k, power,
                  atom_comp, np.arange(n_atoms), np.arange(n_comp), rho, eps_abs, delta)
-    eps_rel_rho = eps_rel * rho
     running = np.ones(n_comp, dtype=bool)
     z = z_out.copy()
     u_h, u_s = np.zeros(w.n_hinge), np.zeros(n_atoms)
@@ -366,22 +384,30 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
         v_rows = v_s.reshape(-1, w.width)
         project_rows(v_rows, out=v_rows)
 
-        # consensus: M from each atom's hinge copies in order, then its
-        # simplex copy; then the largest of M and its one-atom rows' candidates
+        # consensus over ŷ + u, ŷ = z̃ + alpha·(y - z̃) the over-relaxed
+        # copies: M from each atom's hinge copies in order, then its simplex
+        # copy; then the largest of M and its one-atom rows' candidates
         z_old = z
-        np.add(v_h, u_h, out=scratch)
+        np.subtract(v_h, z_h, out=scratch)
+        scratch *= alpha
+        scratch += z_h
+        scratch += u_h
         z = _sums(w.hinge_atom, scratch, len(z_old))
-        z += np.add(v_s, u_s, out=temp)
+        np.subtract(v_s, z_old, out=temp)
+        temp *= alpha
+        temp += z_old
+        temp += u_s
+        z += temp
         z += w.z_bias
         np.divide(z, w.z_den, out=z)
         w.fold_prox(z, cand)
         z.take(w.hinge_atom, out=z_h, mode="clip")
 
-        # the residual y - z̃ advances u, then its squares are summed
+        # u advances to ŷ + u - z̃; then the residual y - z̃'s squares are summed
+        np.subtract(scratch, z_h, out=u_h)
+        np.subtract(temp, z, out=u_s)
         np.subtract(v_h, z_h, out=scratch)
         np.subtract(v_s, z, out=temp)
-        u_h += scratch
-        u_s += temp
         r_norm = np.sqrt(w.per_copy(np.multiply(scratch, scratch, out=scratch),
                                     np.multiply(temp, temp, out=temp)))
         # z is clipped to [0, 1], so this sum is finite unless z holds a NaN
@@ -394,13 +420,13 @@ def solve_admm(copy_atom, copy_pot, copy_coef, pot_const, pot_weight, one_atom, 
         if not np.isfinite(zc2[running]).all():
             raise FloatingPointError("ADMM produced NaN iterates")
         dz = z - z_old
-        s_norm = rho * np.sqrt(w.per_atom(w.counts * dz * dz))
+        s_norm = w.rho * np.sqrt(w.per_atom(w.counts * dz * dz))
         y_norm = np.sqrt(w.per_copy(np.multiply(v_h, v_h, out=scratch),
                                     np.multiply(v_s, v_s, out=temp)))
         u_norm = np.sqrt(w.per_copy(np.multiply(u_h, u_h, out=scratch),
                                     np.multiply(u_s, u_s, out=temp)))
         done = (primal_passes(r_norm, y_norm, z_norm, w.abs_tol, eps_rel)
-                & (s_norm <= rho * w.abs_tol + eps_rel_rho * u_norm))
+                & (s_norm <= w.rho * (w.abs_tol + eps_rel * u_norm)))
         stop = running & (done | (it == max_iters))
         if not stop.any():
             continue

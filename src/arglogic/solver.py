@@ -19,21 +19,24 @@ the atom's one-atom rows, which hold no copies (`kernels`).  So the
 closed-form blocks minimise the hinge energy exactly, and the ADMM blocks
 minimise the hinge energy plus that term, whose minimiser is unique:
 their labels do not depend on ρ or on where on a face of optima ADMM
-would stop.  Each component's delta is DELTA_PER_WEIGHT times the mean
-weight of the rows on its ADMM blocks, so the term scales with the
-hinges: multiplying every weight by a constant scales a component's
-objective and leaves its minimiser where it was.  Reported energies and
+would stop.  Each component runs at its own penalty ρ, the mean weight of
+the rows on its ADMM blocks (`penalties`), and its delta is
+DELTA_PER_WEIGHT times that ρ, so the term scales with the hinges:
+multiplying every weight by a constant scales a component's objective and
+leaves its minimiser where it was, and since ρ, delta and every stopping
+threshold scale with it, ADMM takes the same steps.  Reported energies and
 shares are the plain hinge energy of the returned values.
 Components stay the node-connected ones the caller passes, and each
 stops on the residuals of its ADMM blocks alone.  The returned
 assignment is projected block-wise onto the simplex so it is exactly
 feasible.
 
-ADMM runs at the penalty RHO = 1 and stops a component on the Boyd et
-al. 2011 (§3.3.1) residual test with tolerances EPS_ABS = 1e-5 and
-EPS_REL = 1e-4, or unconverged at MAX_ITERS = 25,000 iterations.  These
-are constants of the solver, not options: no command or config sets
-them, and `solve_map_admm` reads them when it is called.
+ADMM's consensus step is over-relaxed by ALPHA = 1.5 (Boyd et al. 2011,
+§3.4.3).  It stops a component on the residual test of §3.3.1 with
+tolerances EPS_ABS = 1e-5 and EPS_REL = 1e-4, or unconverged at
+MAX_ITERS = 25,000 iterations.  These are constants of the solver, not
+options: no command or config sets them, and `solve_map_admm` reads them
+when it is called.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ from .model import ATTACK, NEUTRAL, SUPPORT
 
 LABEL_PRIORITY = (NEUTRAL, ATTACK, SUPPORT)  # tie-break, most conservative first
 TIE_TOL = 1e-9
-DELTA_PER_WEIGHT = 0.1  # an ADMM component's proximal weight per unit of mean row weight
-RHO = 1.0  # ADMM's penalty
+DELTA_PER_WEIGHT = 0.1  # an ADMM component's proximal weight per unit of its ρ
 EPS_ABS, EPS_REL = 1e-5, 1e-4  # the stopping rule's absolute and relative tolerances
 MAX_ITERS = 25_000  # a component still running here stops unconverged
+ALPHA = 1.5  # ADMM's over-relaxation
 
 
 def _empty(dtype):
@@ -74,8 +77,8 @@ class Assignment:
     closed_form: np.ndarray = _empty(bool)  # per block: solved without ADMM
     component_iterations: np.ndarray = _empty(np.int64)
     component_converged: np.ndarray = _empty(bool)
-    primal_residual: np.ndarray = _empty(float)
-    dual_residual: np.ndarray = _empty(float)
+    primal_residual: np.ndarray = _empty(float)  # ‖y − z̃‖ over the copies
+    dual_residual: np.ndarray = _empty(float)  # ρ·‖Δz‖ at the component's ρ
 
     @property
     def energy(self) -> float:
@@ -153,18 +156,15 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
                                    k, program.power)
     if admm.any():
         comp = program.block_comp[admm]
-        # the kernel's results, and its delta, are per run of comp
+        # the kernel's results, its rho and its delta are per run of comp
         comps = comp[np.flatnonzero(np.diff(comp, prepend=-1))]
-        rows = admm[program.pot_block]  # a row's head is one of its atoms
-        row_comp = program.block_comp[program.pot_block[rows]]
-        mean_weight = (np.bincount(row_comp, weights=program.pot_weight[rows], minlength=n_comp)
-                       / np.maximum(np.bincount(row_comp, minlength=n_comp), 1))
+        rho = penalties(program, admm)[comps]
         # only the arrays the kernel reads stay held while it runs
         arrays = (*split.hinge, split.admm_rows, k, program.power,
                   np.full(k * len(comp), 1.0 / k))
-        del split, rows, row_comp
-        result = kernels.solve_admm(*arrays, RHO, EPS_ABS, EPS_REL, MAX_ITERS,
-                                    np.repeat(comp, k), DELTA_PER_WEIGHT * mean_weight[comps])
+        del split
+        result = kernels.solve_admm(*arrays, rho, EPS_ABS, EPS_REL, MAX_ITERS,
+                                    np.repeat(comp, k), DELTA_PER_WEIGHT * rho, ALPHA)
         z[admm] = result.z.reshape(-1, k)
         iterations[comps] = result.component_iterations
         converged[comps] = result.converged
@@ -185,6 +185,18 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
         primal_residual=primal,
         dual_residual=dual,
     )
+
+
+def penalties(program: GroundProgram, admm: np.ndarray) -> np.ndarray:
+    """Per component, ADMM's penalty ρ: the mean weight of the rows on its
+    blocks where admm holds (a row's head is one of its atoms), or 1 where
+    those rows weigh nothing."""
+    rows = admm[program.pot_block]
+    row_comp = program.block_comp[program.pot_block[rows]]
+    n_comp = program.n_components
+    total = np.bincount(row_comp, weights=program.pot_weight[rows], minlength=n_comp)
+    count = np.bincount(row_comp, minlength=n_comp)
+    return np.where(total > 0, total / np.maximum(count, 1), 1.0)
 
 
 class RowSplit(NamedTuple):

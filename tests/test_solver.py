@@ -20,7 +20,8 @@ from arglogic.chains import build_indirect
 from arglogic.infer import ground_graph, run_inference, solve_configs
 from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
-from arglogic.rules import LOGIC_RULES, RuleSetConfig, build_ruleset, expand_grid, structure
+from arglogic.rules import (LOGIC_RULES, MAX_WEIGHT, RuleSetConfig, build_ruleset, expand_grid,
+                            structure)
 from arglogic.solver import _predict_labels, solve_map_admm, split_rows
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, index_of, random_ground_program
@@ -370,38 +371,36 @@ def test_admm_deterministic():
 SOLVER_EPS = (solver.EPS_ABS, solver.EPS_REL)
 
 
-def kernel_args(prog, max_iters=solver.MAX_ITERS, delta=0.0, eps=SOLVER_EPS):
+def kernel_args(prog, max_iters=solver.MAX_ITERS, delta=0.0, eps=SOLVER_EPS, alpha=solver.ALPHA):
     """`kernels.solve_admm`'s arguments for all of the program's blocks,
-    split by the solver, under its ρ, the given cap, proximal weight and
-    tolerances, from the centre of each simplex."""
+    split by the solver, under its ρ per component, the given cap,
+    proximal weight per unit of ρ, tolerances and over-relaxation, from the
+    centre of each simplex."""
     k = len(prog.labels)
     split = split_rows(prog, admm_all=True)
+    rho = solver.penalties(prog, split.admm)
     return (*split.hinge, split.admm_rows, k, prog.power, np.full(prog.n_atoms, 1.0 / k),
-            solver.RHO, *eps, max_iters, np.repeat(prog.block_comp, k),
-            np.full(prog.n_components, delta))
+            rho, *eps, max_iters, np.repeat(prog.block_comp, k), delta * rho, alpha)
 
 
-def run_kernel(prog, max_iters=solver.MAX_ITERS, delta=0.0, eps=SOLVER_EPS):
-    return kernels.solve_admm(*kernel_args(prog, max_iters, delta, eps))
-
-
-def kernel_iterations(prog, delta=0.0):
-    """ADMM iterations of the kernel on all of the program's blocks, under
-    the solver's ρ, tolerances and cap and the given proximal weight."""
-    return run_kernel(prog, delta=delta).iterations
+def run_kernel(prog, max_iters=solver.MAX_ITERS, delta=0.0, eps=SOLVER_EPS, alpha=solver.ALPHA):
+    return kernels.solve_admm(*kernel_args(prog, max_iters, delta, eps, alpha))
 
 
 def test_admm_iterations_golden():
-    # pinned counts: the kernel is deterministic, so a change to the
-    # grounded arrays or their order moves them
-    iterations = [kernel_iterations(random_ground_program(s)) for s in range(10)]
-    assert iterations == [27, 18, 28, 34, 52, 35, 27, 31, 27, 29]
+    # pinned counts of plain ADMM (no proximal term, no over-relaxation):
+    # the kernel is deterministic, so a change to the grounded arrays or
+    # their order moves them
+    iterations = [run_kernel(random_ground_program(s), alpha=1.0).iterations for s in range(10)]
+    assert iterations == [30, 24, 29, 37, 57, 31, 32, 35, 28, 32]
 
 
 def test_admm_iterations_golden_regularised():
-    # the same programs with the proximal term at the solver's default
-    iterations = [kernel_iterations(random_ground_program(s), delta=0.1) for s in range(10)]
-    assert iterations == [28, 17, 26, 31, 53, 26, 25, 32, 24, 29]
+    # the same programs with the proximal term and over-relaxation at the
+    # solver's defaults
+    iterations = [run_kernel(random_ground_program(s), delta=solver.DELTA_PER_WEIGHT).iterations
+                  for s in range(10)]
+    assert iterations == [20, 16, 29, 29, 38, 16, 17, 22, 26, 20]
 
 
 def test_admm_matches_grid_oracle_sample():
@@ -535,11 +534,11 @@ def test_capped_component_does_not_stop_the_batch(monkeypatch):
     programs = [random_ground_program(s) for s in (15, 16, 41)]
     assert all(split_rows(p).admm.all() for p in programs)
     iters = [solve_map_admm(p).iterations for p in programs]
-    assert iters == [45, 57, 38]
-    monkeypatch.setattr(solver, "MAX_ITERS", 55)
+    assert iters == [36, 46, 32]
+    monkeypatch.setattr(solver, "MAX_ITERS", 44)
     a = solve_map_admm(join(programs))
     assert a.component_converged.tolist() == [True, False, True]
-    assert a.component_iterations.tolist() == [45, 55, 38]
+    assert a.component_iterations.tolist() == [36, 44, 32]
     assert not a.converged
     capped = solve_map_admm(programs[1])
     assert not capped.converged
@@ -642,17 +641,18 @@ def synth_chain_batch():
 
 
 def test_synth_chain_batch_golden():
-    # pinned: alone, the components stop at 165, 158, 159, 167, 166 and
-    # 166 iterations; the cap stops the fourth, the last two converge at
-    # it, and the running components are gathered as they fall to 3/4 of
-    # the working set
+    # pinned, for plain ADMM (no proximal term, no over-relaxation): alone,
+    # the components stop at 163, 158, 152, 164, 164 and 158 iterations;
+    # the cap stops the fourth and fifth, the first converges at it, and
+    # the running components are gathered as they fall to 3/4 of the
+    # working set
     components, batch = synth_chain_batch()
-    result = run_kernel(batch, max_iters=166)
-    assert result.component_iterations.tolist() == [165, 158, 159, 166, 166, 166]
-    assert result.converged.tolist() == [True, True, True, False, True, True]
+    result = run_kernel(batch, max_iters=163, alpha=1.0)
+    assert result.component_iterations.tolist() == [163, 158, 152, 163, 163, 158]
+    assert result.converged.tolist() == [True, True, True, False, False, True]
     start = 0
     for prog in components:
-        alone = run_kernel(prog, max_iters=166)
+        alone = run_kernel(prog, max_iters=163, alpha=1.0)
         assert np.array_equal(result.z[start:start + prog.n_atoms], alone.z)
         start += prog.n_atoms
 
@@ -663,24 +663,25 @@ def test_staggered_stops_compact_down_to_one_component(order, monkeypatch):
     working set is gathered several times as the running copies fall to
     3/4 of it, the last time down to the one component that the cap then
     stops; each component ends as it does alone, in every order.  The
-    proximal weight 0.1 spreads the stops (alone, 157, 153, 155, 165, 145
-    and 151 iterations); without it they fall within nine iterations."""
+    proximal weight 0.12 per unit of ρ spreads the stops (alone, 96, 94,
+    95, 101, 91 and 93 iterations); at the solver's 0.1 the last two fall
+    one iteration apart."""
     components, _ = synth_chain_batch()
     components = [components[i] for i in order]
     gathers = []  # (components in the working set, components kept)
     select = kernels._Working.select
     monkeypatch.setattr(kernels._Working, "select", lambda w, keep: (
         gathers.append((len(w.comps), int(keep.sum()))), select(w, keep))[1])
-    result = run_kernel(join(components), max_iters=160, delta=0.1)
+    result = run_kernel(join(components), max_iters=98, delta=0.12)
     assert len(gathers) >= 3
     assert gathers[-1][1] == 1
     assert all(kept < held for held, kept in gathers)
     assert [held for held, _ in gathers[1:]] == [kept for _, kept in gathers[:-1]]
-    capped = result.component_iterations == 160
+    capped = result.component_iterations == 98
     assert capped.sum() == 1 and not result.converged[capped].any()
     start = 0
     for c, prog in enumerate(components):
-        alone = run_kernel(prog, max_iters=160, delta=0.1)
+        alone = run_kernel(prog, max_iters=98, delta=0.12)
         assert np.array_equal(result.z[start:start + prog.n_atoms], alone.z)
         assert result.component_iterations[c] == alone.iterations
         assert result.converged[c] == alone.converged[0]
@@ -780,8 +781,8 @@ def test_kernel_rejects_widths_other_than_2_and_3(width):
         kernels.solve_admm(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                            np.zeros(0), np.zeros(0), np.zeros(0),
                            (np.array([0]), np.array([-1.0]), np.array([0.5]), np.array([1.0])),
-                           width, 1, np.full(width, 1.0 / width), 1.0, 1e-5, 1e-4, 100,
-                           np.zeros(width, dtype=np.int64), np.zeros(1))
+                           width, 1, np.full(width, 1.0 / width), np.ones(1), 1e-5, 1e-4, 100,
+                           np.zeros(width, dtype=np.int64), np.zeros(1), 1.5)
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -818,7 +819,7 @@ def fold_working(rows, n_atoms, hinge_rows, power, rho, delta):
     return kernels._Working(
         hinge_atom, np.repeat(np.arange(n_hinge), 2), np.ones(2 * n_hinge), np.zeros(n_hinge),
         np.ones(n_hinge), fold, 3, power, np.zeros(n_atoms, dtype=np.int64),
-        np.arange(n_atoms), np.arange(1), rho, 1e-5, np.array([delta]))
+        np.arange(n_atoms), np.arange(1), np.array([rho]), 1e-5, np.array([delta]))
 
 
 def ternary_search(f, lo=0.0, hi=1.0):
@@ -968,32 +969,31 @@ def test_admm_energy_certified_by_lp_on_deep_chain_components(seed):
 
 def test_labels_do_not_depend_on_rho(monkeypatch):
     """With the proximal term the MAP is unique, so ρ moves no direct label
-    of a deep-chains-shaped program (without it, 3 to 6 move per seed)."""
+    of a deep-chains-shaped program (without it, 3 to 6 move per seed): the
+    ρ the solver passes the kernel is scaled by c, with δ as it was."""
     config = RuleSetConfig(chains=True)
+    solve_admm = kernels.solve_admm
     for seed in range(1, 6):
         graph, bundles, _ = generate(SynthConfig(seed=seed, n_topics=2, tree_depth=3,
                                                  branching=3))
         grounding = ground_graph(graph, bundles, config)
 
-        def labels_at(rho):
-            monkeypatch.setattr(solver, "RHO", rho)
+        def labels_at(c):
+            monkeypatch.setattr(kernels, "solve_admm",
+                                lambda *a: solve_admm(*a[:9], c * a[9], *a[10:]))
             return {pid: p.predicted for pid, p in run_inference(
                 graph, bundles, config, grounding=grounding).predictions.items()}
 
-        labels = [labels_at(rho) for rho in (0.5, 1.0, 2.0, 4.0)]
+        labels = [labels_at(c) for c in (0.5, 1.0, 2.0, 4.0)]
         assert all(other == labels[1] for other in labels), seed
 
 
-def test_scaling_every_weight_leaves_the_direct_labels(monkeypatch):
-    """δ follows the weights, so weights ×c leave the regularised MAP where
-    it was.  ρ is scaled with them, since a fixed ρ makes ADMM's steps and
-    stopping tolerances differ with the scale (at ×0.01 and ρ = 1 a
-    full-size deep-chains run takes ten times the iterations).  With δ
-    fixed at 0.1, ×100 moves 8 to 11 of these labels and ×0.01 moves
-    scores by 0.65."""
+def test_scaling_every_weight_leaves_the_direct_labels():
+    """δ and ρ follow the weights, so weights ×c leave the regularised MAP
+    where it was.  With δ fixed at 0.1, ×100 moves 8 to 11 of these labels
+    and ×0.01 moves scores by 0.65."""
     def scaled(c):
-        """Every weight and ρ times c."""
-        monkeypatch.setattr(solver, "RHO", c)
+        """Every weight times c."""
         return RuleSetConfig(chains=True, w_logic=dict.fromkeys(LOGIC_RULES, c),
                              w_chain=c, w_prior=0.2 * c)
 
@@ -1009,6 +1009,37 @@ def test_scaling_every_weight_leaves_the_direct_labels(monkeypatch):
                 pid: p.predicted for pid, p in base.items()}, seed
             assert max(abs(other[pid].scores[rel] - p.scores[rel])
                        for pid, p in base.items() for rel in p.scores) < 0.01, seed
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -7, 2.0 ** 10])
+def test_solve_is_scale_free(scale):
+    """ρ, δ and every stopping threshold scale with the weights, and a
+    power of two scales every float exactly, so weights ×2^k leave every
+    iterate bit for bit: the same values, iterations and labels."""
+    for seed in range(200):
+        prog = random_ground_program(seed)
+        a = solve_map_admm(prog)
+        b = solve_map_admm(replace(prog, pot_weight=scale * prog.pot_weight))
+        assert np.array_equal(a.values, b.values), seed
+        assert a.component_iterations.tolist() == b.component_iterations.tolist(), seed
+        assert a.predicted == b.predicted, seed
+
+
+@pytest.mark.parametrize("power", ["linear", "squared"])
+def test_every_component_converges_at_the_weight_bound(power):
+    """Every weight at `rules.MAX_WEIGHT` is legal, and ρ follows the
+    weights, so each of the ten coupled components converges; a fixed
+    ρ = 1 leaves all ten unconverged at MAX_ITERS."""
+    graph, bundles, _ = generate(SynthConfig(seed=1))
+    config = RuleSetConfig(chains=True, hinge_power=power,
+                           w_logic=dict.fromkeys(LOGIC_RULES, MAX_WEIGHT),
+                           w_chain=MAX_WEIGHT, w_prior=MAX_WEIGHT)
+    result = run_inference(graph, bundles, config)
+    coupled = [(a.component_iterations, a.component_converged) for _, a in result.solved
+               if not a.closed_form.all()]
+    assert sum(len(i[i > 0]) for i, _ in coupled) == 10
+    assert all(converged.all() for _, converged in coupled)
+    assert result.converged
 
 
 def regularised_objective(prog, values, delta):
@@ -1051,15 +1082,18 @@ def slsqp_optimum(prog, delta):
 @pytest.mark.parametrize("power", [1, 2])
 def test_regularised_kernel_matches_slsqp_optimum(power):
     """At a tight tolerance, the kernel's regularised objective on small
-    coupled programs is within 1e-6 of SLSQP's optimum."""
-    delta = 0.1
+    coupled programs is within 1e-6 of SLSQP's optimum, at the solver's
+    proximal weight per unit of ρ."""
     programs = [p for p in map(random_ground_program, range(200))
                 if p.power == power and split_rows(p).admm.any()][:8]
     assert len(programs) == 8
     for prog in programs:
         k = len(prog.labels)
-        result = run_kernel(prog, max_iters=100_000, delta=delta, eps=(1e-10, 1e-10))
+        args = kernel_args(prog, max_iters=100_000, delta=solver.DELTA_PER_WEIGHT,
+                           eps=(1e-10, 1e-10))
+        result = kernels.solve_admm(*args)
         assert result.converged.all()
+        (delta,) = args[14]  # one component
         values = project_rows(result.z.reshape(-1, k)).ravel()
         assert abs(regularised_objective(prog, values, delta)
                    - slsqp_optimum(prog, delta)) <= 1e-6
