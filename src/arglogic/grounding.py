@@ -4,7 +4,8 @@ Every ground potential's distance to satisfaction is a linear hinge
 max(0, a.x + c) over the free atoms of its component; observed predicate
 values are folded into the constant.  The simplex constraint is
 structure, not a row: each pair's relation atoms sum to 1.  `ground`
-writes the program straight into the flat arrays the ADMM kernel reads.
+writes a batch of components straight into the flat arrays the ADMM
+kernel reads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .predicates import PREDICATE_NAMES, PredicateVector
 from .rules import Rule
 
 FEAS_TOL = 1e-6
-_NO_EVIDENCE = PredicateVector()  # the row of a pair without a score bundle
 
 
 @dataclass
@@ -34,10 +34,11 @@ class GroundProgram:
     atoms lies on the probability simplex.  Pairs (blocks) are numbered in
     pair-id order within each component; block_pair_ids[b] names pair b.
 
-    Components: block_comp[b] is the component of block b.  A program from
-    `ground` is one component (all 0).  `join` lays several out one after
-    another: ids 0, 1, ... in block order, and each component's blocks,
-    atoms, rows and copies are contiguous runs in that order.
+    Components: block_comp[b] is the component of block b.  `ground`
+    grounds a batch of components in one call, and `join` lays programs
+    out one after another; either way the ids are 0, 1, ... in block
+    order, and each component's blocks, atoms, rows and copies are
+    contiguous runs in that order.
 
     Rows are the soft hinge potentials, within each component in
     grounding order (per pair, its logic rules in LOGIC_RULES order and
@@ -132,16 +133,79 @@ def _renumber(keep: np.ndarray) -> np.ndarray:
     return np.cumsum(keep) - 1
 
 
+def evidence(vectors: Iterable[PredicateVector]) -> np.ndarray:
+    """The vectors' predicate values: one row per vector, in order, and one
+    column per `PREDICATE_NAMES` entry.  A pair without a score bundle
+    has the vector `PredicateVector()`, NaN throughout."""
+    values = np.fromiter(itertools.chain.from_iterable(vectors), float)
+    return values.reshape(-1, len(PREDICATE_NAMES))
+
+
+def _one_copy_rows(rules: list[Rule], pairs: Sequence[ArgumentPair], evidence: np.ndarray,
+                   prior_on_indirect: bool) -> tuple[list[Rule], list[np.ndarray]]:
+    """Which (pair, rule) cells ground a one-copy row, and its constant.
+
+    Returns the rules of the one-copy rows, in column order: the nonzero
+    single-body logic rules, then the prior if its weight is positive.
+    With them, one column per such rule, holding per pair (a row of
+    `evidence`) the constant of the hinge row the cell grounds: the
+    body's value for a logic rule (a view of `evidence`) and 1 for the
+    prior.  A cell holds NaN where it grounds no row: the body's value is
+    NaN, or the pair is indirect and the prior is off on indirect pairs."""
+    logic = [r for r in rules
+             if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0.0]
+    prior = next((r for r in rules if r.id == "C1" and r.weight > 0.0), None)
+    columns = [evidence[:, PREDICATE_NAMES.index(r.body[0])] for r in logic]
+    if prior is None:
+        return logic, columns
+    grounded = prior_on_indirect | (np.array([p.kind for p in pairs], dtype=str) != "indirect")
+    return logic + [prior], columns + [np.where(grounded, 1.0, np.nan)]
+
+
+def _chain_rules(rules: list[Rule]) -> list[Rule]:
+    """The rules that ground three-copy rows, one per chain triple each:
+    the nonzero chain (two-body) rules."""
+    return [r for r in rules if r.id.startswith("R") and len(r.body) == 2 and r.weight != 0.0]
+
+
+def copy_counts(
+    rules: list[Rule],
+    components: Sequence[Sequence[ArgumentPair]],
+    evidence: np.ndarray,
+    n_triples: Sequence[int],
+    prior_on_indirect: bool = True,
+    task_mode: str = "ternary",
+) -> np.ndarray:
+    """Each component's local copies in the program `ground` writes from
+    the same arguments, component c with n_triples[c] chain triples,
+    counted without grounding: k per pair (its simplex copies), one per
+    one-copy row and three per chain row."""
+    pairs = [p for comp in components for p in comp]
+    per_pair = np.full(len(pairs), len(labels_for_mode(task_mode)))
+    for column in _one_copy_rows(rules, pairs, evidence, prior_on_indirect)[1]:
+        per_pair += ~np.isnan(column)
+    starts = np.cumsum([0] + [len(comp) for comp in components])
+    summed = np.concatenate([[0], np.cumsum(per_pair)])
+    return (summed[starts[1:]] - summed[starts[:-1]]
+            + 3 * len(_chain_rules(rules)) * np.asarray(n_triples, dtype=np.int64))
+
+
 def ground(
     rules: list[Rule],
-    pairs: Iterable[ArgumentPair],
-    predicate_vectors: dict[str, PredicateVector],
+    components: Sequence[Sequence[ArgumentPair]],
+    evidence: np.ndarray,
     triples: Sequence[ChainTriple] = (),
     power: int = 1,
     prior_on_indirect: bool = True,
     task_mode: str = "ternary",
 ) -> GroundProgram:
-    """Instantiate the rules over one set of pairs (typically a component).
+    """Instantiate the rules over one or more components in one call.
+
+    `components` holds each component's pairs in pair-id order, and
+    `evidence` each pair's predicate values, one row per pair in that
+    order (`evidence`).  `triples` are the components' chain triples, each
+    component's in the order its rows are to follow.  The program is the
+    `join` of the components grounded one at a time.
 
     For each pair and each single-body rule whose predicate value is not
     NaN, the observed body is inlined:  d = max(0, value - head).  Chain
@@ -150,29 +214,20 @@ def ground(
     """
     labels = labels_for_mode(task_mode)
     k = len(labels)
-    pair_list = sorted(pairs, key=lambda p: p.pair_id)
-    n = len(pair_list)
+    pair_list = [p for pairs in components for p in pairs]
+    block_comp = np.repeat(np.arange(len(components), dtype=np.int64),
+                           [len(pairs) for pairs in components])
 
-    # single-copy rows: one column per nonzero logic rule, then the prior
-    logic = [r for r in rules
-             if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0.0]
-    prior = next((r for r in rules if r.id == "C1" and r.weight > 0.0), None)
-    unary = logic + ([prior] if prior is not None else [])
-    width = len(PREDICATE_NAMES)
-    rows = (predicate_vectors.get(p.pair_id, _NO_EVIDENCE) for p in pair_list)
-    evidence = np.fromiter(itertools.chain.from_iterable(rows), float, n * width).reshape(n, width)
-    consts = evidence.take([PREDICATE_NAMES.index(r.body[0]) for r in logic], axis=1)  # NaN: no row
-    if prior is not None:
-        grounded = prior_on_indirect | (np.array([p.kind for p in pair_list], dtype=str) != "indirect")
-        consts = np.hstack([consts, np.where(grounded, 1.0, np.nan)[:, None]])
-    u_block, u_rule = np.nonzero(~np.isnan(consts))  # pair-major, rule order
+    # one-copy rows, pair-major and in column order
+    unary, columns = _one_copy_rows(rules, pair_list, evidence, prior_on_indirect)
+    consts = np.reshape(columns, (len(unary), len(pair_list))).T
+    u_block, u_rule = np.nonzero(~np.isnan(consts))
     u_head = np.array([labels.index(r.head) for r in unary], dtype=np.int64)
     u_weight = np.array([r.weight for r in unary], dtype=float)
 
     # chain rows: per triple, one row per chain rule over (hop1, hop2, outer)
-    chain_rules = [r for r in rules if r.id.startswith("R") and len(r.body) == 2]
     hops = np.empty((0, 3), dtype=np.int64)
-    if chain_rules and len(triples):
+    if any(r.id.startswith("R") and len(r.body) == 2 for r in rules) and len(triples):
         block_of = {p.pair_id: b for b, p in enumerate(pair_list)}
         try:
             hops = np.array([[block_of[t.first_hop], block_of[t.second_hop],
@@ -180,29 +235,43 @@ def ground(
         except KeyError as exc:
             raise ValidationError(
                 f"chain triple references pair {exc.args[0]!r} outside the program") from None
-    chain = [r for r in chain_rules if r.weight != 0.0]
+        if np.any(block_comp[hops] != block_comp[hops[:, 2:]]):
+            raise ValidationError("chain triple references pairs of two components")
+    chain = _chain_rules(rules)
     c_pos = np.array([[labels.index(r.body[0]), labels.index(r.body[1]),
                        labels.index(r.head)] for r in chain], dtype=np.int64).reshape(-1, 3)
     c_atoms = (hops[:, None, :] * k + c_pos[None, :, :]).ravel()
     n_chain = len(hops) * len(chain)
 
+    # each component's one-copy rows, then its chain rows, as `join` lays
+    # them out: a stable sort of the rows, and of the copies, by component
+    rows, copies = slice(None), slice(None)
+    if len(components) > 1 and n_chain:
+        u_comp, c_comp = block_comp[u_block], block_comp[hops[:, 2]]
+        rows = np.argsort(np.concatenate([u_comp, np.repeat(c_comp, len(chain))]),
+                          kind="stable")
+        copies = np.argsort(np.concatenate([u_comp, np.repeat(c_comp, 3 * len(chain))]),
+                            kind="stable")
+    rule_ids = [r.id for r in unary + chain]
+    row_rule = np.concatenate([u_rule, np.tile(np.arange(len(unary), len(rule_ids)), len(hops))])
     sizes = np.concatenate([np.ones(len(u_block), dtype=np.int64),
                             np.full(n_chain, 3, dtype=np.int64)])
     return GroundProgram(
         task_mode=task_mode,
         block_pair_ids=[p.pair_id for p in pair_list],
-        potentials=(tuple(unary[r].id for r in u_rule.tolist())
-                    + tuple(r.id for r in chain) * len(hops)),
-        pot_block=np.concatenate([u_block, np.repeat(hops[:, 2], len(chain))]).astype(np.int64),
-        pot_const=np.concatenate([consts[u_block, u_rule], np.full(n_chain, -1.0)]),
+        potentials=tuple(map(rule_ids.__getitem__, row_rule[rows].tolist())),
+        pot_block=np.concatenate([u_block, np.repeat(hops[:, 2], len(chain))]
+                                 ).astype(np.int64)[rows],
+        pot_const=np.concatenate([consts[u_block, u_rule], np.full(n_chain, -1.0)])[rows],
         pot_weight=np.concatenate([u_weight[u_rule],
-                                   np.tile([r.weight for r in chain], len(hops))]),
+                                   np.tile([r.weight for r in chain], len(hops))])[rows],
         power=power,
-        copy_atom=np.concatenate([u_block * k + u_head[u_rule], c_atoms]).astype(np.int64),
-        copy_pot=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        copy_atom=np.concatenate([u_block * k + u_head[u_rule], c_atoms]
+                                 ).astype(np.int64)[copies],
+        copy_pot=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes[rows]),
         copy_coef=np.concatenate([np.full(len(u_block), -1.0),
-                                  np.tile([1.0, 1.0, -1.0], n_chain)]),
-        block_comp=np.zeros(n, dtype=np.int64),
+                                  np.tile([1.0, 1.0, -1.0], n_chain)])[copies],
+        block_comp=block_comp,
     )
 
 

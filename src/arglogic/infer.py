@@ -18,19 +18,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .chains import ChainTriple, build_indirect
-from .grounding import GroundProgram, ground, join
+from .grounding import GroundProgram, copy_counts, evidence, ground, join
 from .model import (BOOL, PROB, REQUIRED, STRING, TASK_MODES, ArgumentGraph, ScoreBundle,
                     Table, choice, connected_components, labels_for_mode, sums_to_one)
-from .predicates import evaluate_all
+from .predicates import PredicateVector, evaluate_all
 from .rules import DEFAULT_CHAIN_GRID, DEFAULT_PRIOR_GRID, RuleSetConfig, build_ruleset, structure
 from .solver import Assignment, solve_map_admm
 
 log = logging.getLogger(__name__)
 
-# Components are solved in batches of at most this many ADMM local copies
-# (a program's hinge copies plus one simplex copy per atom), counted on the
-# structure's programs over every block, those `solve_map_admm` solves in
-# closed form included: one kernel call per batch instead of per
+# Components are grounded and solved in batches of at most this many ADMM
+# local copies (a program's hinge copies plus one simplex copy per atom),
+# counted from the evidence before grounding, for the structure's rows and
+# over every block, those `solve_map_admm` solves in closed form included:
+# one `ground` call and one kernel call per batch instead of per
 # component, while the batch's working arrays stay small.  A larger
 # component is a batch of its own.
 MAX_BATCH_COPIES = 4096
@@ -114,11 +115,12 @@ def prediction_lines(result: InferenceResult) -> list[str]:
 class Grounding:
     """The ground programs of a graph under one rule-set structure.
 
-    `programs` holds one program per component, in component order, with
-    the swept weights (w_chain, w_prior) at a placeholder: `ground_graph`
-    gives an iterable that grounds each one as it is reached, anew on
-    every pass, and `solve_configs` solves them under any configs of that
-    structure in one pass."""
+    `programs` holds one program per batch of components, in component
+    order, with the swept weights (w_chain, w_prior) at a placeholder:
+    `ground_graph` gives an iterable that grounds each batch in one
+    `ground` call as it is reached, anew on every pass, and
+    `solve_configs` solves them under any configs of that structure in
+    one pass."""
     structure: RuleSetConfig
     work: ArgumentGraph  # the pairs that were grounded, indirect ones included
     n_components: int
@@ -132,8 +134,13 @@ def ground_graph(
     ablate: frozenset[str] = frozenset(),
     restrict_split: str | None = None,
 ) -> Grounding:
-    """Chains, predicates and components of the graph, and a lazy
-    per-component grounding under `structure(config)`.
+    """Chains, predicates and components of the graph, its batches of
+    components, and a lazy per-batch grounding under `structure(config)`.
+
+    Every work pair's predicate values are evaluated once, into one
+    evidence array in component order; each component's local copies are
+    counted from it, and consecutive components are cut into batches of
+    at most MAX_BATCH_COPIES copies before anything is grounded.
 
     `restrict_split` keeps only direct pairs of that split (plus the
     indirect pairs chained from them); used by the validation sweep.
@@ -155,25 +162,41 @@ def ground_graph(
         if not triples:
             log.warning("chain rules requested but no indirect pairs exist")
 
-    vectors = {pid: evaluate_all(bundles[pid], ablate=ablate)
-               for pid in work.pairs if pid in bundles}
-
     components = connected_components(work)
+    pairs = [p for comp in components for p in comp]
+    values = evidence(evaluate_all(bundles[p.pair_id], ablate=ablate) if p.pair_id in bundles
+                      else PredicateVector() for p in pairs)
+
     # A component's triples in the order a pair-id-ordered scan of its
     # pairs first meets them: by the earliest of each triple's pair ids.
-    component_of = {p.pair_id: c for c, pairs in enumerate(components) for p in pairs}
+    component_of = {p.pair_id: c for c, comp in enumerate(components) for p in comp}
     component_triples: list[list[ChainTriple]] = [[] for _ in components]
     for t in sorted(triples, key=lambda t: min(t.outer_pair, t.first_hop, t.second_hop)):
         component_triples[component_of[t.outer_pair]].append(t)
 
-    def ground_component(pairs, comp_triples):
-        return ground(rules, pairs, vectors, comp_triples,
+    copies = copy_counts(rules, components, values, [len(t) for t in component_triples],
+                         shape.prior_on_indirect, work.task_mode)
+    starts = np.cumsum([0] + [len(comp) for comp in components])
+    # consecutive components, cut before the one that would take a batch
+    # past MAX_BATCH_COPIES: the first component of each batch
+    cuts, held = [0], 0
+    for c, size in enumerate(copies.tolist()):
+        if c > cuts[-1] and held + size > MAX_BATCH_COPIES:
+            cuts.append(c)
+            held = 0
+        held += size
+    if components:
+        cuts.append(len(components))
+
+    def ground_batch(first, end):
+        return ground(rules, components[first:end], values[starts[first]:starts[end]],
+                      [t for comp_triples in component_triples[first:end] for t in comp_triples],
                       power=shape.power,
                       prior_on_indirect=shape.prior_on_indirect,
                       task_mode=work.task_mode)
 
     return Grounding(shape, work, len(components),
-                     _Mapped(ground_component, components, component_triples))
+                     _Mapped(ground_batch, cuts[:-1], cuts[1:]))
 
 
 class _Mapped:
@@ -192,21 +215,18 @@ def solve_configs(
 ) -> Iterator[list[tuple[float, Assignment]]]:
     """Solve the grounding's programs under each config of its structure.
 
-    The programs are solved in batches of components (`_batches`), each
-    joined once and solved under as many configs per `solve_map_admm` call
-    as MAX_JOINED_COPIES allows (`_solve_batch`).  Yields per batch, in
-    batch order, one (ground weight, assignment) per config, in config
-    order.
+    Each batch program is solved as it is grounded, under as many configs
+    per `solve_map_admm` call as MAX_JOINED_COPIES allows
+    (`_solve_batch`).  Yields per batch, in batch order, one (ground
+    weight, assignment) per config, in config order.
     """
     if any(structure(config) != grounding.structure for config in configs):
         raise ValueError("grounding was made under another rule-set structure")
     weights = [{rule.id: rule.weight for rule in build_ruleset(config)} for config in configs]
-    for batch, copies in _batches(grounding.programs, MAX_BATCH_COPIES):
-        joined = join(batch)
-        batch.clear()  # from here on only the join holds the programs
-        step = max(1, MAX_JOINED_COPIES // copies)
+    for batch in grounding.programs:
+        step = max(1, MAX_JOINED_COPIES // (len(batch.copy_atom) + batch.n_atoms))
         yield [result for start in range(0, len(weights), step)
-               for result in _solve_batch(joined, weights[start:start + step])]
+               for result in _solve_batch(batch, weights[start:start + step])]
 
 
 def _solve_batch(batch: GroundProgram,
@@ -243,9 +263,10 @@ def run_inference(
 
     `grounding` is `ground_graph`'s output for this graph, bundles, ablate
     and restrict_split under a config of the same structure; without it
-    the graph is grounded here, one component at a time.  `solved` is
-    this config's batch results from `solve_configs` on that grounding;
-    without it the batches are solved here, one at a time.
+    the graph is grounded here, one batch of components per `ground`
+    call.  `solved` is this config's batch results from `solve_configs`
+    on that grounding; without it the batches are solved here, one at a
+    time.
     """
     if grounding is None:
         grounding = ground_graph(graph, bundles, config, ablate, restrict_split)
@@ -278,23 +299,6 @@ def run_inference(
         n_potentials=n_potentials,
         converged=all_converged,
     )
-
-
-def _batches(programs, max_copies: int):
-    """Consecutive programs grouped into lists of at most max_copies local
-    copies, each with its number of copies; a larger program forms a list
-    of its own."""
-    batch: list[GroundProgram] = []
-    copies = 0
-    for program in programs:
-        size = len(program.copy_atom) + program.n_atoms
-        if batch and copies + size > max_copies:
-            yield batch, copies
-            batch, copies = [], 0
-        batch.append(program)
-        copies += size
-    if batch:
-        yield batch, copies
 
 
 def predictions_to_records(predictions: dict[str, PairPrediction],

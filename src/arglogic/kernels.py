@@ -89,7 +89,8 @@ atom-sized arrays are allocated.
 One call solves any number of independent components.  A component is a
 run of equal consecutive atom_comp values; its hinge rows, and so its
 copies, form one contiguous run too, in the same order, and no row
-touches atoms of two components (`grounding.join` builds this layout).
+touches atoms of two components (`grounding.ground` and `grounding.join`
+build this layout).
 Every step of an iteration is elementwise, per row or per atom, and each
 component's residuals are summed over its own copies and atoms only, so
 its iterates and its stopping iteration are those it would have if

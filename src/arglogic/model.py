@@ -188,14 +188,15 @@ _LINE_ENV = {"_float": float.__repr__, "_int": int.__repr__, "_finite": math.isf
              "_not_finite": _not_finite, "_str": encode_basestring_ascii}
 
 
-def _number(name: str, high=sys.float_info.max, json_types=(float, int), convert=float) -> Kind:
+def _number(name: str, high=sys.float_info.max, json_types=(float, int), convert=float,
+            low=0) -> Kind:
     def read(value, line):
-        if type(value) in json_types and 0 <= value <= high:
+        if type(value) in json_types and low <= value <= high:
             return convert(value)
         raise _Invalid(f"must be {name}, got {value!r}")
     types = " or ".join(f"type({{0}}) is {t.__name__}" for t in json_types)
     bound = f" <= {high!r}" if high < math.inf else ""
-    return Kind(read, f"({types}) and 0 <= {{0}}{bound}", f"{convert.__name__}({{0}})",
+    return Kind(read, f"({types}) and {low!r} <= {{0}}{bound}", f"{convert.__name__}({{0}})",
                 text=_TEXT[convert])
 
 
@@ -216,6 +217,7 @@ def choice(*values: str) -> Kind:
 PROB = _number("a probability, a JSON number in [0, 1]", high=1)
 NUMBER = _number("a finite non-negative JSON number")
 COUNT = _number("a non-negative JSON integer", math.inf, (int,), int)
+POSITIVE_COUNT = _number("a positive JSON integer", math.inf, (int,), int, low=1)
 BOOL, STRING = _of_type(bool, "true or false"), _of_type(str, "a JSON string")
 UNCHECKED = Kind(lambda value, line: value)  # for a field its receiver checks
 

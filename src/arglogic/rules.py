@@ -147,12 +147,18 @@ def expand_grid(base: RuleSetConfig, grids: dict) -> list[RuleSetConfig]:
     """Cartesian product over grid axes, in declaration order.  The base's
     prior weight, and its chain weight when chains are on, are checked
     first, as `infer` checks them, though the grid replaces them.  With
-    chains off no chain row is grounded, so a w_chain axis is refused."""
+    chains off no chain row is grounded, so a w_chain axis is refused, and
+    so is a value an axis repeats: it would solve the same configs twice."""
     _checked(base.w_prior, "prior weight")
     if base.chains:
         _checked(base.w_chain, "chain weight")
     elif "w_chain" in grids:
         raise ValidationError("grids.w_chain: a chain weight axis needs chains on")
+    for axis in GRID_AXES:
+        values = [float(v) for v in grids.get(axis, ())]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValidationError(f"grids.{axis}[{i}]: repeats the value {value}")
     chain_grid = grids.get("w_chain", DEFAULT_CHAIN_GRID if base.chains else (base.w_chain,))
     prior_grid = grids.get("w_prior", DEFAULT_PRIOR_GRID)
     if not chain_grid or not prior_grid:
@@ -177,9 +183,9 @@ def sweep(configs, graph, bundles):
 
     The ranking is fair only between configs that ground the same rows, so
     every config must have the structure of the first: only w_chain and
-    w_prior may differ.  The split is grounded once and each batch of its
-    programs is solved under several configs per call
-    (`infer.solve_configs`); then `infer.run_inference` gathers each
+    w_prior may differ.  The split is grounded once, one `ground` call
+    per batch of components, and each batch is solved under several
+    configs per call (`infer.solve_configs`); then `infer.run_inference` gathers each
     config's result, in config order.  Only the energies and weights are
     read here, so no config's `predictions` are built
     (`InferenceResult.predictions` is built on first read).

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainTriple, build_indirect
-from .model import (ATTACK, COUNT, NEUTRAL, NUMBER, PROB, SPLITS, SUPPORT, TASK_MODES,
-                    TERNARY_LABELS, ArgumentGraph, ArgumentPair, CausalScores, NliScores,
+from .model import (ATTACK, COUNT, NEUTRAL, NUMBER, POSITIVE_COUNT, PROB, SPLITS, SUPPORT,
+                    TASK_MODES, TERNARY_LABELS, ArgumentGraph, ArgumentPair, CausalScores, NliScores,
                     NormativeScores, ScoreBundle, SentiDist, SentiPairScores, SlotScore, Table,
                     TuplePairScores, ValidationError, choice, nested)
 from .predicates import MECHANISMS
@@ -75,9 +75,9 @@ def _weights(names) -> Table:
 
 
 SYNTH_TABLE = Table(SynthConfig, [
-    ("n_topics", COUNT, None, None),
-    ("tree_depth", COUNT, None, None),
-    ("branching", COUNT, None, None),
+    ("n_topics", POSITIVE_COUNT, None, None),
+    ("tree_depth", POSITIVE_COUNT, None, None),
+    ("branching", POSITIVE_COUNT, None, None),
     ("fractions", nested(_weights(TERNARY_LABELS)), None, None),
     ("mechanism_mix", nested(_weights(MECHANISMS)), None, None),
     ("noise_sigma", NUMBER, None, None),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arglogic.chains import build_indirect
-from arglogic.grounding import ground
+from arglogic.grounding import evidence, ground
 from arglogic.model import ArgumentGraph, ArgumentPair
 from arglogic.predicates import PredicateVector
 from arglogic.rules import RuleSetConfig, build_ruleset
@@ -41,8 +41,16 @@ def random_ground_program(seed):
         w_chain=float(rng.choice([1.0, 0.5, 0.1])),
         w_prior=float(rng.choice([0.2, 0.3])))
     rules = build_ruleset(config)
-    return ground(rules, list(graph), vectors, triples,
-                  power=config.power, task_mode=mode)
+    return ground_pairs(rules, list(graph), vectors, triples,
+                        power=config.power, task_mode=mode)
+
+
+def ground_pairs(rules, pairs, vectors, triples=(), *args, **kwargs):
+    """`ground` on one component: its pairs in pair-id order, each with the
+    values of its vector in vectors (none: NaN throughout)."""
+    pairs = sorted(pairs, key=lambda p: p.pair_id)
+    values = evidence(vectors.get(p.pair_id, PredicateVector()) for p in pairs)
+    return ground(rules, [pairs], values, triples, *args, **kwargs)
 
 
 def blocks(prog):

@@ -13,7 +13,6 @@ import pytest
 
 from arglogic import kernels
 from arglogic.baselines import predict_random
-from arglogic.grounding import ground
 from arglogic.infer import PairPrediction, run_inference
 from arglogic.metrics import compute_metrics, paired_bootstrap
 from arglogic.model import ArgumentGraph, ArgumentPair, NliScores
@@ -27,7 +26,7 @@ from arglogic.predicates import (
 from arglogic.rules import RuleSetConfig, build_ruleset, expand_grid, sweep
 from arglogic.solver import solve_map_admm
 from arglogic.synth import SynthConfig, generate, plant_chain_scenario
-from conftest import blocks, index_of, random_ground_program
+from conftest import blocks, ground_pairs, index_of, random_ground_program
 from reference import solve_map_grid
 from test_predicates import random_bundle
 
@@ -125,9 +124,9 @@ def test_04_analytic_vertex():
     g = ArgumentGraph(task_mode="ternary")
     g.add_pair(ArgumentPair("p1", "s", "c"))
     cfg = RuleSetConfig(w_prior=0.2)
-    prog = ground(build_ruleset(cfg), list(g),
-                  {"p1": PredicateVector(fact_entail=1.0)},
-                  task_mode="ternary")
+    prog = ground_pairs(build_ruleset(cfg), list(g),
+                        {"p1": PredicateVector(fact_entail=1.0)},
+                        task_mode="ternary")
     a = solve_map_admm(prog)
     assert a.labels["p1"] == "support"
     assert a.values[index_of(prog, "p1", "support")] == pytest.approx(

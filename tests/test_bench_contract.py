@@ -85,16 +85,16 @@ def test_sweep_gives_one_inference_result_per_grid_point_in_config_order(tmp_pat
 
 
 def test_sweep_makes_one_kernel_call_per_batch(tmp_path):
-    """A batch is joined under every grid point of the default sweep in
-    one solve: a full batch fits the joined cap, and on the tiny input
-    each batch is one `solver.solve_map_admm` and one `kernels.solve_admm`
-    call."""
+    """A batch is grounded in one call and joined under every grid point
+    of the default sweep in one solve: a full batch fits the joined cap,
+    and on the tiny input each batch is one `grounding.ground`, one
+    `solver.solve_map_admm` and one `kernels.solve_admm` call."""
     assert infer.MAX_JOINED_COPIES >= SWEEP_GRID_POINTS * infer.MAX_BATCH_COPIES
     args, scores = write_inputs(tmp_path, TINY_SYNTH)
     graph, bundles = load_dataset(str(args), str(scores), TASK_MODE)
     grounding = infer.ground_graph(graph, bundles, RuleSetConfig(chains=True),
                                    restrict_split="val")
-    n_batches = len(list(infer._batches(grounding.programs, infer.MAX_BATCH_COPIES)))
+    n_batches = len(list(grounding.programs))
     assert n_batches >= 1
     tracer = tracing.Tracer()
     tracer.install(timed=False)
@@ -104,6 +104,7 @@ def test_sweep_makes_one_kernel_call_per_batch(tmp_path):
     finally:
         tracer.uninstall()
     calls = [name for _, name, _ in tracer.outcomes]
+    assert calls.count("grounding.ground") == n_batches
     assert calls.count("solver.solve_map_admm") == n_batches
     assert calls.count("kernels.solve_admm") == n_batches
 
@@ -122,10 +123,9 @@ def test_kernel_copy_updates_count_the_hinge_copies(tmp_path):
     finally:
         tracer.uninstall()
     grounding = infer.ground_graph(graph, bundles, config)
-    batches = list(infer._batches(grounding.programs, infer.MAX_BATCH_COPIES))
+    batches = list(grounding.programs)
     assert len(batches) == len(result.solved)
-    hinge = [sum(int(np.sum(np.bincount(p.copy_pot)[p.copy_pot] > 1)) for p in batch)
-             for batch, _ in batches]
+    hinge = [int(np.sum(np.bincount(b.copy_pot)[b.copy_pot] > 1)) for b in batches]
     expected = sum(a.iterations * h for (_, a), h in zip(result.solved, hinge))
     assert tracing.pass_counts(tracer.outcomes, 0)["kernels.copy_updates"] == expected > 0
 

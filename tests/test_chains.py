@@ -101,9 +101,9 @@ def scanned_component_triples(components, triples):
 def test_ground_graph_passes_triples_in_scan_order(monkeypatch):
     grounded = []
 
-    def recording_ground(rules, pairs, vectors, triples, **kwargs):
+    def recording_ground(rules, components, evidence, triples, **kwargs):
         grounded.append(list(triples))
-        return real_ground(rules, pairs, vectors, triples, **kwargs)
+        return real_ground(rules, components, evidence, triples, **kwargs)
 
     real_ground = arglogic.infer.ground
     monkeypatch.setattr(arglogic.infer, "ground", recording_ground)
@@ -126,8 +126,13 @@ def test_ground_graph_passes_triples_in_scan_order(monkeypatch):
         grounding = ground_graph(graph, {}, RuleSetConfig(chains=True))
         programs = list(grounding.programs)
         components = connected_components(grounding.work)
-        assert len(programs) == len(grounded) == len(components)
-        assert grounded == scanned_component_triples(components, triples)
+        assert len(programs) == len(grounded)
+        # each batch's triples: its components', each in scan order
+        scanned = scanned_component_triples(components, triples)
+        ends = np.cumsum([0] + [p.n_components for p in programs]).tolist()
+        assert ends[-1] == len(components)
+        assert grounded == [[t for comp in scanned[a:b] for t in comp]
+                            for a, b in zip(ends, ends[1:])]
         ids = sorted(grounding.work.pairs)
         assert ids[0] < INDIRECT_PREFIX < ids[-1]
 

@@ -391,6 +391,9 @@ def test_config_unknown_logic_rule_exit_code_2(dataset, runner, tmp_path):
     ('{"n_topics": "3"}', "n_topics"),
     ('{"nope": 1}', "nope"),
     ('{"seed": -1}', "seed"),
+    ('{"n_topics": 0}', "n_topics"),
+    ('{"tree_depth": 0}', "tree_depth"),
+    ('{"branching": 0}', "branching"),
     ('{"task_mode": "quaternary"}', "task_mode"),
     ('{"split_fractions": {"val": 0}}', "split_fractions"),
     ('{"noise_sigma": 1e308}', "noise_sigma"),
@@ -572,7 +575,10 @@ def test_unknown_field_exit_code_2(dataset, runner, tmp_path, file, change, fiel
     ({"grids": {"w_chain": [1.0, 0.5, 0.1]}}, ["grids.w_chain", "chains on"]),
     # base weights the grid replaces are still checked, as `infer` checks them
     ({"w_prior": 1e308}, ["prior weight not finite or above"]),
-    ({"chains": True, "w_chain": 1e308}, ["chain weight not finite or above"])])
+    ({"chains": True, "w_chain": 1e308}, ["chain weight not finite or above"]),
+    # a repeated value would solve the same configs twice
+    ({"grids": {"w_prior": [0.2, 0.2]}}, ["grids.w_prior[1]", "repeats"]),
+    ({"chains": True, "grids": {"w_chain": [1.0, 0.5, 1]}}, ["grids.w_chain[2]", "repeats"])])
 def test_sweep_config_errors_exit_code_2(dataset, runner, tmp_path, config, expected):
     _, args_path, scores_path = dataset
     cfg = tmp_path / "config.json"

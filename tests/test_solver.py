@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import fields, replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from arglogic.grounding import (
     GroundProgram,
+    copy_counts,
     energy,
     energy_by_pair,
+    evidence,
     ground,
     join,
 )
@@ -18,13 +21,14 @@ from arglogic import infer, kernels, solver
 from arglogic.kernels import project_rows
 from arglogic.chains import build_indirect
 from arglogic.infer import ground_graph, run_inference, solve_configs
-from arglogic.model import ArgumentGraph, ArgumentPair, ValidationError, labels_for_mode
+from arglogic.model import (ArgumentGraph, ArgumentPair, ValidationError, connected_components,
+                            labels_for_mode)
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
 from arglogic.rules import (LOGIC_RULES, MAX_WEIGHT, RuleSetConfig, build_ruleset, expand_grid,
                             structure)
 from arglogic.solver import _predict_labels, solve_map_admm, split_rows
 from arglogic.synth import SynthConfig, generate
-from conftest import blocks, index_of, random_ground_program
+from conftest import blocks, ground_pairs, index_of, random_ground_program
 from reference import (present, project_rows_by_sort, project_simplex, simplex_grid,
                        solve_map_grid)
 
@@ -35,8 +39,8 @@ def single_pair_program(vector, mode="ternary", w_prior=0.2, chains=False,
     g.add_pair(ArgumentPair("p1", "s", "c"))
     cfg = RuleSetConfig(task_mode=mode, w_prior=w_prior, chains=chains,
                         hinge_power="linear" if power == 1 else "squared")
-    return ground(build_ruleset(cfg), list(g), {"p1": vector},
-                  power=power, task_mode=mode)
+    return ground_pairs(build_ruleset(cfg), list(g), {"p1": vector},
+                        power=power, task_mode=mode)
 
 
 def test_grounding_counts():
@@ -59,7 +63,7 @@ def test_grounding_chain_triple():
     g.add_pair(ArgumentPair("b", "I", "C"))
     g, triples = build_indirect(g)
     cfg = RuleSetConfig(chains=True)
-    prog = ground(build_ruleset(cfg), list(g), {}, triples, task_mode="ternary")
+    prog = ground_pairs(build_ruleset(cfg), list(g), {}, triples, task_mode="ternary")
     chain_rows = [p for p, rid in enumerate(prog.potentials)
                   if rid in ("R14", "R15", "R16", "R17")]
     assert len(chain_rows) == 4
@@ -67,6 +71,11 @@ def test_grounding_chain_triple():
     relations = {prog.labels[i % len(prog.labels)] for i in touched}
     assert relations == {"support", "attack"}
     assert len(touched) == 6
+    # a triple's pairs lie in one component
+    pairs = sorted(g, key=lambda p: p.pair_id)
+    values = evidence(PredicateVector() for _ in pairs)
+    with pytest.raises(ValidationError, match="two components"):
+        ground(build_ruleset(cfg), [pairs[:1], pairs[1:]], values, triples)
 
 
 def assert_programs_equal(a: GroundProgram, b: GroundProgram, skip=()):
@@ -80,19 +89,27 @@ def assert_programs_equal(a: GroundProgram, b: GroundProgram, skip=()):
             assert x == y, f.name
 
 
+def component_programs(graph, bundles, config):
+    """`ground_graph`'s programs with every component a batch of its own:
+    a batch cap of 0 cuts before each component, so each is grounded in a
+    `ground` call of its own."""
+    with mock.patch.object(infer, "MAX_BATCH_COPIES", 0):
+        return list(ground_graph(graph, bundles, config).programs)
+
+
 @pytest.mark.parametrize("power", ["linear", "squared"])
 def test_joining_once_equals_reweighting_each_program(power):
-    """A batch joined once and re-weighted per config, then joined
-    config-major, is the program joined from each component re-weighted
+    """The batches joined once and re-weighted per config, then joined
+    config-major, are the program joined from each component re-weighted
     alone: on the default grid, and with the chain or prior rows dropped.
     Its row split, which `solve_map_admm` passes its two solvers, is the
     join of each config's split."""
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
     base = RuleSetConfig(chains=True, hinge_power=power)
-    programs = list(ground_graph(graph, bundles, base).programs)
+    programs = component_programs(graph, bundles, base)
     configs = expand_grid(base, {}) + [replace(base, w_chain=0.0), replace(base, w_prior=0.0)]
     weights = [{rule.id: rule.weight for rule in build_ruleset(c)} for c in configs]
-    joined = join(programs)
+    joined = join(list(ground_graph(graph, bundles, base).programs))
     parts = [joined.with_weights(w) for w in weights]
     once = join(parts)
     assert_programs_equal(once, join([p.with_weights(w) for w in weights for p in programs]))
@@ -184,8 +201,8 @@ def test_with_weights_equals_ground_under_the_config(power):
     base = RuleSetConfig(chains=True, hinge_power=power)
 
     def ground_under(config):
-        return ground(build_ruleset(config), list(graph), vectors, triples,
-                      power=config.power, task_mode=config.task_mode)
+        return ground_pairs(build_ruleset(config), list(graph), vectors, triples,
+                            power=config.power, task_mode=config.task_mode)
 
     placeholder = ground_under(structure(base))
     for w_chain, w_prior in product((0.0, 0.1, 1.0), (0.0, 0.3)):
@@ -265,7 +282,52 @@ def test_ground_from_rows_equals_per_pair_reference(mode, prior_on_indirect):
             hinge_power=("linear", "squared")[rng.integers(2)])
         args = (build_ruleset(config), list(graph), vectors, triples, config.power,
                 prior_on_indirect, mode)
-        assert_programs_equal(ground(*args), ground_per_pair(*args))
+        assert_programs_equal(ground_pairs(*args), ground_per_pair(*args))
+
+
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+@pytest.mark.parametrize("power", ["linear", "squared"])
+@pytest.mark.parametrize("chains", [True, False])
+@pytest.mark.parametrize("variant", ["defaults", "no prior on indirect", "ablated",
+                                     "zero-weight rule"])
+def test_a_batch_grounds_as_its_components_joined(mode, power, chains, variant):
+    """`ground` on several components is the `join` of grounding each alone,
+    and `copy_counts` counts each component's copies without grounding.
+    Two pairs have no score bundle."""
+    fractions = {"fractions": {"support": 0.5, "attack": 0.5}} if mode == "binary" else {}
+    graph, bundles, _ = generate(SynthConfig(seed=5, n_topics=5, tree_depth=3, branching=2,
+                                             task_mode=mode, **fractions))
+    unscored = sorted(bundles)[::7][:2]
+    for pid in unscored:
+        del bundles[pid]
+    config = RuleSetConfig(task_mode=mode, chains=chains, hinge_power=power,
+                           prior_on_indirect=variant != "no prior on indirect",
+                           w_logic={"R1": 0.0} if variant == "zero-weight rule" else {})
+    ablate = frozenset({"sentiment"}) if variant == "ablated" else frozenset()
+    triples = []
+    if chains:
+        graph, triples = build_indirect(graph)
+        assert triples
+    components = connected_components(graph)
+    assert len(components) > 1
+    pairs = [p for comp in components for p in comp]
+    values = evidence(evaluate_all(bundles[p.pair_id], ablate=ablate) if p.pair_id in bundles
+                      else PredicateVector() for p in pairs)
+    assert all(np.isnan(row).all() for p, row in zip(pairs, values) if p.pair_id in unscored)
+    component_of = {p.pair_id: c for c, comp in enumerate(components) for p in comp}
+    by_component = [[t for t in triples if component_of[t.outer_pair] == c]
+                    for c in range(len(components))]
+    rules = build_ruleset(config)
+    options = dict(power=config.power, prior_on_indirect=config.prior_on_indirect,
+                   task_mode=mode)
+    starts = np.cumsum([0] + [len(comp) for comp in components])
+    alone = [ground(rules, [comp], values[a:b], comp_triples, **options)
+             for comp, a, b, comp_triples in zip(components, starts, starts[1:], by_component)]
+    batch = ground(rules, components, values, [t for ts in by_component for t in ts], **options)
+    assert_programs_equal(batch, join(alone))
+    counts = copy_counts(rules, components, values, [len(ts) for ts in by_component],
+                         config.prior_on_indirect, mode)
+    assert counts.tolist() == [len(p.copy_atom) + p.n_atoms for p in alone]
 
 
 def test_energy_examples():
@@ -317,7 +379,7 @@ def test_label_ties_go_to_the_most_conservative_relation():
     g = ArgumentGraph(task_mode="ternary")
     for pid in ("a", "b", "c"):
         g.add_pair(ArgumentPair(pid, "s" + pid, "c" + pid))
-    prog = ground(build_ruleset(RuleSetConfig()), list(g), {})
+    prog = ground_pairs(build_ruleset(RuleSetConfig()), list(g), {})
     # support/attack/neutral per pair: all tied, attack~support, clear support
     values = np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5 - 1e-10, 0.0, 0.6, 0.4, 0.0])
     assert prog.block_pair_ids == ["a", "b", "c"]
@@ -418,7 +480,7 @@ def test_grid_guard():
     g = ArgumentGraph()
     for i in range(4):
         g.add_pair(ArgumentPair(f"p{i}", f"s{i}", f"c{i}"))
-    prog = ground(build_ruleset(RuleSetConfig()), list(g), {})
+    prog = ground_pairs(build_ruleset(RuleSetConfig()), list(g), {})
     with pytest.raises(ValidationError, match="grid oracle"):
         solve_map_grid(prog)
 
@@ -494,7 +556,7 @@ def test_kernel_raises_on_a_nan_hinge_row(index):
 
 
 def test_empty_program_solves_to_an_empty_converged_assignment():
-    a = solve_map_admm(ground(build_ruleset(RuleSetConfig()), [], {}))
+    a = solve_map_admm(ground_pairs(build_ruleset(RuleSetConfig()), [], {}))
     assert len(a.values) == 0 and a.pair_ids == [] and a.predicted == []
     assert a.energy == 0.0
     assert a.converged and a.iterations == 0
@@ -560,12 +622,13 @@ def test_config_joined_solve_equals_one_solve_per_config(power, per_call, monkey
     is what solving its own program alone gives.  A zero chain weight drops the chain rows, so that config's
     blocks are solved in closed form while the others' go to ADMM; a zero
     prior weight drops the prior rows."""
-    monkeypatch.setattr(infer, "MAX_BATCH_COPIES", 600)  # several batches
-    monkeypatch.setattr(infer, "MAX_JOINED_COPIES", 600 * per_call)
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
     base = RuleSetConfig(chains=True, hinge_power=power)
     configs = [replace(base, w_chain=wc, w_prior=wp)
                for wc, wp in ((1.0, 0.2), (0.0, 0.3), (0.5, 0.0), (0.1, 0.2))]
+    components = component_programs(graph, bundles, base)
+    monkeypatch.setattr(infer, "MAX_BATCH_COPIES", 600)  # several batches
+    monkeypatch.setattr(infer, "MAX_JOINED_COPIES", 600 * per_call)
     grounding = ground_graph(graph, bundles, base)
     grounding.programs = list(grounding.programs)
     kernel_calls = []
@@ -574,27 +637,30 @@ def test_config_joined_solve_equals_one_solve_per_config(power, per_call, monkey
                         lambda *a: kernel_calls.append(1) or solve_admm(*a))
 
     joint = list(solve_configs(grounding, configs))
-    batches = list(infer._batches(grounding.programs, 600))
-    assert len(joint) == len(batches) > 1
+    assert len(joint) == len(grounding.programs) > 1
     # a batch of c copies is joined under MAX_JOINED_COPIES // c configs at a
     # time; one call per group that holds a config with chain rows
-    steps = [max(1, 600 * per_call // copies) for _, copies in batches]
+    copies = [len(b.copy_atom) + b.n_atoms for b in grounding.programs]
+    steps = [max(1, 600 * per_call // c) for c in copies]
     assert max(steps) > 1
     assert len(kernel_calls) == sum(any(c.w_chain for c in configs[i:i + step])
                                     for step in steps for i in range(0, len(configs), step))
-    for results, (batch, copies) in zip(joint, batches):
-        assert copies <= 600 or len(batch) == 1
+    ends = np.cumsum([0] + [b.n_components for b in grounding.programs]).tolist()
+    assert ends[-1] == len(components)
+    for results, batch, c, first, end in zip(joint, grounding.programs, copies,
+                                              ends, ends[1:]):
+        assert c <= 600 or batch.n_components == 1
         assert len(results) == len(configs)
         for config, (weight, part) in zip(configs, results):
             weights = {rule.id: rule.weight for rule in build_ruleset(config)}
-            alone = [p.with_weights(weights) for p in batch]
+            alone = [p.with_weights(weights) for p in components[first:end]]
             assert weight == sum(p.total_weight for p in alone)
             assert_same_assignment(part, solve_map_admm(join(alone)))
             assert part.closed_form.all() == (config.w_chain == 0.0)
 
 
 def test_a_grounding_solves_the_same_twice():
-    """`Grounding.programs` grounds the components anew on each pass, so a
+    """`Grounding.programs` grounds the batches anew on each pass, so a
     second run on one grounding gives what the first gave."""
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
     config = RuleSetConfig(chains=True)
@@ -635,7 +701,7 @@ def synth_chain_batch():
     graph, bundles, _ = generate(SynthConfig(seed=1, n_topics=6, tree_depth=4, branching=2))
     config = RuleSetConfig(chains=True)
     weights = {rule.id: rule.weight for rule in build_ruleset(config)}
-    programs = [p.with_weights(weights) for p in ground_graph(graph, bundles, config).programs]
+    programs = [p.with_weights(weights) for p in component_programs(graph, bundles, config)]
     coupled = [admm_part(p) for p in programs if split_rows(p).admm.any()]
     return coupled, join(coupled)
 
@@ -959,7 +1025,7 @@ def test_admm_energy_certified_by_lp_on_deep_chain_components(seed):
                                              branching=3))
     config = RuleSetConfig(chains=True)
     weights = {rule.id: rule.weight for rule in build_ruleset(config)}
-    programs = [p.with_weights(weights) for p in ground_graph(graph, bundles, config).programs]
+    programs = [p.with_weights(weights) for p in component_programs(graph, bundles, config)]
     coupled = [p for p in programs if split_rows(p).admm.any()]
     assert coupled
     for prog in coupled:
@@ -1170,8 +1236,8 @@ def test_coupled_blocks_of_a_mixed_component_solve_as_if_alone():
     g.add_pair(ArgumentPair("x", "S", "D"))
     vectors = {pid: PredicateVector(fact_entail=0.7, fact_contradict=0.4)
                for pid in ("a", "b", "x")}
-    prog = ground(build_ruleset(RuleSetConfig(chains=True)), list(g), vectors,
-                  triples, task_mode="ternary")
+    prog = ground_pairs(build_ruleset(RuleSetConfig(chains=True)), list(g), vectors,
+                        triples, task_mode="ternary")
     exact = ~split_rows(prog).admm
     assert exact.tolist() == [b == "x" for b in prog.block_pair_ids]
     a = solve_map_admm(prog)
