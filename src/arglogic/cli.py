@@ -85,13 +85,14 @@ def main(verbose):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @guarded
 def cmd_plan(arguments_path, scores_path, mode, out_path):
-    """Build indirect pairs and list every pair still needing scores."""
-    graph = load_arguments(arguments_path, mode)
+    """Build indirect pairs and list every pair still needing scores.  The
+    chains are built first, so the scores may hold bundles for the
+    indirect pairs an earlier manifest listed."""
+    graph, triples = build_indirect(load_arguments(arguments_path, mode))
     bundles = {}
     if scores_path:
         from .model import load_scores
         bundles = load_scores(scores_path, graph)
-    graph, triples = build_indirect(graph)
     manifest = emit_pair_manifest(graph, bundles)
     dump_jsonl(manifest, out_path)
     click.echo(f"{len(triples)} chain triples; {len(manifest)} pairs need scores")
@@ -226,7 +227,8 @@ def cmd_baseline(arguments_path, scores_path, which, mode, seed, out_path):
 @click.option("--mode", type=click.Choice(["ternary", "binary"]), default=None)
 @click.option("--chain-scenario", is_flag=True,
               help="Plant the masked-pair chain recovery scenario.")
-@click.option("--mask-fraction", default=0.3, show_default=True)
+@click.option("--mask-fraction", default=None, type=float,
+              help="Share of the chain hops masked (default 0.3); needs --chain-scenario.")
 @click.option("--out-arguments", required=True, type=click.Path(dir_okay=False))
 @click.option("--out-scores", required=True, type=click.Path(dir_okay=False))
 @click.option("--out-mask", default=None, type=click.Path(dir_okay=False),
@@ -237,8 +239,10 @@ def cmd_synth(config_path, seed, mode, chain_scenario, mask_fraction,
     """Generate a synthetic dataset in the standard file formats."""
     from .model import bundle_to_record, pair_to_record
 
-    if out_mask and not chain_scenario:
-        raise ValidationError("--out-mask needs --chain-scenario")
+    if not chain_scenario:
+        for option, value in (("--out-mask", out_mask), ("--mask-fraction", mask_fraction)):
+            if value is not None:
+                raise ValidationError(f"{option} needs --chain-scenario")
     overrides = load_json_object(config_path, "synth config") if config_path else {}
     if seed is not None:
         overrides["seed"] = seed
@@ -249,7 +253,8 @@ def cmd_synth(config_path, seed, mode, chain_scenario, mask_fraction,
     config = SynthConfig.from_record(overrides)
 
     if chain_scenario:
-        scenario = plant_chain_scenario(config, mask_fraction)
+        scenario = (plant_chain_scenario(config) if mask_fraction is None
+                    else plant_chain_scenario(config, mask_fraction))
         graph, bundles = scenario.graph, scenario.bundles
         if out_mask:
             dump_jsonl(({"pair_id": pid} for pid in scenario.masked), out_mask)

@@ -47,7 +47,10 @@ class GroundProgram:
       pot_block[p]          block the row is attributed to (its head's pair)
       pot_const[p]          hinge constant
       pot_weight[p]         weight
-    and every row has the hinge power `power`: 1 linear, 2 squared.
+    and every row has the hinge power `power`: 1 linear, 2 squared.  The
+    rows depend on the rule-set structure and the evidence alone, not on
+    the weights: a row of weight 0 is grounded like any other, weighs
+    nothing, and the solver skips it (`solver.split_rows`).
 
     Copies: copy_atom[c], copy_pot[c] and copy_coef[c] are the atom, the
     row and the hinge coefficient of local copy c.  copy_pot is the only
@@ -93,44 +96,13 @@ class GroundProgram:
         return sum((float(self.pot_weight[a:b].sum()) for a, b in zip(ends, ends[1:])), 0.0)
 
     def with_weights(self, weights: dict[str, float]) -> "GroundProgram":
-        """The program with each row weighted as its rule in weights, and
-        the rows whose weight is then 0 dropped with their copies.  Given
-        the rule weights of `rules.build_ruleset(config)`, this is the
-        program `ground` writes under config, from one grounded under a
-        config of the same structure (`rules.structure`).  When no row is
-        dropped, every array but pot_weight is shared."""
-        weight = np.array([weights[rid] for rid in self.potentials], dtype=float)
-        reweighted = replace(self, pot_weight=weight)
-        keep_row = weight != 0.0
-        if keep_row.all():
-            return reweighted
-        return reweighted._subset(np.ones(self.n_pairs, dtype=bool), keep_row)
-
-    def _subset(self, keep: np.ndarray, keep_row: np.ndarray) -> "GroundProgram":
-        """The blocks where keep holds and the rows where keep_row holds, in
-        the same order; a kept row may touch only kept blocks."""
-        keep_atom = np.repeat(keep, len(self.labels))
-        keep_copy = keep_row[self.copy_pot]
-        return GroundProgram(
-            task_mode=self.task_mode,
-            block_pair_ids=[pid for pid, kept in zip(self.block_pair_ids, keep.tolist())
-                            if kept],
-            potentials=tuple(rid for rid, kept in zip(self.potentials, keep_row.tolist())
-                             if kept),
-            pot_block=_renumber(keep)[self.pot_block[keep_row]],
-            pot_const=self.pot_const[keep_row],
-            pot_weight=self.pot_weight[keep_row],
-            power=self.power,
-            copy_atom=_renumber(keep_atom)[self.copy_atom[keep_copy]],
-            copy_pot=_renumber(keep_row)[self.copy_pot[keep_copy]],
-            copy_coef=self.copy_coef[keep_copy],
-            block_comp=self.block_comp[keep],
-        )
-
-
-def _renumber(keep: np.ndarray) -> np.ndarray:
-    """The new index of each kept entry (the others' values are unused)."""
-    return np.cumsum(keep) - 1
+        """The program with each row weighted as its rule in weights; every
+        other array is shared.  Given the rule weights of
+        `rules.build_ruleset(config)`, this is the program `ground` writes
+        under config, from one grounded under a config of the same
+        structure (`rules.structure`)."""
+        return replace(self, pot_weight=np.array([weights[rid] for rid in self.potentials],
+                                                 dtype=float))
 
 
 def evidence(vectors: Iterable[PredicateVector]) -> np.ndarray:
@@ -145,27 +117,24 @@ def _one_copy_rows(rules: list[Rule], pairs: Sequence[ArgumentPair], evidence: n
                    prior_on_indirect: bool) -> tuple[list[Rule], list[np.ndarray]]:
     """Which (pair, rule) cells ground a one-copy row, and its constant.
 
-    Returns the rules of the one-copy rows, in column order: the nonzero
-    single-body logic rules, then the prior if its weight is positive.
+    Returns the rules of the one-copy rows, in column order: the
+    single-body logic rules, then the prior, whatever their weights.
     With them, one column per such rule, holding per pair (a row of
     `evidence`) the constant of the hinge row the cell grounds: the
     body's value for a logic rule (a view of `evidence`) and 1 for the
     prior.  A cell holds NaN where it grounds no row: the body's value is
     NaN, or the pair is indirect and the prior is off on indirect pairs."""
-    logic = [r for r in rules
-             if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0.0]
-    prior = next((r for r in rules if r.id == "C1" and r.weight > 0.0), None)
+    logic = [r for r in rules if r.id.startswith("R") and len(r.body) == 1]
+    prior = next(r for r in rules if r.id == "C1")
     columns = [evidence[:, PREDICATE_NAMES.index(r.body[0])] for r in logic]
-    if prior is None:
-        return logic, columns
     grounded = prior_on_indirect | (np.array([p.kind for p in pairs], dtype=str) != "indirect")
     return logic + [prior], columns + [np.where(grounded, 1.0, np.nan)]
 
 
 def _chain_rules(rules: list[Rule]) -> list[Rule]:
     """The rules that ground three-copy rows, one per chain triple each:
-    the nonzero chain (two-body) rules."""
-    return [r for r in rules if r.id.startswith("R") and len(r.body) == 2 and r.weight != 0.0]
+    the chain (two-body) rules."""
+    return [r for r in rules if r.id.startswith("R") and len(r.body) == 2]
 
 
 def copy_counts(
@@ -226,8 +195,9 @@ def ground(
     u_weight = np.array([r.weight for r in unary], dtype=float)
 
     # chain rows: per triple, one row per chain rule over (hop1, hop2, outer)
+    chain = _chain_rules(rules)
     hops = np.empty((0, 3), dtype=np.int64)
-    if any(r.id.startswith("R") and len(r.body) == 2 for r in rules) and len(triples):
+    if chain and len(triples):
         block_of = {p.pair_id: b for b, p in enumerate(pair_list)}
         try:
             hops = np.array([[block_of[t.first_hop], block_of[t.second_hop],
@@ -237,7 +207,6 @@ def ground(
                 f"chain triple references pair {exc.args[0]!r} outside the program") from None
         if np.any(block_comp[hops] != block_comp[hops[:, 2:]]):
             raise ValidationError("chain triple references pairs of two components")
-    chain = _chain_rules(rules)
     c_pos = np.array([[labels.index(r.body[0]), labels.index(r.body[1]),
                        labels.index(r.head)] for r in chain], dtype=np.int64).reshape(-1, 3)
     c_atoms = (hops[:, None, :] * k + c_pos[None, :, :]).ravel()
@@ -294,8 +263,8 @@ def join(programs: Sequence[GroundProgram]) -> GroundProgram:
     n_blocks = [p.n_pairs for p in programs]
     return GroundProgram(
         task_mode=programs[0].task_mode,
-        block_pair_ids=[pid for p in programs for pid in p.block_pair_ids],
-        potentials=tuple(rid for p in programs for rid in p.potentials),
+        block_pair_ids=list(itertools.chain.from_iterable(p.block_pair_ids for p in programs)),
+        potentials=tuple(itertools.chain.from_iterable(p.potentials for p in programs)),
         pot_block=shifted([p.pot_block for p in programs], n_blocks),
         pot_const=np.concatenate([p.pot_const for p in programs]),
         pot_weight=np.concatenate([p.pot_weight for p in programs]),

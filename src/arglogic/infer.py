@@ -29,11 +29,11 @@ log = logging.getLogger(__name__)
 
 # Components are grounded and solved in batches of at most this many ADMM
 # local copies (a program's hinge copies plus one simplex copy per atom),
-# counted from the evidence before grounding, for the structure's rows and
-# over every block, those `solve_map_admm` solves in closed form included:
-# one `ground` call and one kernel call per batch instead of per
-# component, while the batch's working arrays stay small.  A larger
-# component is a batch of its own.
+# counted from the evidence before grounding, for every row (a row of
+# weight 0 included) and over every block, those `solve_map_admm` solves
+# in closed form included: one `ground` call and one kernel call per
+# batch instead of per component, while the batch's working arrays stay
+# small.  A larger component is a batch of its own.
 MAX_BATCH_COPIES = 4096
 
 # `solve_configs` joins a batch under as many configs at once as keep the
@@ -78,7 +78,7 @@ class InferenceResult:
     total_energy: float
     total_weight: float  # sum of ground soft-potential weights
     n_components: int
-    n_potentials: int
+    n_potentials: int  # ground rows, those of weight 0 included
     converged: bool
 
     @cached_property
@@ -116,11 +116,10 @@ class Grounding:
     """The ground programs of a graph under one rule-set structure.
 
     `programs` holds one program per batch of components, in component
-    order, with the swept weights (w_chain, w_prior) at a placeholder:
-    `ground_graph` gives an iterable that grounds each batch in one
-    `ground` call as it is reached, anew on every pass, and
-    `solve_configs` solves them under any configs of that structure in
-    one pass."""
+    order, weighted as the config it was grounded under: `ground_graph`
+    gives an iterable that grounds each batch in one `ground` call as it
+    is reached, anew on every pass, and `solve_configs` solves them under
+    any configs of that structure in one pass."""
     structure: RuleSetConfig
     work: ArgumentGraph  # the pairs that were grounded, indirect ones included
     n_components: int
@@ -135,7 +134,7 @@ def ground_graph(
     restrict_split: str | None = None,
 ) -> Grounding:
     """Chains, predicates and components of the graph, its batches of
-    components, and a lazy per-batch grounding under `structure(config)`.
+    components, and a lazy per-batch grounding under config.
 
     Every work pair's predicate values are evaluated once, into one
     evidence array in component order; each component's local copies are
@@ -145,8 +144,7 @@ def ground_graph(
     `restrict_split` keeps only direct pairs of that split (plus the
     indirect pairs chained from them); used by the validation sweep.
     """
-    shape = structure(config)
-    rules = build_ruleset(shape)
+    rules = build_ruleset(config)
 
     # indirect pairs only transmit evidence through chain rules
     work = ArgumentGraph(graph.task_mode, {
@@ -175,7 +173,7 @@ def ground_graph(
         component_triples[component_of[t.outer_pair]].append(t)
 
     copies = copy_counts(rules, components, values, [len(t) for t in component_triples],
-                         shape.prior_on_indirect, work.task_mode)
+                         config.prior_on_indirect, work.task_mode)
     starts = np.cumsum([0] + [len(comp) for comp in components])
     # consecutive components, cut before the one that would take a batch
     # past MAX_BATCH_COPIES: the first component of each batch
@@ -191,11 +189,11 @@ def ground_graph(
     def ground_batch(first, end):
         return ground(rules, components[first:end], values[starts[first]:starts[end]],
                       [t for comp_triples in component_triples[first:end] for t in comp_triples],
-                      power=shape.power,
-                      prior_on_indirect=shape.prior_on_indirect,
+                      power=config.power,
+                      prior_on_indirect=config.prior_on_indirect,
                       task_mode=work.task_mode)
 
-    return Grounding(shape, work, len(components),
+    return Grounding(structure(config), work, len(components),
                      _Mapped(ground_batch, cuts[:-1], cuts[1:]))
 
 

@@ -109,15 +109,13 @@ DEFAULT_PRIOR_GRID = (0.2, 0.3)
 
 GRID_AXES = ("w_chain", "w_prior")
 
-# The value the swept weights are grounded at when the programs are
-# re-weighted per config: any non-zero value grounds every row.
-SWEPT_PLACEHOLDER = 1.0
-
 
 def structure(config: RuleSetConfig) -> RuleSetConfig:
-    """The config with the swept weights (GRID_AXES) masked: configs of one
-    structure ground the same rows, differing only in those rows' weights."""
-    return replace(config, **dict.fromkeys(GRID_AXES, SWEPT_PLACEHOLDER))
+    """The config with the swept weights (GRID_AXES) masked by None, the
+    sweep's comparison key: configs of one structure ground the same rows,
+    differing only in those rows' weights (a row of weight 0 is grounded,
+    weighs nothing, and the solver skips it)."""
+    return replace(config, **dict.fromkeys(GRID_AXES))
 
 
 # weights of some of R1-R13, or one weight for all thirteen
@@ -227,7 +225,7 @@ def sweep(configs, graph, bundles):
             raise RuntimeError(f"{_named([i], configs)} failed: {exc}") from exc
         raw = result.total_energy
         mass = result.total_weight
-        # zero mass grounds no row (a row of weight 0 is dropped), so no energy
+        # zero mass: every row weighs nothing, so there is no energy either
         rows.append(SweepRow(config, raw, raw / mass if mass > 0 else 0.0))
 
     best = min(rows, key=lambda r: r.normalized_objective)

@@ -1,7 +1,8 @@
 """MAP inference: an exact solve for uncoupled pairs, consensus ADMM for
 the rest.
 
-`split_rows` splits a program's rows once per solve.  A one-atom row has
+`split_rows` splits a program's rows once per solve, skipping the rows
+of weight 0, which weigh nothing and couple no block.  A one-atom row has
 one copy, with a negative coefficient (every logic rule and the prior);
 the other rows (in practice, the chain rows) are hinge rows.  A pair
 (block) that no hinge row reaches is uncoupled: its energy is a sum of
@@ -188,10 +189,10 @@ def solve_map_admm(program: GroundProgram) -> Assignment:
 
 
 def penalties(program: GroundProgram, admm: np.ndarray) -> np.ndarray:
-    """Per component, ADMM's penalty ρ: the mean weight of the rows on its
-    blocks where admm holds (a row's head is one of its atoms), or 1 where
-    those rows weigh nothing."""
-    rows = admm[program.pot_block]
+    """Per component, ADMM's penalty ρ: the mean weight of the rows of
+    positive weight on its blocks where admm holds (a row's head is one of
+    its atoms), or 1 where it has none."""
+    rows = admm[program.pot_block] & (program.pot_weight > 0)
     row_comp = program.block_comp[program.pot_block[rows]]
     n_comp = program.n_components
     total = np.bincount(row_comp, weights=program.pot_weight[rows], minlength=n_comp)
@@ -210,17 +211,21 @@ class RowSplit(NamedTuple):
 
 
 def split_rows(program: GroundProgram, admm_all: bool = False) -> RowSplit:
-    """The program's rows, split once.  A one-atom row has one copy and a
-    negative coefficient, so its term does not increase in its atom.  The
-    other rows are hinge rows, and a block that one of their copies reaches
-    is coupled: it goes to ADMM, with every row on its atoms.  With
-    admm_all, every block does.  The one-atom rows are ordered by atom and
-    then by breakpoint t = const/|coef|, ties in row order."""
+    """The program's rows of positive weight, split once; a row of weight 0
+    weighs nothing, so neither solver gets it and it couples no block.  A
+    one-atom row has one copy and a negative coefficient, so its term does
+    not increase in its atom.  The other rows are hinge rows, and a block
+    that one of their copies reaches is coupled: it goes to ADMM, with
+    every row on its atoms.  With admm_all, every block does.  The one-atom
+    rows are ordered by atom and then by breakpoint t = const/|coef|, ties
+    in row order."""
     k = len(program.labels)
     copy_atom, copy_pot, copy_coef = program.copy_atom, program.copy_pot, program.copy_coef
+    live = program.pot_weight[copy_pot] > 0
     one_copy = np.bincount(copy_pot, minlength=len(program.pot_const)) == 1
     folded = one_copy[copy_pot] & (copy_coef < 0)
-    hinge = ~folded
+    hinge = ~folded & live
+    folded &= live
     admm = np.full(program.n_pairs, admm_all)
     admm[copy_atom[hinge] // k] = True
     admm_atom = np.repeat(admm, k)

@@ -64,6 +64,39 @@ def test_plan_manifest(dataset, runner, tmp_path):
     assert "chain triples" in res.output
 
 
+def test_plan_accepts_the_bundles_its_manifest_asked_for(runner, tmp_path):
+    """Scoring a pair of the manifest takes it off the next one, an
+    indirect pair included; once its record is added to the arguments
+    file, `infer` reads its bundle too."""
+    cfg, args_path, scores_path = (tmp_path / name for name in
+                                   ("synth.json", "args.jsonl", "scores.jsonl"))
+    cfg.write_text(json.dumps({"n_topics": 2}))
+    res = runner.invoke(main, ["synth", "--seed", "3", "--config", str(cfg),
+                               "--out-arguments", str(args_path),
+                               "--out-scores", str(scores_path)])
+    assert res.exit_code == 0, res.output
+    manifest = tmp_path / "manifest.jsonl"
+    plan = ["plan", str(args_path), "--scores", str(scores_path), "--out", str(manifest)]
+    assert runner.invoke(main, plan).exit_code == 0
+    listed = read_jsonl(manifest)
+    record = next(r for r in listed if r["kind"] == "indirect")
+    with scores_path.open("a") as fh:
+        fh.write(json.dumps({"pair_id": record["pair_id"],
+                             "nli": {"p_ent": 0.8, "p_con": 0.1, "p_neu": 0.1}}) + "\n")
+    res = runner.invoke(main, plan)
+    assert res.exit_code == 0, res.output
+    assert read_jsonl(manifest) == [r for r in listed if r != record]
+
+    preds = tmp_path / "preds.jsonl"
+    infer = ["infer", str(args_path), str(scores_path), "--chains", "on", "--out", str(preds)]
+    res = runner.invoke(main, infer)
+    assert res.exit_code == 2 and "unknown pair_id" in res.output
+    with args_path.open("a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    res = runner.invoke(main, infer)
+    assert res.exit_code == 0, res.output
+
+
 def test_infer_eval_round_trip(dataset, runner, tmp_path):
     _, args_path, scores_path = dataset
     preds_path = tmp_path / "preds.jsonl"
@@ -472,6 +505,17 @@ def test_out_mask_without_chain_scenario_exit_code_2(runner, tmp_path):
                                "--out-mask", str(tmp_path / "mask.jsonl")])
     assert res.exit_code == 2
     assert "--out-mask" in res.output and "--chain-scenario" in res.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_mask_fraction_without_chain_scenario_exit_code_2(runner, tmp_path):
+    """Only the chain scenario masks pairs: a mask fraction without it is an
+    error, not silently ignored, and no file is written."""
+    res = runner.invoke(main, ["synth", "--seed", "1", "--mask-fraction", "7",
+                               "--out-arguments", str(tmp_path / "args.jsonl"),
+                               "--out-scores", str(tmp_path / "scores.jsonl")])
+    assert res.exit_code == 2
+    assert "--mask-fraction" in res.output and "--chain-scenario" in res.output
     assert not any(tmp_path.iterdir())
 
 

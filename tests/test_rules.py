@@ -212,12 +212,17 @@ def test_sweep_errors_name_the_configs(val_dataset, monkeypatch):
         "; ".join(f"sweep config #{i} ({c})" for i, c in enumerate(configs)) + " failed: ")
 
 
-def test_sweep_over_configs_that_ground_no_row(val_dataset, recorded_sweep):
-    """With every rule weight 0 no row is grounded, so each config's energy
-    and weight mass are 0 and its normalised objective reads 0."""
+def test_sweep_over_configs_whose_rows_all_weigh_0(val_dataset, recorded_sweep):
+    """With every rule weight 0 the rows are grounded as under the default
+    weights, but weigh nothing, so each config's energy and weight mass are
+    0 and its normalised objective reads 0."""
     graph, bundles, _ = val_dataset
     silent = RuleSetConfig(w_logic=dict.fromkeys(LOGIC_RULES, 0.0), w_prior=0.0)
     best, rows, results, _ = recorded_sweep([silent, silent], graph, bundles)
     assert best == silent
-    assert [(r.n_potentials, r.total_weight) for r in results] == [(0, 0.0)] * 2
+    rows_at_default = infer.run_inference(graph, bundles, RuleSetConfig(),
+                                          restrict_split="val").n_potentials
+    assert rows_at_default > 0
+    assert [(r.n_potentials, r.total_weight) for r in results] == [(rows_at_default, 0.0)] * 2
+    assert [r.total_energy for r in results] == [0.0] * 2
     assert [(r.raw_objective, r.normalized_objective) for r in rows] == [(0.0, 0.0)] * 2

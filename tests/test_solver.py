@@ -24,8 +24,7 @@ from arglogic.infer import ground_graph, run_inference, solve_configs
 from arglogic.model import (ArgumentGraph, ArgumentPair, ValidationError, connected_components,
                             labels_for_mode)
 from arglogic.predicates import ABSENT, PREDICATE_NAMES, PredicateVector, evaluate_all
-from arglogic.rules import (LOGIC_RULES, MAX_WEIGHT, RuleSetConfig, build_ruleset, expand_grid,
-                            structure)
+from arglogic.rules import LOGIC_RULES, MAX_WEIGHT, RuleSetConfig, build_ruleset, expand_grid
 from arglogic.solver import _predict_labels, solve_map_admm, split_rows
 from arglogic.synth import SynthConfig, generate
 from conftest import blocks, ground_pairs, index_of, random_ground_program
@@ -101,7 +100,7 @@ def component_programs(graph, bundles, config):
 def test_joining_once_equals_reweighting_each_program(power):
     """The batches joined once and re-weighted per config, then joined
     config-major, are the program joined from each component re-weighted
-    alone: on the default grid, and with the chain or prior rows dropped.
+    alone: on the default grid, and with the chain or prior rows weighted 0.
     Its row split, which `solve_map_admm` passes its two solvers, is the
     join of each config's split."""
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
@@ -157,13 +156,31 @@ def assert_splits_equal(a, b):
             assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-def admm_part(prog):
-    """The program's ADMM blocks, with every row on their atoms, in the
-    same order."""
-    keep = split_rows(prog).admm
-    keep_row = np.zeros(len(prog.pot_const), dtype=bool)
-    keep_row[prog.copy_pot[np.repeat(keep, len(prog.labels))[prog.copy_atom]]] = True
-    return prog._subset(keep, keep_row)
+def admm_part(prog, keep=None, keep_row=None):
+    """The program's blocks where keep holds and its rows where keep_row
+    holds, in the same order; a kept row may touch only kept blocks.  By
+    default, its ADMM blocks with every row on their atoms."""
+    k = len(prog.labels)
+    if keep is None:
+        keep = split_rows(prog).admm
+    if keep_row is None:
+        keep_row = np.zeros(len(prog.pot_const), dtype=bool)
+        keep_row[prog.copy_pot[np.repeat(keep, k)[prog.copy_atom]]] = True
+    keep_atom = np.repeat(keep, k)
+    keep_copy = keep_row[prog.copy_pot]
+    return GroundProgram(
+        task_mode=prog.task_mode,
+        block_pair_ids=[pid for pid, kept in zip(prog.block_pair_ids, keep.tolist()) if kept],
+        potentials=tuple(rid for rid, kept in zip(prog.potentials, keep_row.tolist()) if kept),
+        pot_block=(np.cumsum(keep) - 1)[prog.pot_block[keep_row]],
+        pot_const=prog.pot_const[keep_row],
+        pot_weight=prog.pot_weight[keep_row],
+        power=prog.power,
+        copy_atom=(np.cumsum(keep_atom) - 1)[prog.copy_atom[keep_copy]],
+        copy_pot=(np.cumsum(keep_row) - 1)[prog.copy_pot[keep_copy]],
+        copy_coef=prog.copy_coef[keep_copy],
+        block_comp=prog.block_comp[keep],
+    )
 
 
 @pytest.mark.parametrize("mode", ["ternary", "binary"])
@@ -174,7 +191,8 @@ def test_each_row_is_one_run_of_copies(mode, power, chains):
     takes every row index, so each row's copies are one run, the runs
     follow the rows, and no row is without a copy.  This holds for every
     program the solver sees: grounded, joined, its ADMM blocks, and
-    re-weighted with the chain or prior rows dropped."""
+    re-weighted with the chain or prior rows weighted 0, which keeps every
+    row."""
     fractions = {"fractions": {"support": 0.5, "attack": 0.5}} if mode == "binary" else {}
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2,
                                              task_mode=mode, **fractions))
@@ -183,10 +201,11 @@ def test_each_row_is_one_run_of_copies(mode, power, chains):
     joined = join(grounded)
     coupled = admm_part(joined)
     assert (coupled.n_pairs > 0) == chains
-    dropped = [joined.with_weights({rule.id: rule.weight for rule in build_ruleset(c)})
-               for c in (replace(base, w_chain=0.0), replace(base, w_prior=0.0))]
-    assert len(dropped[1].pot_const) < len(joined.pot_const)
-    for prog in grounded + [joined, coupled] + dropped:
+    zeroed = [joined.with_weights({rule.id: rule.weight for rule in build_ruleset(c)})
+              for c in (replace(base, w_chain=0.0), replace(base, w_prior=0.0))]
+    assert (zeroed[1].pot_weight == 0).any()
+    assert all(len(prog.pot_const) == len(joined.pot_const) for prog in zeroed)
+    for prog in grounded + [joined, coupled] + zeroed:
         assert np.all(np.diff(prog.copy_pot) >= 0)
         assert np.array_equal(np.unique(prog.copy_pot), np.arange(len(prog.pot_const)))
 
@@ -204,14 +223,64 @@ def test_with_weights_equals_ground_under_the_config(power):
         return ground_pairs(build_ruleset(config), list(graph), vectors, triples,
                             power=config.power, task_mode=config.task_mode)
 
-    placeholder = ground_under(structure(base))
+    grounded = ground_under(base)
     for w_chain, w_prior in product((0.0, 0.1, 1.0), (0.0, 0.3)):
         config = replace(base, w_chain=w_chain, w_prior=w_prior)
-        reweighted = placeholder.with_weights(
+        reweighted = grounded.with_weights(
             {rule.id: rule.weight for rule in build_ruleset(config)})
         assert_programs_equal(reweighted, ground_under(config))
-        if w_chain and w_prior:  # no row dropped: the arrays are shared
-            assert reweighted.copy_atom is placeholder.copy_atom
+        # a weight 0 drops no row: every array but pot_weight is shared
+        assert reweighted.copy_atom is grounded.copy_atom
+        assert all(getattr(reweighted, f.name) is getattr(grounded, f.name)
+                   for f in fields(GroundProgram) if f.name != "pot_weight")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_of_weight_0_reach_neither_solver(seed, monkeypatch):
+    """A row of weight 0 is grounded, weighs nothing, and the solver skips
+    it: under random configs with zero logic, chain and prior weights,
+    each batch program's row split, its ADMM penalties, every array the
+    kernel gets and the MAP values are those of the same program with its
+    weight-0 rows cut out."""
+    rng = np.random.default_rng(seed)
+    mode = ("ternary", "binary")[seed % 2]
+    fractions = {"fractions": {"support": 0.5, "attack": 0.5}} if mode == "binary" else {}
+    graph, bundles, _ = generate(SynthConfig(seed=seed, n_topics=4, tree_depth=3, branching=2,
+                                             task_mode=mode, **fractions))
+    config = RuleSetConfig(
+        task_mode=mode, chains=True, hinge_power=("linear", "squared")[seed // 2 % 2],
+        prior_on_indirect=bool(rng.integers(2)),
+        w_logic={rid: float(rng.choice([0.0, 0.5, 1.0])) for rid in LOGIC_RULES},
+        w_chain=float(rng.choice([0.0, 1.0])), w_prior=float(rng.choice([0.0, 0.2])))
+    kernel_calls = []
+    solve_admm = kernels.solve_admm
+    monkeypatch.setattr(kernels, "solve_admm",
+                        lambda *a: kernel_calls.append(a) or solve_admm(*a))
+    zeros = calls = 0
+    for prog in ground_graph(graph, bundles, config).programs:
+        live = prog.pot_weight > 0
+        zeros += int((~live).sum())
+        cut = admm_part(prog, np.ones(prog.n_pairs, dtype=bool), live)
+        for admm_all in (False, True):
+            split = split_rows(prog, admm_all)
+            assert_splits_equal(split, split_rows(cut, admm_all))
+            assert np.array_equal(solver.penalties(prog, split.admm),
+                                  solver.penalties(cut, split.admm))
+        kernel_calls.clear()
+        a, b = solve_map_admm(prog), solve_map_admm(cut)
+        assert len(kernel_calls) in (0, 2)
+        calls += len(kernel_calls)
+        for x, y in zip(*kernel_calls, strict=True):
+            for u, v in zip(*((x, y) if isinstance(x, tuple) else ((x,), (y,))), strict=True):
+                assert np.array_equal(u, v) and np.asarray(u).dtype == np.asarray(v).dtype
+        assert np.array_equal(a.values, b.values)
+        assert a.predicted == b.predicted
+        assert np.array_equal(a.component_iterations, b.component_iterations)
+        assert np.array_equal(a.closed_form, b.closed_form)
+        assert np.array_equal(a.row_energy[live], b.row_energy)
+        assert not a.row_energy[~live].any()
+    assert zeros
+    assert bool(calls) == bool(config.w_chain)  # a chain row of weight 0 couples no block
 
 
 def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, task_mode):
@@ -222,9 +291,9 @@ def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, ta
     k = len(labels)
     pair_list = sorted(pairs, key=lambda p: p.pair_id)
     block_of = {p.pair_id: b for b, p in enumerate(pair_list)}
-    logic = [r for r in rules if r.id.startswith("R") and len(r.body) == 1 and r.weight != 0]
-    prior = next((r for r in rules if r.id == "C1" and r.weight > 0), None)
-    chain = [r for r in rules if r.id.startswith("R") and len(r.body) == 2 and r.weight != 0]
+    logic = [r for r in rules if r.id.startswith("R") and len(r.body) == 1]
+    prior = next(r for r in rules if r.id == "C1")
+    chain = [r for r in rules if r.id.startswith("R") and len(r.body) == 2]
     rows = []  # (rule, block, constant, [(atom, coefficient), ...])
     for b, pair in enumerate(pair_list):
         vector = vectors.get(pair.pair_id)
@@ -233,7 +302,7 @@ def ground_per_pair(rules, pairs, vectors, triples, power, prior_on_indirect, ta
             value = values.get(r.body[0])
             if value is not None:
                 rows.append((r, b, value, [(b * k + labels.index(r.head), -1.0)]))
-        if prior is not None and (pair.kind != "indirect" or prior_on_indirect):
+        if pair.kind != "indirect" or prior_on_indirect:
             rows.append((prior, b, 1.0, [(b * k + labels.index(prior.head), -1.0)]))
     for t in triples:
         hops = (block_of[t.first_hop], block_of[t.second_hop], block_of[t.outer_pair])
@@ -619,9 +688,10 @@ def assert_same_assignment(a, b):
 def test_config_joined_solve_equals_one_solve_per_config(power, per_call, monkeypatch):
     """A batch is joined under as many configs per kernel call as the cap
     allows (all four, or two at a time), and each config's part of a call
-    is what solving its own program alone gives.  A zero chain weight drops the chain rows, so that config's
-    blocks are solved in closed form while the others' go to ADMM; a zero
-    prior weight drops the prior rows."""
+    is what solving its own program alone gives.  A zero chain weight
+    leaves the chain rows coupling no block, so that config's blocks are
+    solved in closed form while the others' go to ADMM; a zero prior
+    weight leaves the prior rows weighing nothing."""
     graph, bundles, _ = generate(SynthConfig(seed=3, n_topics=4, tree_depth=3, branching=2))
     base = RuleSetConfig(chains=True, hinge_power=power)
     configs = [replace(base, w_chain=wc, w_prior=wp)
