@@ -10,9 +10,11 @@ builds its value, `Table.write` turns the value back into the object.
 Only the reader and `Table.line` are compiled, each once per table, on
 first use.  The compiled reader inlines every field's check; the generic
 walker `_read` only reads a record the compiled reader turns down, so it
-alone words errors and renormalises distributions.  `Table.line` writes
-a flat record's values straight to its JSONL line, without building the
-record.  `Table.write` is a plain loop over the rows.
+alone words errors and renormalises distributions.  `read_jsonl` decodes
+lines with orjson, and with `json` only a line that orjson or the compiled
+reader refuses.  `Table.line` writes a flat record's values straight to
+its JSONL line, without building the record.  `Table.write` is a plain
+loop over the rows.
 The pair and score block types are made from their tables.  The tables
 of configs and predictions live next to the types they build
 (`rules.py`, `synth.py`, `infer.py`).
@@ -32,6 +34,8 @@ from functools import cached_property, partial
 from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional
+
+import orjson
 
 log = logging.getLogger(__name__)
 
@@ -549,33 +553,54 @@ _decode = json.JSONDecoder().raw_decode  # json.loads less its Python-level chec
 
 
 def read_jsonl(path, table: Table):
-    """(line number, value) for each non-blank line of a JSONL file."""
+    """(line number, value) for each non-blank line of a UTF-8 JSONL file.
+
+    Each stripped line is decoded by `orjson` and read by the table's
+    compiled `check`.  A line orjson refuses, or whose record `check` does
+    not accept, is read again from its text by `json` (`_read_line`), so
+    the walker reads, and every error words, `json`'s values: a big
+    integer, `NaN` or `1e400` reads as `json` reads it.  A byte that is not
+    UTF-8 is an error naming its line."""
     check = table.check
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                record, end = _decode(raw)
-                if end < len(raw):
-                    raise json.JSONDecodeError("Extra data", raw, end)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed JSON: {exc}", lineno)
-            try:
-                value = check(record)
-            except (_Reject, ValidationError):
-                value = _walk(table, record, lineno, "field")
+                value = check(orjson.loads(raw))
+            except (orjson.JSONDecodeError, _Reject, ValidationError):
+                value = _read_line(table, raw, lineno)
             yield lineno, value
 
 
+def _read_line(table: Table, raw: str, lineno: int):
+    """One stripped line's value as `json` reads it, or the ValidationError
+    naming the line.  A byte that is not UTF-8 was read as a lone
+    surrogate (`surrogateescape`); decoding the line's bytes again names it."""
+    try:
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8: {exc}", lineno) from None
+    try:
+        record, end = _decode(raw)
+        if end < len(raw):
+            raise json.JSONDecodeError("Extra data", raw, end)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON: {exc}", lineno)
+    return table.read(record, lineno)
+
+
 def load_json_object(path, what: str) -> dict:
-    """One JSON object from a file (a config); `what` names it in errors."""
-    with open(path) as fh:
+    """One JSON object from a UTF-8 file (a config), read by `json`, which
+    keeps a big count exact; `what` names it in errors."""
+    with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{what} {path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{what} {path}: not UTF-8: {exc}") from None
     if not isinstance(record, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
     return record

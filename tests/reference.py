@@ -1,13 +1,14 @@
 """Reference code that only tests use: the brute-force grid oracle, the
-sort-based simplex projection of rows of any width, and a predicate row
-as a dict."""
+sort-based simplex projection of rows of any width, a predicate row as a
+dict, and the JSONL reader that decodes every line with `json`."""
 
+import json
 import math
 
 import numpy as np
 
 from arglogic.grounding import GroundProgram, energy, energy_by_pair
-from arglogic.model import ValidationError
+from arglogic.model import ValidationError, _Reject, _walk
 from arglogic.predicates import PREDICATE_NAMES
 from arglogic.solver import Assignment, _predict_labels
 
@@ -96,3 +97,27 @@ def solve_map_grid(program: GroundProgram, resolution: float = 0.05) -> Assignme
         shares=energy_by_pair(program, row_energy),
         row_energy=row_energy,
     )
+
+
+def read_jsonl_by_json(path, table):
+    """`model.read_jsonl` as it read before orjson: every line decoded by a
+    `json` decoder, each record read by the compiled check, and the walker
+    reading what the check refuses.  It opens the file as UTF-8 too."""
+    decode = json.JSONDecoder().raw_decode
+    check = table.check
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                record, end = decode(raw)
+                if end < len(raw):
+                    raise json.JSONDecodeError("Extra data", raw, end)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"malformed JSON: {exc}", lineno)
+            try:
+                value = check(record)
+            except (_Reject, ValidationError):
+                value = _walk(table, record, lineno, "field")
+            yield lineno, value

@@ -4,7 +4,8 @@ position.  A tiny `infer` and `sweep` with chains on, and `infer` with
 chains off, run under it must leave no wrapped layer absent and no count
 unreadable; the chains-on commands must reach the ADMM kernel.  The
 benchmark's inputs, and a valid record of every table, must be read by the
-compiled readers alone, never by the walker that words errors.  A sweep
+compiled readers alone, never by the walker that words errors, and the
+inputs decoded by orjson alone, never by `json`'s decoder.  A sweep
 must give the benchmark one `infer.run_inference` result per grid point,
 in config order, and solve each batch of its programs in one kernel call."""
 
@@ -172,3 +173,19 @@ def test_benchmark_inputs_never_reach_the_walker(tmp_path, monkeypatch):
     for table, record in VALID_RECORDS:
         table.read(record, 1)
     assert reached == []
+
+
+def test_benchmark_inputs_never_reach_the_json_decoder(tmp_path, monkeypatch):
+    """orjson decodes every line of the flat and sweep inputs: `json`'s
+    decoder, which re-reads only the lines orjson or a check refuses, is
+    never called."""
+    def decode(text):
+        raise AssertionError(f"json decoded a line: {text[:80]}")
+
+    monkeypatch.setattr(model, "_decode", decode)
+    for name in ("flat", "sweep"):
+        workload = WORKLOADS[name]
+        args, scores = write_inputs(tmp_path, workload.synth)
+        command, *options = workload.command
+        main([command, str(args), str(scores), *options, "--out", str(tmp_path / f"{name}.out")],
+             standalone_mode=False)

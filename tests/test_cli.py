@@ -631,3 +631,35 @@ def test_sweep_config_errors_exit_code_2(dataset, runner, tmp_path, config, expe
                                "--config", str(cfg), "--out", str(tmp_path / "sweep.json")])
     assert res.exit_code == 2
     assert all(text in res.output for text in expected), res.output
+
+
+NOT_UTF8 = "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("file", ["arguments", "scores"])
+def test_byte_that_is_not_utf8_exit_code_2(dataset, runner, tmp_path, file):
+    """FORMATS.md's files are UTF-8: a line holding another byte exits 2
+    naming the line, whatever the locale's encoding."""
+    _, args_path, scores_path = dataset
+    paths = {"arguments": args_path, "scores": scores_path}
+    data = paths[file].read_bytes() + b'\xff\xfe{"pair_id": "x"}\n'
+    n_lines = data.count(b"\n")
+    paths[file] = tmp_path / f"{file}.jsonl"
+    paths[file].write_bytes(data)
+    res = runner.invoke(main, ["infer", str(paths["arguments"]), str(paths["scores"]),
+                               "--out", str(tmp_path / "out.jsonl")])
+    assert res.exit_code == 2, res.output
+    assert f"line {n_lines}: {NOT_UTF8}" in res.output
+
+
+@pytest.mark.parametrize("command", ["infer", "synth"])
+def test_config_byte_that_is_not_utf8_exit_code_2(dataset, runner, tmp_path, command):
+    _, args_path, scores_path = dataset
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'\xff{"seed": 1}')
+    inputs = {"infer": [str(args_path), str(scores_path), "--out", str(tmp_path / "o.jsonl")],
+              "synth": ["--out-arguments", str(tmp_path / "a.jsonl"),
+                        "--out-scores", str(tmp_path / "s.jsonl")]}[command]
+    res = runner.invoke(main, [command, *inputs, "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert f"config {cfg}: {NOT_UTF8}" in res.output

@@ -41,6 +41,7 @@ from arglogic.model import (
 )
 from arglogic.rules import CONFIG_TABLE, LOGIC_RULES, RuleSetConfig
 from arglogic.synth import SYNTH_TABLE, SynthConfig, generate
+from reference import read_jsonl_by_json
 
 
 def read_config(record):
@@ -484,6 +485,73 @@ def test_compiled_reader_agrees_with_the_walker_on_mutants(start):
         compiled = outcome(lambda: table.read(record, 3, what))
         assert compiled == outcome(lambda: model._walk(table, record, 3, what))
     check()
+
+
+# ---------------------------------------------------------------------------
+# the orjson line reader against the json one
+
+JSONL_TABLES = {"arguments": PAIR_TABLE, "scores": BUNDLE_TABLE,
+                "predictions": PREDICTION_TABLES["ternary"]}
+
+
+def jsonl_outcome(read, path, table):
+    return outcome(lambda: list(read(path, table)))
+
+
+@pytest.mark.parametrize("kind", sorted(JSONL_TABLES))
+def test_jsonl_reader_reads_what_json_reads(kind, tmp_path):
+    """Lines of mutated records, NaN, infinities and big integers included,
+    read to the same (line, value) list, or raise the same error and log
+    the same warnings, through `read_jsonl` and the `json` reader."""
+    record, table = VALID_RECORDS[kind][0], JSONL_TABLES[kind]
+    path = tmp_path / "in.jsonl"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(mutated(record) | mutant(record) | st.just(record) | JSON_VALUES,
+                    min_size=1, max_size=4), st.booleans())
+    def check(records, ascii):
+        text = "".join(json.dumps(r, ensure_ascii=ascii) + "\n" for r in records)
+        # a lone surrogate written raw is no UTF-8: it goes as its JSON escape
+        path.write_bytes(text.encode("utf-8", "backslashreplace"))
+        expected = jsonl_outcome(read_jsonl_by_json, path, table)
+        assert jsonl_outcome(model.read_jsonl, path, table) == expected
+    check()
+
+
+VALID_PAIR = '"statement_id": "s", "claim_id": "c"'
+JSONL_CASES = {  # name: (table, the file's text, what its reading holds)
+    "30-digit integer": (
+        BUNDLE_TABLE, '{"pair_id": "p", "causal": {"sc_cause": 123456789012345678901234567890}}\n',
+        "got 123456789012345678901234567890"),
+    "NaN": (BUNDLE_TABLE, '{"pair_id": "p", "nli": {"p_ent": NaN}}\n', "got nan"),
+    "Infinity": (BUNDLE_TABLE, '{"pair_id": "p", "nli": {"p_ent": Infinity}}\n', "got inf"),
+    "1e400": (BUNDLE_TABLE, '{"pair_id": "p", "nli": {"p_ent": 1e400}}\n', "got inf"),
+    "lone surrogate": (PAIR_TABLE, '{"pair_id": "\\ud800", %s}\n' % VALID_PAIR,
+                       "pair_id='\\ud800'"),
+    "duplicate keys": (PAIR_TABLE, '{"pair_id": "a", "pair_id": "b", %s}\n' % VALID_PAIR,
+                       "pair_id='b'"),
+    "extra data": (PAIR_TABLE, '{"pair_id": "a", %s} x\n' % VALID_PAIR,
+                   "line 1: malformed JSON: Extra data"),
+    "blank lines": (PAIR_TABLE, ' \t\n\x0c\n\x1c \n{"pair_id": "a", %s}\n\n' % VALID_PAIR,
+                    "[(4, ArgumentPair(pair_id='a'"),
+    "padded": (PAIR_TABLE, '\x0c{"pair_id": "a", %s}\x1c\n\x1c{"pair_id": "b", %s}\x0c\n' % (
+        VALID_PAIR, VALID_PAIR), "(2, ArgumentPair(pair_id='b'"),
+    "CR line ends": (PAIR_TABLE, '{"pair_id": "a", %s}\r{"pair_id": "b", %s}\r' % (
+        VALID_PAIR, VALID_PAIR), "(2, ArgumentPair(pair_id='b'"),
+}
+
+
+@pytest.mark.parametrize("case", JSONL_CASES)
+def test_jsonl_reader_reads_the_hand_cases_as_json_does(case, tmp_path):
+    """The lines orjson refuses or reads otherwise (a big integer, NaN,
+    1e400, a lone surrogate) read as `json` reads them, and so do duplicate
+    keys, trailing data, blank or padded lines and `\\r` line ends."""
+    table, text, holds = JSONL_CASES[case]
+    path = tmp_path / "in.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = jsonl_outcome(read_jsonl_by_json, path, table)
+    assert jsonl_outcome(model.read_jsonl, path, table) == expected
+    assert holds in expected[0][1]
 
 
 def in_fresh_interpreter(code: str):

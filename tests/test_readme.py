@@ -1,8 +1,11 @@
+import ast
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from arglogic.chains import _MANIFEST_TABLE
@@ -13,6 +16,8 @@ from arglogic.rules import CONFIG_TABLE, expand_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FORMATS = README.with_name("FORMATS.md")
+PYPROJECT = README.with_name("pyproject.toml")
+PACKAGE = README.with_name("src") / "arglogic"
 
 
 def test_library_usage_runs_as_written(capsys):
@@ -82,3 +87,19 @@ def test_formats_examples_read_through_their_tables(tmp_path):
         return {key: keys(value) if isinstance(value, dict) else None
                 for key, value in record.items()}
     assert keys(examples["Evaluation report"]) == keys(json.loads(Path(report).read_text()))
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """The top-level modules the package imports, less the standard
+    library's and its own, are exactly `[project].dependencies`."""
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"arglogic"}
+    declared = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert third_party == {re.match(r"[A-Za-z0-9_.-]+", name).group() for name in declared}
